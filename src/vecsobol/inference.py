@@ -1,11 +1,18 @@
 """Uncertainty quantification for the pick-freeze estimator.
 
-The estimator is a smooth function of empirical means of per-pair statistics,
-so its asymptotic variance is estimated by the delta method: gradient of the
-ratio at the empirical means, sandwiched with the empirical covariance of the
-statistic vector. A pair-resampling percentile bootstrap is provided as an
-alternative, and clt_diagnostic runs a replication study (normality distance,
-CI coverage) against an oracle target.
+The estimator is a smooth function of the column means of the per-pair
+statistics T (pickfreeze.pair_table), so both intervals are built on T:
+
+- delta_variance: the variance of the projection T @ grad, where grad is the
+  gradient of the ratio at the empirical means (Janon et al. 2014). The
+  n-vector projection replaces a covariance matrix of the statistics.
+- bootstrap_ci: Efron's multinomial view of pair resampling. A resample of
+  pair indices is a vector of counts, and its replicate means are
+  counts @ T / n, one matrix product per block of replicates.
+
+clt_diagnostic runs a replication study (normality distance, CI coverage)
+against an oracle target. scipy is imported only by delta_ci and
+clt_diagnostic, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -14,19 +21,24 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import ContractError, DegenerateSampleError
 from .models import VectorModel
 from .pickfreeze import (
     PickFreezeSample,
+    empirical_covariances,
     estimate_index,
     evaluate_pairs,
     generate_design,
+    pair_table,
 )
 from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence
 
-_BOOTSTRAP_CHUNK = 256  # replicates per vectorized block, bounds peak memory
+# Bytes a block of bootstrap replicates may hold. A replicate's n index draws,
+# their counts and the counts cast to floats take at most 24 n bytes, so a
+# block takes as many replicates as fit, and at least one: peak memory grows
+# with n only and not with the number of replicates.
+_BOOTSTRAP_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -61,41 +73,30 @@ class ReplicationReport:
     coverage: float  # fraction of per-replicate CIs containing the target
 
 
-def _pair_statistics(sample: PickFreezeSample) -> np.ndarray:
-    """Per-pair statistic vector (3k columns): products, pair means, pair square means."""
-    y, y_u = sample.y, sample.y_u
-    return np.hstack([y * y_u, 0.5 * (y + y_u), 0.5 * (y * y + y_u * y_u)])
-
-
 def delta_variance(sample: PickFreezeSample) -> float:
     """Delta-method estimate of the asymptotic variance of the index estimator.
 
-    Treats the estimator as f(mean statistics) and returns grad^T Cov grad
-    with everything evaluated empirically. Nonnegative by construction.
+    The estimate is f(U, V, hbar) = (U - V - |hbar|^2) / (U + V - |hbar|^2) of
+    the column means of pair_table(sample); this returns the empirical
+    variance of T @ grad f. Nonnegative by construction.
     """
     if sample.n < 10:
         raise ContractError(f"delta method needs n >= 10, got {sample.n}")
     value = estimate_index(sample)  # raises DegenerateSampleError when flat
+    denom = float(np.trace(empirical_covariances(sample).total)) / sample.n
 
-    k = sample.out_dims
-    t = _pair_statistics(sample)
-    means = t.mean(axis=0)
-    a, b, d = means[:k], means[k : 2 * k], means[2 * k :]
-    denom = float(np.sum(d - b * b))
-
-    grad = np.empty(3 * k)
-    grad[:k] = 1.0 / denom
-    grad[k : 2 * k] = -2.0 * b * (1.0 - value) / denom
-    grad[2 * k :] = -value / denom
-
-    cov = np.cov(t, rowvar=False, ddof=0)
-    cov = np.atleast_2d(cov)
-    sigma2 = float(grad @ cov @ grad)
-    return max(sigma2, 0.0)
+    grad = np.empty(sample.out_dims + 2)
+    grad[0] = 1.0 - value
+    grad[1] = -(1.0 + value)
+    grad[2:] = -2.0 * (1.0 - value) * sample.moments.mean
+    grad /= denom
+    return float(np.var(pair_table(sample) @ grad))
 
 
 def delta_ci(sample: PickFreezeSample, level: float = 0.95) -> IndexEstimate:
     """Symmetric normal-approximation interval around the point estimate."""
+    from scipy import stats
+
     if not 0.0 < level < 1.0:
         raise ContractError(f"confidence level must be in (0, 1), got {level}")
     value = estimate_index(sample)
@@ -112,24 +113,28 @@ def delta_ci(sample: PickFreezeSample, level: float = 0.95) -> IndexEstimate:
     )
 
 
+def _bootstrap_block(n: int) -> int:
+    """Replicates per block for samples of n pairs."""
+    return max(1, _BOOTSTRAP_BLOCK_BYTES // (24 * n))
+
+
 def _bootstrap_estimates(
     sample: PickFreezeSample, b_reps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Estimator values over pair-index resamples, vectorized in blocks."""
-    y, y_u, n = sample.y, sample.y_u, sample.n
+    """Estimator values over pair-index resamples, from counts @ T in blocks."""
+    table = pair_table(sample)
+    n = sample.n
+    block = _bootstrap_block(n)
     out = np.empty(b_reps)
-    done = 0
-    while done < b_reps:
-        block = min(_BOOTSTRAP_CHUNK, b_reps - done)
-        idx = rng.integers(0, n, size=(block, n))
-        ry, ryu = y[idx], y_u[idx]  # (block, n, k)
-        m = (ry + ryu).sum(axis=1) / (2.0 * n)  # (block, k)
-        centering = n * (m * m).sum(axis=1)
-        num = np.einsum("bnk,bnk->b", ry, ryu) - centering
-        den = 0.5 * (np.einsum("bnk,bnk->b", ry, ry) + np.einsum("bnk,bnk->b", ryu, ryu))
-        den -= centering
-        out[done : done + block] = num / den
-        done += block
+    for start in range(0, b_reps, block):
+        rows = min(block, b_reps - start)
+        idx = rng.integers(0, n, size=(rows, n))
+        idx += n * np.arange(rows)[:, None]  # row r counts into bins r*n .. r*n + n - 1
+        counts = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+        del idx
+        means = (counts @ table) / n
+        u, v, centering = means[:, 0], means[:, 1], np.sum(means[:, 2:] ** 2, axis=1)
+        out[start : start + rows] = (u - v - centering) / (u + v - centering)
     return out
 
 
@@ -184,6 +189,8 @@ def clt_diagnostic(
     estimates and the standard normal, and the fraction of per-replicate
     confidence intervals that contain the oracle target.
     """
+    from scipy import stats
+
     if reps < 200:
         raise ContractError(f"replication study needs reps >= 200, got {reps}")
     if not np.isfinite(target):

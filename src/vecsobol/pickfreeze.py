@@ -1,22 +1,38 @@
 """Pick-freeze designs, paired evaluation, and the sensitivity estimator.
 
-The estimator follows the un-normalized sums literally, with the 1/N factor
-exactly where the defining formula puts it:
+The estimator is the plug-in ratio
 
     numerator   = sum_l [ sum_i Y_il Yu_il - (1/N) (sum_i (Y_il + Yu_il)/2)^2 ]
     denominator = sum_l [ sum_i (Y_il^2 + Yu_il^2)/2
                           - (1/N) (sum_i (Y_il + Yu_il)/2)^2 ]
 
-Both are diagonal sums of the empirical covariance matrices built by
-empirical_covariances(), which is how the general weighted estimator
-Tr(M C_hat)/Tr(M Sigma_hat) reduces to the plain ratio at M = identity,
-bit for bit.
+of the diagonal sums of the empirical covariance matrices. Both sums are
+invariant under a common translation of Y and Yu, but the raw sums are not in
+floating point: they cancel catastrophically once the output mean dwarfs its
+spread. So each sample is reduced once, on shifted outputs a = Y - c and
+b = Yu - c, where the pilot shift c is the first-pass pair mean. In terms of
+the pair mean h = (a + b)/2 and the half difference e = (a - b)/2 of a row,
+
+    total  = sum_i (h_i - hbar)(h_i - hbar)^T + sum_i e_i e_i^T
+    subset = sum_i (h_i - hbar)(h_i - hbar)^T - sum_i e_i e_i^T.
+
+PairMoments holds the two k-by-k Gram blocks and hbar, cached on the
+immutable sample, and every estimate is read off them. Coincident pairs have
+e = 0 exactly, so their two matrices are equal bit for bit; the Gram blocks
+come from symmetric rank-k updates, so both matrices are exactly symmetric;
+and the weighted estimator Tr(M C_hat)/Tr(M Sigma_hat) reduces to the plain
+ratio at M = identity, bit for bit.
+
+The per-pair statistics T_i = [|h_i|^2, |e_i|^2, h_i] (pair_table) have the
+column means the estimator is a function of. The delta method and the
+bootstrap in the inference module are built on them.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,9 +71,13 @@ class PickFreezeDesign:
         return self.x.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PickFreezeSample:
-    """Paired outputs (Y_i, Y_i^u); the pair shares the subset coordinates."""
+    """Paired outputs (Y_i, Y_i^u); the pair shares the subset coordinates.
+
+    The sample is immutable: its fields cannot be reassigned and its arrays
+    are read-only copies, so the moments computed on first use stay valid.
+    """
 
     y: np.ndarray  # (n, k)
     y_u: np.ndarray  # (n, k)
@@ -72,8 +92,8 @@ class PickFreezeSample:
         y_u = y_u.copy()
         y.flags.writeable = False
         y_u.flags.writeable = False
-        self.y = y
-        self.y_u = y_u
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y_u", y_u)
 
     @property
     def n(self) -> int:
@@ -83,12 +103,32 @@ class PickFreezeSample:
     def out_dims(self) -> int:
         return self.y.shape[1]
 
+    @cached_property
+    def moments(self) -> "PairMoments":
+        """The sample's sufficient statistics, reduced once on first use."""
+        return _pair_moments(self.y, self.y_u)
+
     def left_compose(self, matrix: np.ndarray) -> "PickFreezeSample":
         """Apply a linear output map to every paired observation."""
         o = np.asarray(matrix, dtype=float)
         if o.shape != (self.out_dims, self.out_dims):
             raise ContractError(f"matrix must be {self.out_dims}x{self.out_dims}, got {o.shape}")
         return PickFreezeSample(self.y @ o.T, self.y_u @ o.T, self.subset)
+
+
+@dataclass(frozen=True)
+class PairMoments:
+    """Sufficient statistics of a pick-freeze sample, on shifted outputs.
+
+    With a = Y - shift and b = Yu - shift, h = (a + b)/2 and e = (a - b)/2
+    per row (see the module docstring). Arrays are read-only.
+    """
+
+    shift: np.ndarray  # (k,) pilot shift: the first-pass pair mean
+    mean: np.ndarray  # (k,) hbar, the mean of h
+    centered_gram: np.ndarray  # (k, k) sum_i (h_i - hbar)(h_i - hbar)^T
+    diff_gram: np.ndarray  # (k, k) sum_i e_i e_i^T
+    scale: float  # max |h| + max |e|, which bounds the shifted magnitudes |a|, |b|
 
 
 @dataclass
@@ -140,36 +180,89 @@ def evaluate_pairs(model: VectorModel, design: PickFreezeDesign) -> PickFreezeSa
     return PickFreezeSample(y=y, y_u=y_u, subset=design.subset)
 
 
-def _degeneracy_floor(sample: PickFreezeSample) -> float:
-    """Denominator floor: scales with N and the squared sample magnitude so a
-    constant model is rejected while a genuinely small-variance one is not."""
-    scale = max(
-        float(np.max(np.abs(sample.y), initial=0.0)),
-        float(np.max(np.abs(sample.y_u), initial=0.0)),
+def _column_means(x: np.ndarray) -> np.ndarray:
+    # a matrix-vector product: numpy's own reduction down the rows of a
+    # C-ordered matrix is several times slower
+    return (np.ones(x.shape[0]) @ x) / x.shape[0]
+
+
+def _pair_sums(y: np.ndarray, y_u: np.ndarray, shift: np.ndarray):
+    """Row sums s = a + b and differences d = a - b of the shifted outputs
+    a = y - shift and b = y_u - shift, so h = s/2 and e = d/2.
+
+    a is exact when the shift is close to y, so large offsets cancel before
+    any product is formed; d = y - y_u needs no shift.
+    """
+    s = y - shift
+    d = y_u - shift
+    s += d
+    np.subtract(y, y_u, out=d)
+    return s, d
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
+
+
+def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
+    shift = 0.5 * (_column_means(y) + _column_means(y_u))
+    s, d = _pair_sums(y, y_u, shift)
+    mean_s = _column_means(s)
+    # s.T @ s is a symmetric rank-k update, so the Gram blocks are exactly
+    # symmetric, and a zero d gives an exactly zero diff_gram
+    centered = 0.25 * (s.T @ s - y.shape[0] * np.outer(mean_s, mean_s))
+    diff = 0.25 * (d.T @ d)
+    mean = 0.5 * mean_s
+    for a in (shift, mean, centered, diff):
+        a.flags.writeable = False
+    return PairMoments(
+        shift=shift,
+        mean=mean,
+        centered_gram=centered,
+        diff_gram=diff,
+        scale=0.5 * (_max_abs(s) + _max_abs(d)),
     )
+
+
+def pair_table(sample: PickFreezeSample) -> np.ndarray:
+    """Per-pair statistics T_i = [|h_i|^2, |e_i|^2, h_i], shape (n, k + 2).
+
+    Their column means U, V and hbar give the estimator as
+    (U - V - |hbar|^2) / (U + V - |hbar|^2). Built on demand and never
+    cached: it is as large as the sample.
+    """
+    s, d = _pair_sums(sample.y, sample.y_u, sample.moments.shift)
+    quarter = np.full(sample.out_dims, 0.25)
+    table = np.empty((sample.n, sample.out_dims + 2))
+    np.multiply(s, 0.5, out=table[:, 2:])
+    table[:, 0] = np.square(s, out=s) @ quarter
+    table[:, 1] = np.square(d, out=d) @ quarter
+    return table
+
+
+def _degeneracy_floor(sample: PickFreezeSample) -> float:
+    """Denominator floor: scales with N and the squared shifted magnitude, so
+    a constant model is rejected while a genuinely small-variance one is not,
+    whatever the outputs' offset."""
+    scale = sample.moments.scale
     return 1e-14 * scale * scale * sample.n
 
 
 def empirical_covariances(sample: PickFreezeSample) -> EmpiricalCovariances:
-    """Plug-in matrices whose traces reproduce the estimator's numerator and
-    denominator exactly; the cross matrix is symmetrized by construction.
+    """Plug-in matrices whose traces are the estimator's numerator and
+    denominator, read off the sample's cached moments.
 
-    All four Gram blocks go through one einsum contraction with a fixed
-    summation order, so coincident pairs (y_u identical to y) give
-    total == subset bit for bit, and each matrix is exactly symmetric.
+    Coincident pairs (y_u identical to y) give total == subset bit for bit,
+    and each matrix is exactly symmetric.
     """
     if sample.n < 2:
         raise ContractError(f"need at least 2 paired rows, got {sample.n}")
-    y, y_u, n = sample.y, sample.y_u, sample.n
-    m = (y + y_u).sum(axis=0) / (2.0 * n)
-    centering = n * np.outer(m, m)
-    g_yy = np.einsum("il,im->lm", y, y)
-    g_uu = np.einsum("il,im->lm", y_u, y_u)
-    g_yu = np.einsum("il,im->lm", y, y_u)
-    g_uy = np.einsum("il,im->lm", y_u, y)
-    total = 0.5 * (g_yy + g_uu) - centering
-    cross = 0.5 * (g_yu + g_uy) - centering
-    return EmpiricalCovariances(total=total, subset=cross, n=n)
+    mom = sample.moments
+    return EmpiricalCovariances(
+        total=mom.centered_gram + mom.diff_gram,
+        subset=mom.centered_gram - mom.diff_gram,
+        n=sample.n,
+    )
 
 
 def estimate_index(sample: PickFreezeSample) -> float:

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vecsobol
 from vecsobol import (
     ContractError,
     PickFreezeSample,
@@ -13,7 +20,9 @@ from vecsobol import (
     evaluate_pairs,
     generate_design,
     get_model,
+    linear_model,
 )
+from vecsobol.inference import _bootstrap_block, _bootstrap_estimates
 
 U1 = SubsetIndex((0,), 2)
 
@@ -21,6 +30,60 @@ U1 = SubsetIndex((0,), 2)
 def _sample(model_name="identity_2", n=2000, seed=8, **params):
     model = get_model(model_name, **params)
     return evaluate_pairs(model, generate_design(model.space(), U1, n, seed))
+
+
+def _reference_delta_variance(sample):
+    """The delta method as first written: grad^T Cov grad over the 3k
+    statistics [y y_u, (y + y_u)/2, (y^2 + y_u^2)/2] of the raw outputs."""
+    y, y_u = sample.y, sample.y_u
+    k = y.shape[1]
+    t = np.hstack([y * y_u, 0.5 * (y + y_u), 0.5 * (y * y + y_u * y_u)])
+    a, b, d = np.split(t.mean(axis=0), 3)
+    denom = np.sum(d - b * b)
+    value = np.sum(a - b * b) / denom
+    grad = np.concatenate([np.full(k, 1.0), -2.0 * b * (1.0 - value), np.full(k, -value)]) / denom
+    return float(grad @ np.cov(t, rowvar=False, ddof=0) @ grad)
+
+
+def _reference_bootstrap(sample, b_reps, rng, block):
+    """The bootstrap as first written: gather the resampled pairs, then reduce
+    each replicate with einsum. Draws indices in the same blocks."""
+    y, y_u, n = sample.y, sample.y_u, sample.n
+    out = np.empty(b_reps)
+    for start in range(0, b_reps, block):
+        rows = min(block, b_reps - start)
+        idx = rng.integers(0, n, size=(rows, n))
+        ry, ryu = y[idx], y_u[idx]
+        m = (ry + ryu).sum(axis=1) / (2.0 * n)
+        centering = n * (m * m).sum(axis=1)
+        num = np.einsum("bnk,bnk->b", ry, ryu) - centering
+        den = 0.5 * (np.einsum("bnk,bnk->b", ry, ry) + np.einsum("bnk,bnk->b", ryu, ryu))
+        out[start : start + rows] = num / (den - centering)
+    return out
+
+
+def _samples_for_reference():
+    yield _sample("identity_2", n=2000, seed=3)
+    yield _sample("sum_prod", n=3000, seed=4)
+    model = linear_model(np.array([[1.0, 0.5, -2.0], [0.0, 3.0, 1.0], [2.0, -1.0, 0.5]]))
+    subset = SubsetIndex((1,), 3)
+    yield evaluate_pairs(model, generate_design(model.space(), subset, 2500, 5))
+
+
+class TestAgainstReferenceAlgebra:
+    def test_delta_variance_matches_covariance_form(self):
+        for sample in _samples_for_reference():
+            ref = _reference_delta_variance(sample)
+            assert abs(delta_variance(sample) - ref) <= 1e-12 * ref
+
+    def test_bootstrap_replicates_match_gather_form(self):
+        for sample in _samples_for_reference():
+            b_reps = 2 * _bootstrap_block(sample.n) + 7  # three blocks, the last partial
+            got = _bootstrap_estimates(sample, b_reps, np.random.Generator(np.random.Philox(17)))
+            ref = _reference_bootstrap(
+                sample, b_reps, np.random.Generator(np.random.Philox(17)), _bootstrap_block(sample.n)
+            )
+            assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 class TestDeltaVariance:
@@ -99,6 +162,16 @@ class TestBootstrapCi:
         with pytest.raises(ContractError):
             bootstrap_ci(_sample(n=100, seed=1), 100, 0.95, seed=1)
 
+    def test_peak_memory_is_bounded(self):
+        sample = _sample(n=100_000, seed=7)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(sample, 200, 0.95, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
 
 class TestCltDiagnostic:
     def test_report_fields_and_normality(self):
@@ -131,3 +204,12 @@ class TestCltDiagnostic:
             clt_diagnostic(model, model.space(), U1, 100, 250, target=float("nan"), seed=1)
         with pytest.raises(ContractError):
             clt_diagnostic(model, model.space(), U1, 100, 250, target=0.5, seed=1, ci_method="x")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    env = dict(os.environ)
+    src = str(Path(vecsobol.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, vecsobol, vecsobol.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecsobol import (
     ContractError,
@@ -231,6 +235,63 @@ class TestSampleInvariances:
             lhs = estimate_index_general(sample.left_compose(o), m)
             rhs = estimate_index_general(sample, o.T @ m @ o)
             assert abs(lhs - rhs) < 1e-10
+
+
+class TestTranslationInvariance:
+    # A common offset of the outputs leaves the index unchanged. The offset
+    # outputs are rounded to the offset's ulp (1.5e-8 sd at 1e8 sd), which
+    # moves the index by about 1e-8/sqrt(n); the estimator adds nothing.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        log_sd=st.floats(-6.0, 6.0),
+        log_offset=st.floats(0.0, 8.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_offset_drift_is_negligible(self, seed, k, log_sd, log_offset, sign):
+        rng = np.random.default_rng(seed)
+        n, sd = 4000, 10.0**log_sd
+        y = sd * rng.standard_normal((n, k))
+        y_u = 0.5 * y + np.sqrt(0.75) * sd * rng.standard_normal((n, k))
+        offset = sign * sd * 10.0**log_offset * rng.uniform(0.5, 1.0, size=k)
+        base = estimate_index(PickFreezeSample(y, y_u))
+        moved = estimate_index(PickFreezeSample(y + offset, y_u + offset))
+        assert abs(moved - base) <= 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(1, 5),
+        log_sd=st.floats(-6.0, 6.0),
+        log_offset=st.floats(0.0, 8.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_coincident_pairs_are_exactly_one(self, seed, n, k, log_sd, log_offset, sign):
+        rng = np.random.default_rng(seed)
+        sd = 10.0**log_sd
+        y = sd * rng.standard_normal((n, k)) + sign * sd * 10.0**log_offset
+        sample = PickFreezeSample(y, y)
+        assert estimate_index(sample) == 1.0
+        emp = empirical_covariances(sample)
+        assert np.array_equal(emp.subset, emp.total)
+
+
+class TestSampleCache:
+    def test_sample_is_immutable_and_reduced_once(self):
+        y = np.arange(20.0).reshape(10, 2)
+        sample = PickFreezeSample(y, y[::-1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.y = sample.y_u
+        with pytest.raises(ValueError):
+            sample.y[0, 0] = 1.0
+        assert sample.moments is sample.moments
+        with pytest.raises(ValueError):
+            sample.moments.centered_gram[0, 0] = 1.0
+        # the sample holds copies, so changing the source leaves the cache valid
+        y[:] = 0.0
+        assert estimate_index(sample) == estimate_index(PickFreezeSample(sample.y, sample.y_u))
 
 
 class TestSampleCsv:
