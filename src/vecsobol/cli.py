@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,16 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DegenerateModelError,
-    DegenerateSampleError,
-    IllPosedIndexError,
-    ReportError,
-    UnsupportedOracleError,
-    VecSobolError,
-)
+from .errors import ConfigurationError, ContractError, ReportError, VecSobolError
 from .inference import bootstrap_ci, clt_diagnostic, delta_ci
 from .models import (
     OutputTransform,
@@ -42,6 +34,7 @@ from .models import (
     load_external_model,
 )
 from .oracle import (
+    MAX_QUADRATURE_DIMS,
     CovarianceTriple,
     covariances_quadrature,
     decompose_discrete,
@@ -126,240 +119,292 @@ class RunReport:
 # configuration parsing
 # ---------------------------------------------------------------------------
 
+# the keys each configuration mapping may hold; any other key is rejected
+_TOP_KEYS = {
+    "model": (
+        "schema", "model", "space", "subsets", "n", "seed", "ci", "oracle", "matrix",
+        "transform", "replications",
+    ),
+    "sample": ("schema", "sample", "subsets", "seed", "ci", "oracle", "matrix"),
+}
+_MARGINAL_KEYS = {
+    "uniform": ("kind", "low", "high", "a", "b"),
+    "normal": ("kind", "mean", "sd"),
+    "discrete": ("kind", "support", "points", "probs"),
+}
+_TRANSFORM_KEYS = {
+    "homothety": ("kind", "scale"),
+    "isometry": ("kind", "matrix"),
+    "general_linear": ("kind", "matrix"),
+}
+_CI_KEYS = dict.fromkeys(("none", "delta", "bootstrap"), ("kind", "level", "reps"))
+
 
 def _fail(path: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"{path}: {message}")
 
 
-def _require_int(tree: dict, key: str, minimum: Optional[int] = None) -> int:
-    value = tree.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise _fail(key, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _fail(key, f"must be >= {minimum}, got {value}")
+def _check_keys(node: dict, allowed: tuple, path: str, what: str) -> None:
+    for key in node:
+        if key not in allowed:
+            field_path = f"{path}.{key}" if path else str(key)
+            raise _fail(field_path, f"not a key of {what}; allowed: {', '.join(allowed)}")
+
+
+def _kind(node: Any, path: str, keys: dict, what: str) -> str:
+    """Check a mapping whose 'kind' selects its allowed keys; returns the kind."""
+    if not isinstance(node, dict) or "kind" not in node:
+        raise _fail(path, f"expected a {what} mapping with a 'kind', got {node!r}")
+    kind = node["kind"]
+    if not isinstance(kind, str) or kind not in keys:
+        raise _fail(f"{path}.kind", f"expected {'|'.join(keys)}, got {kind!r}")
+    _check_keys(node, keys[kind], path, f"a {kind} {what}")
+    return kind
+
+
+def _number(
+    value: Any,
+    path: str,
+    default: Optional[float] = None,
+    *,
+    integer: bool = False,
+    low: float = -math.inf,
+    high: float = math.inf,
+    exclusive: bool = False,
+):
+    """Read one scalar field, checking its type, integrality and range.
+
+    An absent or null field (None) takes the default when there is one.
+    Booleans are rejected. Real fields must be finite; they may be given as
+    numeric text, since YAML 1.1 reads exponent forms such as 1e-3, which
+    JSON writers emit, as strings. Bounds are inclusive unless exclusive.
+    """
+    if value is None and default is not None:
+        return default
+    numeric = isinstance(value, (int, float, str)) and not isinstance(value, bool)
+    if integer:
+        number, ok = value, numeric and isinstance(value, int)
+    else:
+        try:
+            number = float(value) if numeric else math.nan
+        except (ValueError, OverflowError):
+            number = math.nan
+        ok = math.isfinite(number)
+    if not ok:
+        raise _fail(path, f"expected {'an integer' if integer else 'a finite number'}, got {value!r}")
+    if not (low < number < high if exclusive else low <= number <= high):
+        interval = f"({low}, {high})" if exclusive else f"[{low}, {high}]"
+        raise _fail(path, f"must be in {interval}, got {number}")
+    return number
+
+
+def _list(value: Any, path: str, what: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise _fail(path, f"expected a non-empty list of {what}, got {value!r}")
     return value
 
 
 def _parse_marginal(node: Any, path: str):
-    if not isinstance(node, dict) or "kind" not in node:
-        raise _fail(path, "marginal descriptor must be a mapping with a 'kind'")
-    kind = node["kind"]
+    kind = _kind(node, path, _MARGINAL_KEYS, "marginal")
+
+    def num(key: str, default: Optional[float] = None) -> float:
+        return _number(node.get(key), f"{path}.{key}", default)
+
+    def nums(key: str) -> tuple:
+        values = _list(node.get(key), f"{path}.{key}", "numbers")
+        return tuple(_number(v, f"{path}.{key}[{j}]") for j, v in enumerate(values))
+
+    if kind == "uniform":
+        low_key = "low" if "low" in node else "a"
+        high_key = "high" if "high" in node else "b"
+        make, args = Uniform, (num(low_key, 0.0), num(high_key, 1.0))
+    elif kind == "normal":
+        make, args = Normal, (num("mean", 0.0), num("sd", 1.0))
+    elif "support" in node:
+        support = node["support"]
+        if not isinstance(support, dict):
+            raise _fail(f"{path}.support", f"expected a mapping point: probability, got {support!r}")
+        probs = {_number(x, f"{path}.support"): _number(p, f"{path}.support[{x!r}]")
+                 for x, p in support.items()}
+        make, args = Discrete.from_mapping, (probs,)
+    else:
+        make, args = Discrete, (nums("points"), nums("probs"))
     try:
-        if kind == "uniform":
-            low = node.get("low", node.get("a", 0.0))
-            high = node.get("high", node.get("b", 1.0))
-            return Uniform(float(low), float(high))
-        if kind == "normal":
-            return Normal(float(node.get("mean", 0.0)), float(node.get("sd", 1.0)))
-        if kind == "discrete":
-            if "support" in node:
-                support = {float(k): float(v) for k, v in node["support"].items()}
-                return Discrete.from_mapping(support)
-            points = tuple(float(v) for v in node.get("points", ()))
-            probs = tuple(float(v) for v in node.get("probs", ()))
-            return Discrete(points, probs)
+        return make(*args)
     except ConfigurationError as exc:
         raise _fail(path, str(exc)) from None
-    raise _fail(path, f"unknown marginal kind {kind!r}")
 
 
-def _parse_space(node: Any, path: str = "space") -> InputSpace:
-    if not isinstance(node, list) or not node:
-        raise _fail(path, "expected a non-empty list of marginal descriptors")
-    return InputSpace(tuple(_parse_marginal(m, f"{path}[{i}]") for i, m in enumerate(node)))
-
-
-def _parse_matrix(node: Any, path: str) -> np.ndarray:
+def _parse_matrix(node: Any, path: str, size: Optional[int] = None) -> np.ndarray:
+    """A finite square matrix; with a size, one that weights that many outputs."""
     try:
         m = np.asarray(node, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _fail(path, "expected a matrix as a list of equal-length rows") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise _fail(path, f"expected a square matrix, got shape {tuple(m.shape)}")
     if not np.all(np.isfinite(m)):
         raise _fail(path, "matrix entries must be finite")
+    if size is not None and m.shape[0] != size:
+        raise _fail(path, f"is {m.shape[0]}x{m.shape[1]} but the model has {size} outputs")
     return m
+
+
+def _parse_subsets(node: Any, dims: Optional[int]) -> list[SubsetIndex]:
+    """1-based index groups; without a model (dims None) a group is only a label."""
+    subsets = []
+    for i, raw in enumerate(_list(node, "subsets", "1-based index lists")):
+        path = f"subsets[{i}]"
+        indices = [
+            _number(v, f"{path}[{j}]", integer=True, low=1)
+            for j, v in enumerate(_list(raw, path, "integers"))
+        ]
+        bound = dims or max(indices)
+        try:
+            subsets.append(SubsetIndex.from_one_based(indices, bound))
+        except ContractError:
+            raise _fail(path, f"{raw} is not a group of distinct indices in 1..{bound}") from None
+    return subsets
 
 
 def _parse_model(node: Any) -> VectorModel:
     if isinstance(node, str):
         node = {"name": node}
     if not isinstance(node, dict):
-        raise _fail("model", "expected a corpus name or a mapping")
+        raise _fail("model", f"expected a corpus name or a mapping, got {node!r}")
     if "external" in node:
+        _check_keys(node, ("external",), "model", "an external model")
         try:
             return load_external_model(str(node["external"]))
         except OSError as exc:
             raise _fail("model.external", f"cannot read file: {exc}") from None
+    _check_keys(node, ("name", "params"), "model", "a corpus model")
     name = node.get("name")
     if not isinstance(name, str):
         raise _fail("model.name", "expected a corpus model name")
-    params = dict(node.get("params") or {})
+    params = {} if node.get("params") is None else node["params"]
+    if not isinstance(params, dict):
+        raise _fail("model.params", f"expected a mapping, got {params!r}")
+    params = dict(params)
     if name == "u_only" and "coords" in params:
         # config coordinates are 1-based, like subsets
-        params["coords"] = tuple(int(c) - 1 for c in params["coords"])
+        coords = _list(params["coords"], "model.params.coords", "integers")
+        params["coords"] = tuple(
+            _number(c, f"model.params.coords[{i}]", integer=True, low=1) - 1
+            for i, c in enumerate(coords)
+        )
     try:
         return get_model(name, **params)
     except ConfigurationError as exc:
         raise _fail("model", str(exc)) from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise _fail("model.params", str(exc)) from None
 
 
 def _parse_ci(node: Any) -> CISpec:
-    if node is None or node == "none":
+    if node is None:
         return CISpec("none")
-    if node == "delta":
-        return CISpec("delta")
-    if node == "bootstrap":
-        return CISpec("bootstrap")
-    if isinstance(node, dict):
-        kind = node.get("kind")
-        if kind not in ("none", "delta", "bootstrap"):
-            raise _fail("ci.kind", f"expected none|delta|bootstrap, got {kind!r}")
-        level = float(node.get("level", 0.95))
-        if not 0.0 < level < 1.0:
-            raise _fail("ci.level", f"must be in (0, 1), got {level}")
-        reps = int(node.get("reps", 1000))
-        if kind == "bootstrap" and reps < 200:
-            raise _fail("ci.reps", f"bootstrap needs >= 200 replicates, got {reps}")
-        return CISpec(kind, level, reps)
-    raise _fail("ci", f"expected none|delta|bootstrap or a mapping, got {node!r}")
+    if isinstance(node, str):
+        node = {"kind": node}
+    kind = _kind(node, "ci", _CI_KEYS, "ci")
+    level = _number(node.get("level"), "ci.level", 0.95, low=0.0, high=1.0, exclusive=True)
+    min_reps = 200 if kind == "bootstrap" else -math.inf
+    return CISpec(kind, level, _number(node.get("reps"), "ci.reps", 1000, integer=True, low=min_reps))
 
 
-def _parse_transform(node: Any) -> OutputTransform:
-    if not isinstance(node, dict) or "kind" not in node:
-        raise _fail("transform", "expected a mapping with a 'kind'")
-    kind = node["kind"]
+def _parse_transform(node: Any, out_dims: int) -> OutputTransform:
+    kind = _kind(node, "transform", _TRANSFORM_KEYS, "transform")
     if kind == "homothety":
-        try:
-            return OutputTransform(kind="homothety", scale=float(node.get("scale", 0.0)))
-        except ConfigurationError as exc:
-            raise _fail("transform.scale", str(exc)) from None
-    if kind in ("isometry", "general_linear"):
-        matrix = _parse_matrix(node.get("matrix"), "transform.matrix")
-        try:
-            return OutputTransform(kind=kind, matrix=matrix)
-        except ConfigurationError as exc:
-            raise _fail("transform.matrix", str(exc)) from None
-    raise _fail("transform.kind", f"unknown transform kind {kind!r}")
+        path, args = "transform.scale", {"scale": _number(node.get("scale"), "transform.scale")}
+    else:
+        path = "transform.matrix"
+        args = {"matrix": _parse_matrix(node.get("matrix"), path, out_dims)}
+    try:
+        return OutputTransform(kind=kind, **args)
+    except ConfigurationError as exc:
+        raise _fail(path, str(exc)) from None
 
 
 def config_from_tree(tree: dict) -> RunConfig:
     """Validate a parsed configuration tree; every failure names the field."""
     if not isinstance(tree, dict):
         raise ConfigurationError("configuration must be a mapping")
-    schema = tree.get("schema", 1)
+    mode = "sample" if tree.get("sample") is not None else "model"
+    _check_keys(tree, _TOP_KEYS[mode], "", f"a {mode}-mode configuration")
+    schema = _number(tree.get("schema"), "schema", 1, integer=True)
     if schema != 1:
         raise _fail("schema", f"unsupported schema version {schema!r}")
+    oracle = tree.get("oracle") or "none"
+    if oracle not in (("none",) if mode == "sample" else ("none", "auto")):
+        raise _fail("oracle", f"expected none|auto (none in sample mode), got {oracle!r}")
+    config = RunConfig(
+        model=None,
+        space=None,
+        subsets=[],
+        n=0,
+        seed=_number(tree.get("seed"), "seed", 0, integer=True, low=0),
+        ci=_parse_ci(tree.get("ci")),
+        oracle=oracle,
+    )
 
-    sample_path = tree.get("sample")
-    if sample_path is not None:
-        if "model" in tree:
-            raise _fail("sample", "estimator-only mode excludes a 'model' entry")
-        if tree.get("oracle", "none") not in (None, "none"):
-            raise _fail("oracle", "estimator-only mode supports oracle: none only")
-        if tree.get("replications") is not None:
-            raise _fail("replications", "not available in estimator-only mode")
-        subsets_node = tree.get("subsets") or []
-        config = RunConfig(
-            model=None,
-            space=None,
-            subsets=[],
-            n=0,
-            seed=int(tree.get("seed", 0)),
-            ci=_parse_ci(tree.get("ci")),
-            sample_path=str(sample_path),
-        )
-        if subsets_node:
-            # labels only; bounds cannot be checked without a model
-            config.subsets = [
-                SubsetIndex.from_one_based(s, max(max(s), 1)) for s in subsets_node
-            ]
+    if mode == "sample":
         if tree.get("matrix") is not None:
             config.matrix = _parse_matrix(tree["matrix"], "matrix")
+        if tree.get("subsets") is not None:
+            config.subsets = _parse_subsets(tree["subsets"], None)
+            if len(config.subsets) != 1:
+                raise _fail("subsets", "sample mode takes exactly one subset label")
+        config.sample_path = str(tree["sample"])
         return config
 
-    if "model" not in tree:
-        raise _fail("model", "missing")
-    model = _parse_model(tree["model"])
+    model = config.model = _parse_model(tree.get("model"))
 
     if tree.get("space") is not None:
-        space = _parse_space(tree["space"])
+        marginals = _list(tree["space"], "space", "marginal descriptors")
+        config.space = InputSpace(
+            tuple(_parse_marginal(m, f"space[{i}]") for i, m in enumerate(marginals))
+        )
     elif model.default_space is not None:
-        space = model.default_space
+        config.space = model.default_space
     else:
         raise _fail("space", "missing and the model has no default input space")
-    if space.dims != model.in_dims:
+    if config.space.dims != model.in_dims:
         raise _fail(
             "space",
-            f"has {space.dims} marginals but the model expects {model.in_dims} inputs",
+            f"has {config.space.dims} marginals but the model expects {model.in_dims} inputs",
         )
 
-    subsets_node = tree.get("subsets")
-    if not isinstance(subsets_node, list) or not subsets_node:
-        raise _fail("subsets", "expected a non-empty list of 1-based index lists")
-    subsets = []
-    for i, raw in enumerate(subsets_node):
-        if isinstance(raw, int):
-            raw = [raw]
-        if not isinstance(raw, list) or not raw or not all(isinstance(v, int) for v in raw):
-            raise _fail(f"subsets[{i}]", f"expected a list of integers, got {raw!r}")
-        try:
-            subsets.append(SubsetIndex.from_one_based(raw, model.in_dims))
-        except ContractError:
-            raise _fail(
-                f"subsets[{i}]",
-                f"{raw} is not a valid group of 1-based indices in 1..{model.in_dims}",
-            ) from None
-
-    config = RunConfig(
-        model=model,
-        space=space,
-        subsets=subsets,
-        n=_require_int(tree, "n", minimum=2) if "n" in tree else 1000,
-        seed=_require_int(tree, "seed") if "seed" in tree else 0,
-        ci=_parse_ci(tree.get("ci")),
-        oracle=str(tree.get("oracle") or "none"),
-    )
-    if config.oracle not in ("none", "auto"):
-        raise _fail("oracle", f"expected none|auto, got {config.oracle!r}")
+    config.subsets = _parse_subsets(tree.get("subsets"), model.in_dims)
+    config.n = _number(tree.get("n"), "n", 1000, integer=True, low=2)
 
     if tree.get("matrix") is not None:
-        config.matrix = _parse_matrix(tree["matrix"], "matrix")
-        if config.matrix.shape[0] != model.out_dims:
-            raise _fail(
-                "matrix",
-                f"is {config.matrix.shape[0]}x{config.matrix.shape[1]} but the model "
-                f"has {model.out_dims} outputs",
-            )
-
+        config.matrix = _parse_matrix(tree["matrix"], "matrix", model.out_dims)
     if tree.get("transform") is not None:
-        config.transform = _parse_transform(tree["transform"])
-        t_dims = config.transform.out_dims
-        if t_dims is not None and t_dims != model.out_dims:
-            raise _fail(
-                "transform.matrix",
-                f"is {t_dims}x{t_dims} but the model has {model.out_dims} outputs",
-            )
+        config.transform = _parse_transform(tree["transform"], model.out_dims)
 
     if tree.get("replications") is not None:
-        config.replications = _require_int(tree, "replications", minimum=200)
+        config.replications = _number(tree["replications"], "replications", integer=True, low=200)
         if config.oracle != "auto":
             raise _fail("replications", "a replication study needs oracle: auto for its target")
 
     return config
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a YAML (or JSON) configuration document into a validated RunConfig."""
+def _load_tree(text: str) -> dict:
+    """Parse a YAML (or JSON) document into a configuration mapping."""
     try:
         tree = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"configuration is not well formed: {exc}") from None
-    if tree is None:
-        raise ConfigurationError("configuration is empty")
-    return config_from_tree(tree)
+    if not isinstance(tree, dict):
+        empty = tree is None
+        raise ConfigurationError(f"configuration {'is empty' if empty else 'must be a mapping'}")
+    return tree
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a YAML (or JSON) configuration document into a validated RunConfig."""
+    return config_from_tree(_load_tree(text))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +437,7 @@ def resolve_oracle(
         return model.exact_cov(space, subset)
     if space.all_discrete:
         return decompose_discrete(model, space, subset).covariance_triple()
-    if space.all_continuous and space.dims <= 4:
+    if space.all_continuous and space.dims <= MAX_QUADRATURE_DIMS:
         return covariances_quadrature(model, space, subset, DEFAULT_QUADRATURE_NODES)
     return None
 
@@ -409,71 +454,57 @@ def _replication_dict(report) -> dict:
     }
 
 
-def _run_sample_only(config: RunConfig) -> RunReport:
-    sample = read_sample_csv(config.sample_path)
-    label = list(config.subsets[0].to_one_based()) if config.subsets else []
-    result = SubsetResult(
-        subset=label,
-        n=sample.n,
-        seed=config.seed,
-        estimate=estimate_index(sample),
-    )
-    if config.matrix is not None:
-        result.estimate_weighted = estimate_index_general(sample, config.matrix)
-    _attach_ci(result, sample, config, np.random.SeedSequence(config.seed))
-    return RunReport(
-        schema=1,
-        tool="vecsobol",
-        version=__version__,
-        seed=config.seed,
-        n=sample.n,
-        subsets=[result],
-    )
+def _samples(config: RunConfig, model: Optional[VectorModel]):
+    """Yield (subset, sample, ci seed, replication seed, start time) per analysed sample.
 
-
-def _attach_ci(result: SubsetResult, sample, config: RunConfig, seedseq) -> None:
-    if config.ci.kind == "none":
+    Sample mode reads its file once; its subset is only a label (None when
+    absent) and its bootstrap draws from the config seed.
+    """
+    if config.sample_path is not None:
+        started = time.perf_counter()
+        try:
+            sample = read_sample_csv(config.sample_path)
+        except OSError as exc:
+            raise _fail("sample", f"cannot read file: {exc}") from None
+        label = config.subsets[0] if config.subsets else None
+        yield label, sample, np.random.SeedSequence(config.seed), None, started
         return
-    if config.ci.kind == "delta":
-        est = delta_ci(sample, config.ci.level)
-    else:
-        est = bootstrap_ci(sample, config.ci.reps, config.ci.level, seedseq)
-    result.sigma2_hat = est.sigma2_hat
-    result.ci_low = est.ci_low
-    result.ci_high = est.ci_high
-    result.ci_level = est.ci_level
-    result.ci_method = est.method
+    for subset, (design_ss, ci_ss, rep_ss) in zip(config.subsets, _subset_seed_streams(config)):
+        started = time.perf_counter()
+        design = generate_design(config.space, subset, config.n, design_ss)
+        yield subset, evaluate_pairs(model, design), ci_ss, rep_ss, started
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute the configured analysis; deterministic given the config."""
     started = time.perf_counter()
-    if config.sample_path is not None:
-        return _run_sample_only(config)
-
     model = config.model
     if config.transform is not None:
         model = apply_transform(model, config.transform)
-    space = config.space
 
-    streams = _subset_seed_streams(config)
     results = []
-    for subset, (design_ss, ci_ss, rep_ss) in zip(config.subsets, streams):
-        t0 = time.perf_counter()
-        design = generate_design(space, subset, config.n, design_ss)
-        sample = evaluate_pairs(model, design)
+    for subset, sample, ci_ss, rep_ss, t0 in _samples(config, model):
         result = SubsetResult(
-            subset=list(subset.to_one_based()),
-            n=config.n,
+            subset=[] if subset is None else list(subset.to_one_based()),
+            n=sample.n,
             seed=config.seed,
             estimate=estimate_index(sample),
         )
         if config.matrix is not None:
             result.estimate_weighted = estimate_index_general(sample, config.matrix)
-        _attach_ci(result, sample, config, ci_ss)
+        if config.ci.kind != "none":
+            if config.ci.kind == "delta":
+                est = delta_ci(sample, config.ci.level)
+            else:
+                est = bootstrap_ci(sample, config.ci.reps, config.ci.level, ci_ss)
+            result.sigma2_hat = est.sigma2_hat
+            result.ci_low = est.ci_low
+            result.ci_high = est.ci_high
+            result.ci_level = est.ci_level
+            result.ci_method = est.method
 
         if config.oracle == "auto":
-            triple = resolve_oracle(model, space, subset)
+            triple = resolve_oracle(model, config.space, subset)
             if triple is not None:
                 idx = exact_index(triple, np.eye(model.out_dims))
                 result.oracle_method = triple.method
@@ -487,12 +518,11 @@ def run(config: RunConfig) -> RunReport:
         if config.replications is not None:
             if result.oracle_subset is None:
                 raise ConfigurationError(
-                    f"replications: no oracle target available for subset "
-                    f"{list(subset.to_one_based())}"
+                    f"replications: no oracle target available for subset {result.subset}"
                 )
             rep = clt_diagnostic(
                 model,
-                space,
+                config.space,
                 subset,
                 n_per_rep=config.n,
                 reps=config.replications,
@@ -513,7 +543,7 @@ def run(config: RunConfig) -> RunReport:
         tool="vecsobol",
         version=__version__,
         seed=config.seed,
-        n=config.n,
+        n=results[0].n,  # every subset is analysed at the same sample size
         subsets=results,
     )
     if not config.reproducible:
@@ -558,17 +588,10 @@ def report_to_csv(report: RunReport) -> str:
     _check_finite(tree, "report")
     lines = ["subset,estimate,oracle,sigma2_hat,ci_low,ci_high,n,seed"]
     for sub in report.subsets:
-        cells = [
-            "+".join(str(i) for i in sub.subset),
-            repr(sub.estimate),
-            "" if sub.oracle_subset is None else repr(sub.oracle_subset),
-            "" if sub.sigma2_hat is None else repr(sub.sigma2_hat),
-            "" if sub.ci_low is None else repr(sub.ci_low),
-            "" if sub.ci_high is None else repr(sub.ci_high),
-            str(sub.n),
-            str(sub.seed),
-        ]
-        lines.append(",".join(cells))
+        optional = (sub.oracle_subset, sub.sigma2_hat, sub.ci_low, sub.ci_high)
+        cells = ["+".join(str(i) for i in sub.subset), repr(sub.estimate)]
+        cells += ["" if value is None else repr(value) for value in optional]
+        lines.append(",".join(cells + [str(sub.n), str(sub.seed)]))
     return "\n".join(lines) + "\n"
 
 
@@ -595,6 +618,15 @@ def write_report(report: RunReport, path: str, fmt: str = "json") -> None:
 # ---------------------------------------------------------------------------
 
 
+# flags whose value is the config key of the same name
+_FLAG_KEYS = ("model", "sample", "subsets", "n", "seed", "oracle", "replications")
+
+
+def _index_list(text: str) -> list[int]:
+    """A --subset value: comma-separated 1-based input indices."""
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vecsobol",
@@ -606,6 +638,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--subset",
         action="append",
+        type=_index_list,
+        dest="subsets",
+        metavar="SUBSET",
         help="comma-separated 1-based input indices; repeatable",
     )
     parser.add_argument("--n", type=int, help="pick-freeze sample size")
@@ -628,86 +663,50 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _tree_from_args(args: argparse.Namespace) -> dict:
+    """The config file's tree (or an empty one) with the flags applied over it."""
+    tree: dict = {"schema": 1}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+                tree = _load_tree(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"config: cannot read {args.config}: {exc}") from None
-        try:
-            tree = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"config: not well formed: {exc}") from None
-        if not isinstance(tree, dict):
-            raise ConfigurationError("config: document must be a mapping")
-    else:
-        tree = {"schema": 1}
 
-    if args.model:
-        tree["model"] = args.model
-    if args.sample:
-        tree["sample"] = args.sample
+    tree.update((key, getattr(args, key)) for key in _FLAG_KEYS if getattr(args, key) is not None)
+    if args.sample is not None:
         tree.pop("model", None)
-    if args.subset:
-        subsets = []
-        for chunk in args.subset:
-            try:
-                subsets.append([int(v) for v in chunk.split(",") if v.strip()])
-            except ValueError:
-                raise ConfigurationError(
-                    f"subsets: expected comma-separated integers, got {chunk!r}"
-                ) from None
-        tree["subsets"] = subsets
-    if args.n is not None:
-        tree["n"] = args.n
-    if args.seed is not None:
-        tree["seed"] = args.seed
     if args.matrix:
         try:
             tree["matrix"] = np.atleast_2d(np.loadtxt(args.matrix)).tolist()
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"matrix: cannot read {args.matrix}: {exc}") from None
-    if args.oracle:
-        tree["oracle"] = args.oracle
-    if args.replications is not None:
-        tree["replications"] = args.replications
-    if args.ci or args.ci_level is not None or args.ci_reps is not None:
-        ci: dict[str, Any] = {"kind": args.ci or "delta"}
-        if args.ci_level is not None:
-            ci["level"] = args.ci_level
-        if args.ci_reps is not None:
-            ci["reps"] = args.ci_reps
-        tree["ci"] = ci if ci["kind"] != "none" else "none"
+    ci_flags = {"kind": args.ci, "level": args.ci_level, "reps": args.ci_reps}
+    if any(value is not None for value in ci_flags.values()):
+        # the interval flags update the config's ci mapping; without --ci its
+        # kind stays as configured (delta when the config has no interval)
+        ci = tree.get("ci")
+        ci = dict(ci) if isinstance(ci, dict) else {"kind": ci or "delta"}
+        ci.update((key, value) for key, value in ci_flags.items() if value is not None)
+        tree["ci"] = ci
     return tree
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        tree = _tree_from_args(args)
-        config = config_from_tree(tree)
+        config = config_from_tree(_tree_from_args(args))
         config.reproducible = args.reproducible
+        write_report(run(config), args.output, args.format)
     except (ConfigurationError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        report = run(config)
-    except (ConfigurationError, ContractError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DegenerateModelError, DegenerateSampleError, IllPosedIndexError) as exc:
-        print(f"degenerate model: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (UnsupportedOracleError, VecSobolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-
-    try:
-        write_report(report, args.output, args.format)
-    except (ReportError, ConfigurationError) as exc:
+    except ReportError as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except VecSobolError as exc:
+        # degenerate models and samples, ill-posed indices, oracle limits
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     return EXIT_OK
 
 

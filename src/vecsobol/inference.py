@@ -11,13 +11,14 @@ statistics T (pickfreeze.pair_table), so both intervals are built on T:
   counts @ T / n, one matrix product per block of replicates.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
-against an oracle target. scipy is imported only by delta_ci and
-clt_diagnostic, so importing the package does not load it.
+against an oracle target. No scipy at runtime: the normal quantile and
+distribution function come from statistics.NormalDist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -95,13 +96,11 @@ def delta_variance(sample: PickFreezeSample) -> float:
 
 def delta_ci(sample: PickFreezeSample, level: float = 0.95) -> IndexEstimate:
     """Symmetric normal-approximation interval around the point estimate."""
-    from scipy import stats
-
     if not 0.0 < level < 1.0:
         raise ContractError(f"confidence level must be in (0, 1), got {level}")
     value = estimate_index(sample)
     sigma2 = delta_variance(sample)
-    half = float(stats.norm.ppf(0.5 + level / 2.0) * np.sqrt(sigma2 / sample.n))
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * float(np.sqrt(sigma2 / sample.n))
     return IndexEstimate(
         value=value,
         sigma2_hat=sigma2,
@@ -189,8 +188,6 @@ def clt_diagnostic(
     estimates and the standard normal, and the fraction of per-replicate
     confidence intervals that contain the oracle target.
     """
-    from scipy import stats
-
     if reps < 200:
         raise ContractError(f"replication study needs reps >= 200, got {reps}")
     if not np.isfinite(target):
@@ -219,8 +216,11 @@ def clt_diagnostic(
     std = float(np.std(estimates, ddof=1))
     if std == 0.0:
         raise DegenerateSampleError("replicate estimates are all identical; cannot standardize")
-    standardized = (estimates - estimates.mean()) / std
-    ks = float(stats.kstest(standardized, "norm").statistic)
+    standardized = np.sort((estimates - estimates.mean()) / std)
+    # KS distance to N(0, 1): the empirical CDF steps from (i-1)/n to i/n at x_(i)
+    cdf = np.array([NormalDist().cdf(x) for x in standardized])
+    steps = np.arange(reps + 1) / reps
+    ks = float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
     return ReplicationReport(
         n_per_rep=n_per_rep,
         reps=reps,

@@ -114,7 +114,10 @@ def linear_model(
     name: str = "linear",
 ) -> VectorModel:
     """Model x -> A x for a k-by-p matrix A."""
-    a = np.array(matrix, dtype=float)
+    try:
+        a = np.array(matrix, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError("linear model matrix must be equal-length rows of numbers") from None
     if a.ndim != 2:
         raise ConfigurationError(f"linear model matrix must be 2-D, got ndim={a.ndim}")
     a.flags.writeable = False
@@ -204,7 +207,7 @@ def _make_identity_2() -> VectorModel:
 def _make_linear(matrix=None) -> VectorModel:
     if matrix is None:
         raise ConfigurationError("corpus model 'linear' requires a 'matrix' parameter")
-    return linear_model(np.asarray(matrix, dtype=float))
+    return linear_model(matrix)
 
 
 def _make_sum_prod() -> VectorModel:

@@ -21,7 +21,7 @@ from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
@@ -48,6 +48,16 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     out = 0.5 * (m + m.T)
     out.flags.writeable = False
     return out
+
+
+def _check_dims(model: VectorModel, space: InputSpace, subset: SubsetIndex) -> None:
+    """The space and the subset must both span the model's inputs."""
+    if space.dims != model.in_dims:
+        raise ContractError(
+            f"space has {space.dims} inputs but the model expects {model.in_dims}"
+        )
+    if subset.dims != space.dims:
+        raise ContractError("subset dimensionality does not match the space")
 
 
 def _check_positive_definite(sigma: np.ndarray, what: str) -> None:
@@ -227,114 +237,15 @@ def _tensor_weights(weight_cols: list[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, weight_cols, np.array(1.0)).ravel()
 
 
-class _GridDecomposition:
-    """Exact decomposition of a model over a product grid with product weights."""
-
-    def __init__(
-        self,
-        model: VectorModel,
-        nodes: list[np.ndarray],
-        weights: list[np.ndarray],
-        subset: SubsetIndex,
-    ):
-        p = model.in_dims
-        sizes = [len(n) for n in nodes]
-        total_nodes = math.prod(sizes)
-        if total_nodes > MAX_GRID_NODES:
-            raise ResourceError(
-                f"grid has {total_nodes} nodes, above the cap of {MAX_GRID_NODES}"
-            )
-
-        comp = subset.complement
-        # per-row multi-indices in C order: index j varies fastest for the last dim
-        strides = np.ones(p, dtype=np.int64)
-        for j in range(p - 2, -1, -1):
-            strides[j] = strides[j + 1] * sizes[j + 1]
-        rows = np.arange(total_nodes, dtype=np.int64)
-
-        grid = np.empty((total_nodes, p))
-        w_full = np.ones(total_nodes)
-        w_comp_part = np.ones(total_nodes)
-        w_sub_part = np.ones(total_nodes)
-        pos_sub = np.zeros(total_nodes, dtype=np.int64)
-        pos_comp = np.zeros(total_nodes, dtype=np.int64)
-        stride_sub = 1
-        stride_comp = 1
-        for j in range(p - 1, -1, -1):
-            ij = (rows // strides[j]) % sizes[j]
-            grid[:, j] = nodes[j][ij]
-            wj = weights[j][ij]
-            w_full *= wj
-            if j in subset.indices:
-                pos_sub += ij * stride_sub
-                stride_sub *= sizes[j]
-                w_sub_part *= wj
-            else:
-                pos_comp += ij * stride_comp
-                stride_comp *= sizes[j]
-                w_comp_part *= wj
-
-        outputs = model.evaluate(grid)
-        k = model.out_dims
-        mean = w_full @ outputs
-
-        n_sub = math.prod(sizes[j] for j in subset.indices)
-        n_comp = math.prod(sizes[j] for j in comp)
-
-        def conditional(pos, n_cells, other_weight):
-            cond = np.empty((n_cells, k))
-            for col in range(k):
-                cond[:, col] = np.bincount(
-                    pos, weights=other_weight * outputs[:, col], minlength=n_cells
-                )
-            return cond
-
-        # conditional means given the subset cell, minus the grand mean
-        sub_values = conditional(pos_sub, n_sub, w_comp_part) - mean
-        comp_values = conditional(pos_comp, n_comp, w_sub_part) - mean
-        interaction_values = outputs - mean - sub_values[pos_sub] - comp_values[pos_comp]
-
-        # cell weights, raveled in the same C order the positions were built in
-        # (ascending dimensions, last one fastest)
-        w_sub_cells = _tensor_weights([weights[j] for j in subset.indices])
-        w_comp_cells = _tensor_weights([weights[j] for j in comp])
-
-        centered = outputs - mean
-        self.total = centered.T @ (centered * w_full[:, None])
-        self.subset_cov = sub_values.T @ (sub_values * w_sub_cells[:, None])
-        self.complement_cov = comp_values.T @ (comp_values * w_comp_cells[:, None])
-        self.interaction_cov = interaction_values.T @ (interaction_values * w_full[:, None])
-
-        self.mean = mean
-        self.subset = subset
-        self.grid = grid
-        self.grid_weights = w_full
-        self.outputs = outputs
-        self.subset_values = sub_values
-        self.subset_weights = w_sub_cells
-        self.complement_values = comp_values
-        self.complement_weights = w_comp_cells
-        self.interaction_values = interaction_values
-        self.subset_positions = pos_sub
-        self.complement_positions = pos_comp
-
-    def identity_residual(self) -> float:
-        return float(
-            np.max(
-                np.abs(
-                    self.total - self.subset_cov - self.complement_cov - self.interaction_cov
-                )
-            )
-        )
-
-
 @dataclass
 class HoeffdingComponents:
     """Tabulated orthogonal components of a model on a finite input grid.
 
     The model value at any grid node is mean + subset part + complement part +
     interaction part; every part has zero mean under the input law and the
-    parts are pairwise uncorrelated.
+    parts are pairwise uncorrelated. The *_cov fields are the covariance
+    matrices of the total output and of the three parts, each computed
+    directly from its tabulated values.
     """
 
     subset: SubsetIndex
@@ -349,7 +260,10 @@ class HoeffdingComponents:
     interaction_values: np.ndarray
     subset_positions: np.ndarray
     complement_positions: np.ndarray
-    _covs: dict = field(default_factory=dict, repr=False)
+    total_cov: np.ndarray
+    subset_cov: np.ndarray
+    complement_cov: np.ndarray
+    interaction_cov: np.ndarray
 
     def reconstruction_residual(self) -> float:
         """Max abs defect of mean + parts == model value over the grid."""
@@ -383,17 +297,117 @@ class HoeffdingComponents:
         ]
         return float(max(np.max(np.abs(m)) for m in pairs))
 
+    def identity_residual(self) -> float:
+        """Max-entry defect of total == subset + complement + interaction covariance."""
+        return float(
+            np.max(
+                np.abs(
+                    self.total_cov - self.subset_cov - self.complement_cov - self.interaction_cov
+                )
+            )
+        )
+
     def covariance_triple(self) -> CovarianceTriple:
         """Triple with the interaction covariance computed directly from its values."""
         triple = CovarianceTriple(
-            total=self._covs["total"],
-            subset=self._covs["subset"],
-            complement=self._covs["complement"],
-            interaction=self._covs["interaction"],
+            total=self.total_cov,
+            subset=self.subset_cov,
+            complement=self.complement_cov,
+            interaction=self.interaction_cov,
             method="enumeration",
         )
         triple.residual = triple.identity_defect()
         return triple
+
+
+def _decompose_grid(
+    model: VectorModel,
+    nodes: list[np.ndarray],
+    weights: list[np.ndarray],
+    subset: SubsetIndex,
+) -> HoeffdingComponents:
+    """Exact decomposition of a model over a product grid with product weights."""
+    p = model.in_dims
+    sizes = [len(n) for n in nodes]
+    total_nodes = math.prod(sizes)
+    if total_nodes > MAX_GRID_NODES:
+        raise ResourceError(
+            f"grid has {total_nodes} nodes, above the cap of {MAX_GRID_NODES}"
+        )
+
+    comp = subset.complement
+    # per-row multi-indices in C order: index j varies fastest for the last dim
+    strides = np.ones(p, dtype=np.int64)
+    for j in range(p - 2, -1, -1):
+        strides[j] = strides[j + 1] * sizes[j + 1]
+    rows = np.arange(total_nodes, dtype=np.int64)
+
+    grid = np.empty((total_nodes, p))
+    w_full = np.ones(total_nodes)
+    w_comp_part = np.ones(total_nodes)
+    w_sub_part = np.ones(total_nodes)
+    pos_sub = np.zeros(total_nodes, dtype=np.int64)
+    pos_comp = np.zeros(total_nodes, dtype=np.int64)
+    stride_sub = 1
+    stride_comp = 1
+    for j in range(p - 1, -1, -1):
+        ij = (rows // strides[j]) % sizes[j]
+        grid[:, j] = nodes[j][ij]
+        wj = weights[j][ij]
+        w_full *= wj
+        if j in subset.indices:
+            pos_sub += ij * stride_sub
+            stride_sub *= sizes[j]
+            w_sub_part *= wj
+        else:
+            pos_comp += ij * stride_comp
+            stride_comp *= sizes[j]
+            w_comp_part *= wj
+
+    outputs = model.evaluate(grid)
+    k = model.out_dims
+    mean = w_full @ outputs
+
+    n_sub = math.prod(sizes[j] for j in subset.indices)
+    n_comp = math.prod(sizes[j] for j in comp)
+
+    def conditional(pos, n_cells, other_weight):
+        cond = np.empty((n_cells, k))
+        for col in range(k):
+            cond[:, col] = np.bincount(
+                pos, weights=other_weight * outputs[:, col], minlength=n_cells
+            )
+        return cond
+
+    # conditional means given the subset cell, minus the grand mean
+    sub_values = conditional(pos_sub, n_sub, w_comp_part) - mean
+    comp_values = conditional(pos_comp, n_comp, w_sub_part) - mean
+    interaction_values = outputs - mean - sub_values[pos_sub] - comp_values[pos_comp]
+
+    # cell weights, raveled in the same C order the positions were built in
+    # (ascending dimensions, last one fastest)
+    w_sub_cells = _tensor_weights([weights[j] for j in subset.indices])
+    w_comp_cells = _tensor_weights([weights[j] for j in comp])
+
+    centered = outputs - mean
+    return HoeffdingComponents(
+        subset=subset,
+        mean=mean,
+        grid=grid,
+        grid_weights=w_full,
+        outputs=outputs,
+        subset_values=sub_values,
+        subset_weights=w_sub_cells,
+        complement_values=comp_values,
+        complement_weights=w_comp_cells,
+        interaction_values=interaction_values,
+        subset_positions=pos_sub,
+        complement_positions=pos_comp,
+        total_cov=centered.T @ (centered * w_full[:, None]),
+        subset_cov=sub_values.T @ (sub_values * w_sub_cells[:, None]),
+        complement_cov=comp_values.T @ (comp_values * w_comp_cells[:, None]),
+        interaction_cov=interaction_values.T @ (interaction_values * w_full[:, None]),
+    )
 
 
 def decompose_discrete(
@@ -404,39 +418,14 @@ def decompose_discrete(
     Requires every marginal to be discrete and the full grid to stay within
     the node cap.
     """
-    if space.dims != model.in_dims:
-        raise ContractError(
-            f"space has {space.dims} inputs but the model expects {model.in_dims}"
-        )
-    if subset.dims != space.dims:
-        raise ContractError("subset dimensionality does not match the space")
+    _check_dims(model, space, subset)
     if not space.all_discrete:
         raise UnsupportedOracleError(
             "exact enumeration needs discrete marginals; use quadrature or monte carlo"
         )
     nodes = [np.asarray(m.points) for m in space.marginals]
     weights = [np.asarray(m.probs) for m in space.marginals]
-    dec = _GridDecomposition(model, nodes, weights, subset)
-    return HoeffdingComponents(
-        subset=subset,
-        mean=dec.mean,
-        grid=dec.grid,
-        grid_weights=dec.grid_weights,
-        outputs=dec.outputs,
-        subset_values=dec.subset_values,
-        subset_weights=dec.subset_weights,
-        complement_values=dec.complement_values,
-        complement_weights=dec.complement_weights,
-        interaction_values=dec.interaction_values,
-        subset_positions=dec.subset_positions,
-        complement_positions=dec.complement_positions,
-        _covs={
-            "total": dec.total,
-            "subset": dec.subset_cov,
-            "complement": dec.complement_cov,
-            "interaction": dec.interaction_cov,
-        },
-    )
+    return _decompose_grid(model, nodes, weights, subset)
 
 
 def covariances_quadrature(
@@ -450,12 +439,7 @@ def covariances_quadrature(
     the directly-computed interaction covariance and flags accuracy_warning
     above 1e-6.
     """
-    if space.dims != model.in_dims:
-        raise ContractError(
-            f"space has {space.dims} inputs but the model expects {model.in_dims}"
-        )
-    if subset.dims != space.dims:
-        raise ContractError("subset dimensionality does not match the space")
+    _check_dims(model, space, subset)
     if space.dims > MAX_QUADRATURE_DIMS:
         raise ResourceError(
             f"quadrature oracle supports at most {MAX_QUADRATURE_DIMS} inputs, got {space.dims}"
@@ -468,14 +452,14 @@ def covariances_quadrature(
         raise ContractError("nodes_per_dim must be >= 1")
 
     rules = [m.quadrature(nodes_per_dim) for m in space.marginals]
-    dec = _GridDecomposition(model, [r[0] for r in rules], [r[1] for r in rules], subset)
-    _check_positive_definite(dec.total, "quadrature oracle")
+    dec = _decompose_grid(model, [r[0] for r in rules], [r[1] for r in rules], subset)
+    _check_positive_definite(dec.total_cov, "quadrature oracle")
     residual = dec.identity_residual()
     return CovarianceTriple(
-        total=dec.total,
+        total=dec.total_cov,
         subset=dec.subset_cov,
         complement=dec.complement_cov,
-        interaction=dec.total - dec.subset_cov - dec.complement_cov,
+        interaction=dec.total_cov - dec.subset_cov - dec.complement_cov,
         method="quadrature",
         residual=residual,
         accuracy_warning=residual > 1e-6,
@@ -505,12 +489,7 @@ def covariances_monte_carlo(
     symmetrically for the complement). The interaction part is defined by
     subtraction. Entrywise error is O(1/sqrt(n)).
     """
-    if space.dims != model.in_dims:
-        raise ContractError(
-            f"space has {space.dims} inputs but the model expects {model.in_dims}"
-        )
-    if subset.dims != space.dims:
-        raise ContractError("subset dimensionality does not match the space")
+    _check_dims(model, space, subset)
     if n < 2:
         raise ContractError("monte carlo oracle needs n >= 2")
 

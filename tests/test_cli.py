@@ -2,15 +2,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vecsobol import ConfigurationError, SubsetIndex, evaluate_pairs, generate_design, get_model
+from vecsobol import (
+    ConfigurationError,
+    ContractError,
+    SubsetIndex,
+    evaluate_pairs,
+    generate_design,
+    get_model,
+)
 from vecsobol.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_IO,
     EXIT_OK,
     RunReport,
+    RunConfig,
     SubsetResult,
+    config_from_tree,
     main,
     parse_config,
     report_from_dict,
@@ -27,6 +38,79 @@ subsets: [[1]]
 n: 1000
 seed: 1
 """
+
+
+def _pairs_csv(tmp_path, n=500):
+    model = get_model("sum_prod")
+    sample = evaluate_pairs(model, generate_design(model.space(), SubsetIndex((0,), 2), n, 3))
+    path = tmp_path / "pairs.csv"
+    write_sample_csv(sample, str(path))
+    return path
+
+
+# (field the error must name, config; PAIRS stands for a valid sample file)
+MALFORMED = [
+    ("ci.level", MINIMAL + "ci: {kind: delta, level: abc}\n"),
+    ("space[0].low", "model: sum_prod\nspace: [{kind: uniform, low: abc}, {kind: uniform}]\n"
+     "subsets: [[1]]\n"),
+    ("transform.scale", MINIMAL + "transform: {kind: homothety, scale: abc}\n"),
+    ("seed", "sample: PAIRS\nseed: abc\n"),
+    ("seed", "sample: PAIRS\nseed: -1\n"),
+    ("seed", "model: identity_2\nsubsets: [[1]]\nseed: -1\n"),
+    ("subsets[0]", "sample: PAIRS\nsubsets: [1]\n"),
+    ("subsets[0]", "sample: PAIRS\nsubsets: [[]]\n"),
+    ("matrix", "model: {name: linear, params: {matrix: [[1, 0], [1]]}}\nsubsets: [[1]]\n"),
+    ("model.params", "model: {name: identity_2, params: [1]}\nsubsets: [[1]]\n"),
+    ("model.params.coords[0]", "model: {name: u_only, params: {coords: [a]}}\nsubsets: [[1]]\n"),
+    ("space[0].support", "model: sum_prod\nspace: [{kind: discrete, support: [1, 2]},"
+     " {kind: uniform}]\nsubsets: [[1]]\n"),
+    ("seeds", MINIMAL + "seeds: 5\n"),
+    ("replication", MINIMAL + "replication: 300\n"),
+    ("ci.reps", MINIMAL + "ci: {kind: bootstrap, reps: 250.7}\n"),
+    ("sample", "sample: no-such-pairs.csv\n"),
+    ("model.params", "model: {name: constant, params: {values: [a]}}\nsubsets: [[1]]\n"),
+]
+
+# a valid tree per mode; the property below replaces one field of it
+VALID_TREES = {
+    "model": {
+        "schema": 1,
+        "model": "sum_prod",
+        "space": [
+            {"kind": "discrete", "points": [0, 1], "probs": [0.5, 0.5]},
+            {"kind": "uniform", "low": -1, "high": 2},
+        ],
+        "subsets": [[1], [1, 2]],
+        "n": 100,
+        "seed": 3,
+        "ci": {"kind": "bootstrap", "level": 0.9, "reps": 300},
+        "oracle": "auto",
+        "matrix": [[1, 0], [0, 2]],
+        "transform": {"kind": "homothety", "scale": 2.0},
+        "replications": 200,
+    },
+    "sample": {
+        "schema": 1,
+        "sample": "pairs.csv",
+        "subsets": [[1]],
+        "seed": 3,
+        "ci": {"kind": "delta", "level": 0.9},
+        "oracle": "none",
+        "matrix": [[1, 0], [0, 2]],
+    },
+}
+FIELDS = [(mode, (key,)) for mode, tree in VALID_TREES.items() for key in tree]
+FIELDS += [(mode, ("ci", key)) for mode, tree in VALID_TREES.items() for key in tree["ci"]]
+FIELDS += [
+    ("model", ("space", i, key))
+    for i, marginal in enumerate(VALID_TREES["model"]["space"])
+    for key in marginal
+]
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 class TestParseConfig:
@@ -79,6 +163,20 @@ class TestParseConfig:
     def test_not_yaml(self):
         with pytest.raises(ConfigurationError):
             parse_config("model: [unclosed\n")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(FIELDS), YAML_VALUES)
+    def test_any_field_value_parses_or_is_a_configuration_error(self, where, value):
+        mode, path = where
+        tree = json.loads(json.dumps(VALID_TREES[mode]))
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            assert isinstance(config_from_tree(tree), RunConfig)
+        except (ConfigurationError, ContractError):
+            pass
 
     def test_json_is_accepted(self):
         config = parse_config(json.dumps({"model": "sum_prod", "subsets": [[1], [2]], "n": 50}))
@@ -219,6 +317,41 @@ class TestMain:
         assert rc == EXIT_OK
         tree = json.loads(out.read_text())
         assert abs(tree["subsets"][0]["estimate_weighted"] - 1 / 3) < 0.01
+
+    @pytest.mark.parametrize("field, text", MALFORMED, ids=[f for f, _ in MALFORMED])
+    def test_malformed_config_exits_2_naming_its_field(self, tmp_path, capsys, field, text):
+        config = tmp_path / "run.yaml"
+        config.write_text(text.replace("PAIRS", str(_pairs_csv(tmp_path))))
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("configuration error: ") and field in err
+        assert "Traceback" not in err
+
+    def test_ci_flags_update_the_configured_interval(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(MINIMAL + "ci: {kind: bootstrap, reps: 300}\n")
+        out = tmp_path / "r.json"
+        rc = main(["--config", str(config), "--ci-level", "0.9", "--output", str(out), "--reproducible"])
+        assert rc == EXIT_OK
+        sub = json.loads(out.read_text())["subsets"][0]
+        assert sub["ci_method"] == "bootstrap" and sub["ci_level"] == 0.9
+
+    def test_sample_mode_reproducible_reports_are_byte_identical(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            f"sample: {_pairs_csv(tmp_path)}\nsubsets: [[1]]\nseed: 4\n"
+            "ci: {kind: bootstrap, reps: 200}\nmatrix: [[1, 0], [0, 2]]\n"
+        )
+        outs = [tmp_path / name for name in ("a.json", "b.json", "timed.json")]
+        for out in outs:
+            flags = ["--reproducible"] if out.name != "timed.json" else []
+            assert main(["--config", str(config), "--output", str(out), *flags]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["subsets"][0]["elapsed_s"] is None
+        timed = json.loads(outs[2].read_text())
+        assert timed["elapsed_s"] >= timed["subsets"][0]["elapsed_s"] >= 0.0
+        assert timed["subsets"][0]["subset"] == [1]
 
     def test_exit_codes(self, tmp_path):
         assert main(["--model", "nope", "--subset", "1"]) == EXIT_CONFIG

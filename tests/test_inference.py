@@ -206,10 +206,43 @@ class TestCltDiagnostic:
             clt_diagnostic(model, model.space(), U1, 100, 250, target=0.5, seed=1, ci_method="x")
 
 
+class TestAgainstScipy:
+    """scipy is the reference for the stdlib normal quantile and KS distance."""
+
+    def test_delta_ci_half_width_uses_the_normal_quantile(self):
+        from scipy import stats
+
+        sample = _sample(n=3000)
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            est = delta_ci(sample, level)
+            half = stats.norm.ppf(0.5 + level / 2.0) * np.sqrt(est.sigma2_hat / sample.n)
+            assert est.ci_high - est.ci_low == pytest.approx(2.0 * half, rel=1e-12)
+
+    def test_normality_stat_is_the_ks_distance(self):
+        from scipy import stats
+
+        model = get_model("sum_prod")
+        for seed in range(3):
+            rep = clt_diagnostic(model, model.space(), U1, 200, 200, target=15 / 31, seed=seed)
+            standardized = (rep.estimates - rep.estimates.mean()) / rep.std_empirical
+            reference = stats.kstest(standardized, "norm").statistic
+            # the two normal CDFs may differ by one ulp near 1 (2.2e-16)
+            assert abs(rep.normality_stat - reference) <= 5e-16
+
+
 def test_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ)
     src = str(Path(vecsobol.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, vecsobol, vecsobol.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, vecsobol, vecsobol.cli\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "model = vecsobol.get_model('identity_2')\n"
+        "u = vecsobol.SubsetIndex((0,), 2)\n"
+        "sample = vecsobol.evaluate_pairs(model, vecsobol.generate_design(model.space(), u, 500, 1))\n"
+        "vecsobol.delta_ci(sample, 0.9)\n"
+        "vecsobol.clt_diagnostic(model, model.space(), u, 50, 200, target=0.5, seed=2)\n"
+        "print('scipy' in sys.modules)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
