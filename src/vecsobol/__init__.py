@@ -30,7 +30,6 @@ from .models import (
     VectorModel,
     apply_transform,
     corpus_names,
-    eval_model,
     get_model,
     linear_model,
     load_external_model,
@@ -89,7 +88,6 @@ __all__ = [
     "VectorModel",
     "OutputTransform",
     "apply_transform",
-    "eval_model",
     "linear_model",
     "get_model",
     "corpus_names",

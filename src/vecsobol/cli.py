@@ -34,6 +34,7 @@ from .models import (
     load_external_model,
 )
 from .oracle import (
+    MAX_GRID_NODES,
     MAX_QUADRATURE_DIMS,
     CovarianceTriple,
     covariances_quadrature,
@@ -432,14 +433,22 @@ def subset_design(config: RunConfig, index: int):
 def resolve_oracle(
     model: VectorModel, space: InputSpace, subset: SubsetIndex
 ) -> Optional[CovarianceTriple]:
-    """Pick an exact route the model family admits, or None."""
+    """Pick an exact route the model family admits, or None (always for a
+    table, which answers only its own rows)."""
     if model.exact_cov is not None:
         return model.exact_cov(space, subset)
+    if model.kind == "external":
+        return None
     if space.all_discrete:
         return decompose_discrete(model, space, subset).covariance_triple()
     if space.all_continuous and space.dims <= MAX_QUADRATURE_DIMS:
-        return covariances_quadrature(model, space, subset, DEFAULT_QUADRATURE_NODES)
+        return covariances_quadrature(model, space, subset, _quadrature_nodes(space.dims))
     return None
+
+
+def _quadrature_nodes(dims: int) -> int:
+    """The most nodes per input, up to the default, whose grid fits MAX_GRID_NODES."""
+    return next(n for n in range(DEFAULT_QUADRATURE_NODES, 0, -1) if n**dims <= MAX_GRID_NODES)
 
 
 def _replication_dict(report) -> dict:

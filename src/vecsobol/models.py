@@ -9,7 +9,9 @@ model family admits one, an exact covariance oracle hook used by the CLI's
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -101,11 +103,6 @@ class VectorModel:
         if self.default_space is None:
             raise ConfigurationError(f"model {self.name!r} has no default input space")
         return self.default_space
-
-
-def eval_model(model: VectorModel, inputs: np.ndarray) -> np.ndarray:
-    """Row-wise evaluation: output row i is the model applied to input row i."""
-    return model.evaluate(inputs)
 
 
 def linear_model(
@@ -296,56 +293,71 @@ def get_model(name: str, **params) -> VectorModel:
 # ---------------------------------------------------------------------------
 
 
+def read_numeric_csv(path: str, what: str) -> tuple[list[str], np.ndarray]:
+    """Read a header row and the finite numbers under it with numpy's C parser.
+
+    Blank lines are skipped. Any fault raises ConfigurationError naming the
+    file and the data row (counted from 1 below the header, blanks not counted).
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    if not header or not any(lines[1:]):
+        raise ConfigurationError(f"{path}: the {what} file needs a header row and data rows")
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None, quotechar='"')
+    except ValueError as exc:
+        cause = str(exc).partition(";")[0]
+        at = re.search(r" at row (\d+)", cause)
+        if at:  # numpy counts rows from 0 when a cell does not parse, from 1 when a row is ragged
+            row = int(at[1]) + cause.startswith("could not")
+            cause = f"data row {row}: {cause.replace(at[0], '')}"
+        raise ConfigurationError(f"{path}: {cause}") from None
+    if data.shape[1] != len(header):
+        raise ConfigurationError(f"{path}: data row 1 has {data.shape[1]} cells, not {len(header)}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ConfigurationError(f"{path}: data row {bad[0] + 1}: cells must be finite numbers")
+    return header, data
+
+
+def _row_keys(x: np.ndarray) -> list:
+    """One hashable key per row; adding 0.0 maps -0.0 to 0.0, so both are one input."""
+    x = np.ascontiguousarray(x, dtype=float) + 0.0
+    return x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel().tolist()
+
+
 def load_external_model(path: str) -> VectorModel:
     """Read a tabulated model from CSV with header x1..xp,y1..yk.
 
     Evaluation is an exact lookup of previously tabulated rows; asking for an
     input that is not in the table is a contract error. Repeated x rows must
-    agree (the map has to be deterministic).
+    agree (the map has to be deterministic); -0.0 and 0.0 are one input.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty external model file") from None
-        header = [h.strip() for h in header]
-        p = sum(1 for h in header if h.startswith("x"))
-        k = sum(1 for h in header if h.startswith("y"))
-        expected = [f"x{i}" for i in range(1, p + 1)] + [f"y{i}" for i in range(1, k + 1)]
-        if p == 0 or k == 0 or header != expected:
-            raise ConfigurationError(
-                f"{path}: external model header must be x1..xp,y1..yk, got {','.join(header)}"
-            )
-        table: dict[bytes, np.ndarray] = {}
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            vals = np.array([float(v) for v in row])
-            if vals.shape[0] != p + k:
-                raise ConfigurationError(f"{path}:{row_num}: expected {p + k} columns")
-            key = vals[:p].tobytes()
-            y = vals[p:]
-            if key in table and not np.array_equal(table[key], y):
-                raise ConfigurationError(
-                    f"{path}:{row_num}: conflicting outputs for a repeated input row"
-                )
-            table[key] = y
-    if not table:
-        raise ConfigurationError(f"{path}: external model has no data rows")
+    header, data = read_numeric_csv(path, "external model")
+    p = sum(1 for h in header if h.startswith("x"))
+    k = len(header) - p
+    expected = [f"x{i}" for i in range(1, p + 1)] + [f"y{i}" for i in range(1, k + 1)]
+    if p == 0 or k == 0 or header != expected:
+        raise ConfigurationError(
+            f"{path}: external model header must be x1..xp,y1..yk, got {','.join(header)}"
+        )
+    keys, y = _row_keys(data[:, :p]), data[:, p:]
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each input's first row
+    conflicts = np.flatnonzero((y != y[[first[key] for key in keys]]).any(axis=1))
+    if conflicts.size:
+        raise ConfigurationError(
+            f"{path}: data row {conflicts[0] + 1}: conflicting outputs for a repeated input row"
+        )
 
     def _eval(x: np.ndarray) -> np.ndarray:
-        out = np.empty((x.shape[0], k))
-        for i in range(x.shape[0]):
-            key = np.ascontiguousarray(x[i]).tobytes()
-            try:
-                out[i] = table[key]
-            except KeyError:
-                raise ContractError(
-                    f"input row {x[i].tolist()} is not among the tabulated evaluations"
-                ) from None
-        return out
+        rows = np.fromiter(map(first.get, _row_keys(x), repeat(-1)), np.intp, x.shape[0])
+        if rows.min(initial=0) < 0:
+            raise ContractError(
+                f"input row {x[rows.argmin()].tolist()} is not among the tabulated evaluations"
+            )
+        return y[rows]
 
     return VectorModel(
-        in_dims=p, out_dims=k, kind="external", eval_fn=_eval, name=path, params={"rows": len(table)}
+        in_dims=p, out_dims=k, kind="external", eval_fn=_eval, name=path, params={"rows": len(first)}
     )

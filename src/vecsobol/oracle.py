@@ -40,9 +40,6 @@ from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence, sample_
 MAX_GRID_NODES = 10_000_000
 MAX_QUADRATURE_DIMS = 4
 
-# max-entry tolerance on the decomposition identity, per oracle method
-METHOD_TOLERANCE = {"closed_form": 1e-12, "enumeration": 1e-12, "quadrature": 1e-8}
-
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     out = 0.5 * (m + m.T)

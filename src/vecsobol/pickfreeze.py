@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DegenerateSampleError, IllPosedIndexError
-from .models import VectorModel
+from .models import VectorModel, read_numeric_csv
 from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence, sample_marginals
 
 
@@ -205,13 +205,17 @@ def _max_abs(x: np.ndarray) -> float:
 
 
 def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
-    shift = 0.5 * (_column_means(y) + _column_means(y_u))
-    s, d = _pair_sums(y, y_u, shift)
-    mean_s = _column_means(s)
-    # s.T @ s is a symmetric rank-k update, so the Gram blocks are exactly
-    # symmetric, and a zero d gives an exactly zero diff_gram
-    centered = 0.25 * (s.T @ s - y.shape[0] * np.outer(mean_s, mean_s))
-    diff = 0.25 * (d.T @ d)
+    # finite outputs too large to square overflow here; that is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = 0.5 * (_column_means(y) + _column_means(y_u))
+        s, d = _pair_sums(y, y_u, shift)
+        mean_s = _column_means(s)
+        # s.T @ s is a symmetric rank-k update, so the Gram blocks are exactly
+        # symmetric, and a zero d gives an exactly zero diff_gram
+        centered = 0.25 * (s.T @ s - y.shape[0] * np.outer(mean_s, mean_s))
+        diff = 0.25 * (d.T @ d)
+    if not (np.isfinite(centered).all() and np.isfinite(diff).all()):
+        raise DegenerateSampleError("sample moments overflow: the outputs are too large")
     mean = 0.5 * mean_s
     for a in (shift, mean, centered, diff):
         a.flags.writeable = False
@@ -313,37 +317,15 @@ def write_sample_csv(sample: PickFreezeSample, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(sample_header(sample.out_dims))
-        for i in range(sample.n):
-            writer.writerow(
-                [repr(float(v)) for v in sample.y[i]]
-                + [repr(float(v)) for v in sample.y_u[i]]
-            )
+        writer.writerows(np.hstack([sample.y, sample.y_u]).tolist())
 
 
 def read_sample_csv(path: str, subset: Optional[SubsetIndex] = None) -> PickFreezeSample:
     """Read paired outputs written by write_sample_csv (or an external tool)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty sample file") from None
-        header = [h.strip() for h in header]
-        if len(header) % 2 != 0:
-            raise ConfigurationError(f"{path}: sample header must have 2k columns")
-        k = len(header) // 2
-        if header != sample_header(k):
-            raise ConfigurationError(
-                f"{path}: sample header must be y_1..y_{k},yu_1..yu_{k}, got {','.join(header)}"
-            )
-        rows = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 * k:
-                raise ConfigurationError(f"{path}:{row_num}: expected {2 * k} columns")
-            rows.append([float(v) for v in row])
-    if not rows:
-        raise ConfigurationError(f"{path}: sample file has no data rows")
-    data = np.asarray(rows)
+    header, data = read_numeric_csv(path, "sample")
+    k = len(header) // 2
+    if k == 0 or header != sample_header(k):
+        raise ConfigurationError(
+            f"{path}: sample header must be y_1..y_k,yu_1..yu_k, got {','.join(header)}"
+        )
     return PickFreezeSample(y=data[:, :k], y_u=data[:, k:], subset=subset)

@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 from vecsobol import (
     ConfigurationError,
     ContractError,
+    InputSpace,
     SubsetIndex,
+    VectorModel,
     evaluate_pairs,
     generate_design,
     get_model,
+    load_external_model,
+    read_sample_csv,
 )
+from vecsobol import cli, oracle
 from vecsobol.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -111,6 +116,40 @@ YAML_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8,
 )
+
+
+# a valid file per kind: its header, its data rows, the config that reads PATH
+INPUT_FILES = {
+    "sample": ("y_1,y_2,yu_1,yu_2\n", "1,2,3,4\n5,6,7,9\n", "sample: PATH\n"),
+    "table": ("x1,x2,y1,y2\n", "0.5,0.5,1,0.25\n0.25,0.5,0.75,0.125\n",
+              "model: {external: PATH}\nspace: [{kind: uniform}, {kind: uniform}]\n"
+              "subsets: [[1]]\nn: 10\nseed: 1\n"),
+}
+# (case, what the error must say, the file's text: HEADER stands for its header)
+FILE_FAULTS = [
+    ("abc", "data row 2", "HEADER1,2,3,4\n5,abc,7,8\n"),
+    ("nan", "data row 2", "HEADER1,2,3,4\n5,nan,7,8\n"),
+    ("inf", "data row 2", "HEADER1,2,3,4\n5,inf,7,8\n"),
+    ("1e400", "data row 1", "HEADER1,1e400,3,4\n5,6,7,8\n"),
+    ("ragged", "data row 3", "HEADER1,2,3,4\n\n5,6,7,8\n5,6,7\n"),
+    ("narrow", "data row 1 has 3 cells", "HEADER1,2,3\n5,6,7\n"),
+    ("header only", "a header row and data rows", "HEADER\n"),
+    ("empty", "a header row and data rows", ""),
+]
+TABLE_FAULTS = [("conflict", "data row 3", "HEADER1,2,3,4\n0,0,0,0\n1,2,3,5\n")]
+FILE_CASES = [(kind, *case) for kind in INPUT_FILES for case in FILE_FAULTS]
+FILE_CASES += [("table", *case) for case in TABLE_FAULTS]
+NUMBERS = st.floats().map(repr) | st.integers(-3, 3).map(str)
+CELLS = NUMBERS | st.sampled_from(["", " 1 ", '"2"', "1e400", "1_0", "0x1"]) | st.text(max_size=4)
+
+
+def _main_on_file(directory, kind, text):
+    header, _, config_text = INPUT_FILES[kind]
+    path = directory / f"{kind}.csv"
+    path.write_text(text.replace("HEADER", header), encoding="utf-8")
+    config = directory / "run.yaml"
+    config.write_text(config_text.replace("PATH", str(path)))
+    return path, main(["--config", str(config), "--output", str(directory / "r.json")])
 
 
 class TestParseConfig:
@@ -234,6 +273,21 @@ class TestRun:
         for rec in report.subsets:
             assert rec.oracle_method == "quadrature"
             assert rec.oracle_subset == pytest.approx(15 / 31, abs=1e-9)
+
+    def test_quadrature_nodes_fit_the_grid_cap(self, monkeypatch):
+        # 4 smooth inputs: 64^4 nodes exceed the cap, so fewer nodes per input are used
+        for module in (cli, oracle):
+            monkeypatch.setattr(module, "MAX_GRID_NODES", 10**4)
+        model = VectorModel(in_dims=4, out_dims=2, kind="builtin",
+                            eval_fn=lambda x: np.stack([x.sum(axis=1), x[:, 0] * x[:, 1]], axis=1))
+        config = RunConfig(model, InputSpace.uniform(4), [SubsetIndex((0,), 4)], 100, 2, oracle="auto")
+        rec = run(config).subsets[0]
+        assert rec.oracle_method == "quadrature"
+        assert rec.oracle_subset == pytest.approx(3 / 11, abs=1e-12)
+
+    def test_quadrature_nodes_per_input(self):
+        # the most nodes, up to 64, whose product grid stays within MAX_GRID_NODES
+        assert [cli._quadrature_nodes(d) for d in (1, 2, 3, 4)] == [64, 64, 64, 56]
 
     def test_sample_only_mode(self, tmp_path):
         model = get_model("sum_prod")
@@ -367,7 +421,7 @@ class TestMain:
         )
         assert rc == EXIT_IO
 
-    def test_external_model_run(self, tmp_path):
+    def _tabulated_config(self, tmp_path, extra=""):
         # tabulate every row the run will ask for, then drive it from the table
         from vecsobol.cli import subset_design
 
@@ -376,7 +430,7 @@ class TestMain:
             "model: {external: %s}\n"
             "space: [{kind: uniform}, {kind: uniform}]\n"
             "subsets: [[1]]\nn: 400\nseed: 13\n" % table
-        )
+        ) + extra
         model = get_model("sum_prod")
         table.write_text("x1,x2,y1,y2\n0,0,0,0\n")  # placeholder so parsing succeeds
         design = subset_design(parse_config(config_text), 0)
@@ -391,8 +445,55 @@ class TestMain:
 
         config = tmp_path / "cfg.yaml"
         config.write_text(config_text)
+        return config
+
+    def test_external_model_run(self, tmp_path):
+        config = self._tabulated_config(tmp_path)
         out = tmp_path / "r.json"
         assert main(["--config", str(config), "--output", str(out), "--reproducible"]) == EXIT_OK
         tree = json.loads(out.read_text())
         direct = run(parse_config("model: sum_prod\nsubsets: [[1]]\nn: 400\nseed: 13\n"))
         assert tree["subsets"][0]["estimate"] == direct.subsets[0].estimate
+
+    def test_external_model_has_no_oracle(self, tmp_path, capsys):
+        # a table answers only its own rows, not the quadrature nodes
+        out = tmp_path / "r.json"
+        config = self._tabulated_config(tmp_path, "oracle: auto\n")
+        assert main(["--config", str(config), "--output", str(out), "--reproducible"]) == EXIT_OK
+        sub = json.loads(out.read_text())["subsets"][0]
+        assert sub["estimate"] is not None
+        assert all(value is None for key, value in sub.items() if key.startswith("oracle_"))
+        config.write_text(config.read_text() + "replications: 200\n")
+        assert main(["--config", str(config), "--output", str(out)]) == EXIT_CONFIG
+        assert "no oracle target" in capsys.readouterr().err
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "kind, case, message, text", FILE_CASES, ids=[f"{k}-{c}" for k, c, *_ in FILE_CASES]
+    )
+    def test_faulty_file_exits_2_naming_the_file(self, tmp_path, capsys, kind, case, message, text):
+        path, rc = _main_on_file(tmp_path, kind, text)
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"configuration error: {path}: ") and message in err
+        assert "Traceback" not in err
+
+    def test_the_valid_files_load(self, tmp_path):
+        for kind, (header, rows, _) in INPUT_FILES.items():
+            (tmp_path / kind).write_text(header + rows, encoding="utf-8")
+        assert read_sample_csv(str(tmp_path / "sample")).n == 2
+        assert load_external_model(str(tmp_path / "table")).params["rows"] == 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(sorted(INPUT_FILES)),
+        st.booleans(),
+        st.text(max_size=20),
+        st.lists(st.lists(NUMBERS, min_size=4, max_size=4), min_size=2, max_size=5)
+        | st.lists(st.lists(CELLS, max_size=5), max_size=5),
+    )
+    def test_any_file_exits_cleanly(self, tmp_path_factory, kind, keep_header, header, rows):
+        """An arbitrary header or body gives exit 0, 2 or 3, never an uncaught error."""
+        text = ("HEADER" if keep_header else header + "\n") + "\n".join(map(",".join, rows))
+        assert _main_on_file(tmp_path_factory.getbasetemp(), kind, text)[1] in (0, 2, 3)

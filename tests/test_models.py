@@ -7,7 +7,6 @@ from vecsobol import (
     OutputTransform,
     apply_transform,
     corpus_names,
-    eval_model,
     get_model,
     linear_model,
     load_external_model,
@@ -17,17 +16,17 @@ from vecsobol import (
 
 def test_identity_model_eval():
     model = linear_model(np.eye(2))
-    assert np.array_equal(eval_model(model, [[3.0, 4.0]]), [[3.0, 4.0]])
+    assert np.array_equal(model.evaluate([[3.0, 4.0]]), [[3.0, 4.0]])
 
 
 def test_diagonal_linear_eval():
     model = linear_model([[2.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(eval_model(model, [[1.0, 1.0]]), [[2.0, 1.0]])
+    assert np.array_equal(model.evaluate([[1.0, 1.0]]), [[2.0, 1.0]])
 
 
 def test_sum_prod_eval():
     model = get_model("sum_prod")
-    assert np.array_equal(eval_model(model, [[0.5, 0.5]]), [[1.0, 0.25]])
+    assert np.array_equal(model.evaluate([[0.5, 0.5]]), [[1.0, 0.25]])
 
 
 def test_eval_is_bit_stable():
@@ -39,7 +38,7 @@ def test_eval_is_bit_stable():
 def test_eval_dimension_contract():
     model = get_model("sum_prod")
     with pytest.raises(ContractError):
-        eval_model(model, np.zeros((3, 3)))
+        model.evaluate(np.zeros((3, 3)))
 
 
 def test_corpus_contents():
@@ -54,14 +53,14 @@ def test_corpus_contents():
 
 def test_u_only_ignores_complement():
     model = get_model("u_only", dims=3, coords=(0, 2))
-    out = eval_model(model, [[1.0, 99.0, 2.0], [1.0, -5.0, 2.0]])
+    out = model.evaluate([[1.0, 99.0, 2.0], [1.0, -5.0, 2.0]])
     assert np.array_equal(out[0], out[1])
     assert out[0, 0] == 3.0 and out[0, 1] == 0.0
 
 
 def test_constant_model():
     model = get_model("constant")
-    out = eval_model(model, np.zeros((4, 2)))
+    out = model.evaluate(np.zeros((4, 2)))
     assert np.array_equal(out, np.tile([1.0, 2.0], (4, 1)))
 
 
@@ -69,19 +68,19 @@ def test_swap_isometry_exchanges_coordinates():
     # the isometry that exchanges the two canonical basis vectors
     swap = OutputTransform(kind="isometry", matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
     model = apply_transform(linear_model(np.eye(2)), swap)
-    assert np.array_equal(eval_model(model, [[1.0, 2.0]]), [[2.0, 1.0]])
+    assert np.array_equal(model.evaluate([[1.0, 2.0]]), [[2.0, 1.0]])
 
 
 def test_unit_homothety_is_identity():
     model = get_model("sum_prod")
     t = apply_transform(model, OutputTransform(kind="homothety", scale=1.0))
     x = sample_inputs(model.space(), 50, 1)
-    assert np.array_equal(eval_model(t, x), eval_model(model, x))
+    assert np.array_equal(t.evaluate(x), model.evaluate(x))
 
 
 def test_homothety_scales_outputs():
     model = apply_transform(get_model("sum_prod"), OutputTransform(kind="homothety", scale=2.0))
-    assert np.array_equal(eval_model(model, [[0.5, 0.5]]), [[2.0, 0.5]])
+    assert np.array_equal(model.evaluate([[0.5, 0.5]]), [[2.0, 0.5]])
 
 
 def test_isometry_roundtrip_recovers_outputs():
@@ -91,7 +90,7 @@ def test_isometry_roundtrip_recovers_outputs():
         fwd = apply_transform(model, OutputTransform(kind="isometry", matrix=q))
         back = apply_transform(fwd, OutputTransform(kind="isometry", matrix=q.T))
         x = sample_inputs(model.space(), 200, 8)
-        assert np.max(np.abs(eval_model(back, x) - eval_model(model, x))) < 1e-12
+        assert np.max(np.abs(back.evaluate(x) - model.evaluate(x))) < 1e-12
 
 
 def test_transform_validation():
@@ -128,3 +127,31 @@ def test_external_model_header_validation(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ConfigurationError):
         load_external_model(str(path))
+
+
+def _table(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text("x1,x2,y1,y2\n" + text)
+    return load_external_model(str(path))
+
+
+def test_external_model_treats_signed_zeros_as_one_input(tmp_path):
+    model = _table(tmp_path, "0.0,1.0,5.0,6.0\n-0.0,1.0,5.0,6.0\n2.0,-0.0,7.0,8.0\n")
+    assert model.params["rows"] == 2  # distinct inputs
+    out = model.evaluate(np.array([[-0.0, 1.0], [2.0, 0.0], [0.0, 1.0]]))
+    assert np.array_equal(out, [[5.0, 6.0], [7.0, 8.0], [5.0, 6.0]])
+
+
+def test_external_model_repeated_inputs_must_agree(tmp_path):
+    model = _table(tmp_path, "1,2,3,4\n5,6,7,8\n1,2,3,4\n")
+    assert model.params["rows"] == 2
+    with pytest.raises(ConfigurationError, match="data row 3: conflicting"):
+        _table(tmp_path, "1,2,3,4\n5,6,7,8\n1,2,3,4.5\n")
+
+
+def test_external_model_names_the_first_missing_input(tmp_path):
+    model = _table(tmp_path, "1,2,3,4\n")
+    with pytest.raises(ContractError, match=r"\[5\.0, 6\.0\] is not among"):
+        model.evaluate(np.array([[1.0, 2.0], [5.0, 6.0], [7.0, 8.0]]))
+    with pytest.raises(ContractError):
+        model.evaluate(np.array([[np.nan, 2.0]]))

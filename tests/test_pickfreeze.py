@@ -143,6 +143,12 @@ class TestEstimator:
         with pytest.raises(DegenerateSampleError):
             estimate_index(sample)
 
+    def test_outputs_too_large_to_square_are_rejected(self):
+        # finite outputs whose squares overflow: an error, not an inf or nan estimate
+        big = np.array([[1e300, 1e300], [-1e300, -1e300]])
+        with pytest.raises(DegenerateSampleError, match="overflow"):
+            estimate_index(PickFreezeSample(big, -big))
+
     def test_small_variance_model_is_not_rejected(self):
         model = linear_model(1e-8 * np.eye(2))
         sample = evaluate_pairs(model, generate_design(model.space(), U1, 1000, 7))
