@@ -38,8 +38,16 @@ from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence
 # Bytes a block of bootstrap replicates may hold. A replicate's n index draws,
 # their counts and the counts cast to floats take at most 24 n bytes, so a
 # block takes as many replicates as fit, and at least one: peak memory grows
-# with n only and not with the number of replicates.
-_BOOTSTRAP_BLOCK_BYTES = 16 * 2**20
+# with n only and not with the number of replicates. The budget keeps a block
+# inside a core's L2 cache, where the scattered bincount increments and
+# counts @ T run. clt_diagnostic at n=2000, 200 reps, B=200, one BLAS thread
+# (2 MiB L2 per core), seconds over three runs by budget:
+#   16 MiB 2.36-2.47 | 4 MiB 1.47-1.57 | 2 MiB 1.53-1.56
+#    1 MiB 1.42-1.53 | 0.5 MiB 1.43-1.61 | 0.25 MiB 1.74-1.79
+# It is a constant, not read from the machine: the index stream is the same
+# for any block size, but the blocking of counts @ T moves replicate means by
+# ulps, so a budget that followed the cache size would change reports.
+_BOOTSTRAP_BLOCK_BYTES = 2**20
 
 
 @dataclass

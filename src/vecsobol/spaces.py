@@ -4,10 +4,20 @@ The joint input law is always a product of one-dimensional marginals.
 Sampling is counter-based (Philox) and draws every coordinate from its own
 spawned stream, so a sample matrix is a pure function of (space, n, seed)
 and per-column draws are independent by construction.
+
+Because no column shares a stream with another, columns of at least
+_PARALLEL_MIN_DRAWS draws are filled concurrently from a thread pool, one
+thread per CPU this process may run on (numpy releases the GIL while it
+generates). The pool is built on the first such draw, never at import, and
+dropped in a forked child. Every column comes from the same stream either
+way, so results do not depend on the number of threads. Only the column
+fill runs off the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -230,6 +240,47 @@ class SubsetIndex:
         return tuple(i + 1 for i in self.indices)
 
 
+# Draws per column from which columns are filled concurrently. It is the
+# break-even of the cheapest law: two uniform columns took 1.75 ms serially
+# and 1.61 ms on two threads at 2^16 draws, and no less on two threads below
+# 2^14 (2-vCPU host). A property of the input only, so small designs such as
+# a replication study's stay serial.
+_PARALLEL_MIN_DRAWS = 2**16
+
+_pool = None  # concurrent.futures.ThreadPoolExecutor, built on first use
+_pool_lock = threading.Lock()
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        return os.cpu_count() or 1
+
+
+def _column_pool(cpus: int):
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="vecsobol-draw")
+        return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child inherits the pool object but none of its threads, and
+    # the lock in whatever state another thread held it
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
 def sample_marginals(
     marginals: tuple[Marginal, ...], n: int, seedseq: np.random.SeedSequence
 ) -> np.ndarray:
@@ -240,8 +291,17 @@ def sample_marginals(
         return np.empty((n, 0))
     cols = np.empty((n, len(marginals)))
     children = seedseq.spawn(len(marginals))
-    for j, (marginal, child) in enumerate(zip(marginals, children)):
-        cols[:, j] = marginal.sample(_generator(child), n)
+
+    def fill(j: int) -> None:
+        cols[:, j] = marginals[j].sample(_generator(children[j]), n)
+
+    cpus = _available_cpus() if n >= _PARALLEL_MIN_DRAWS and len(marginals) > 1 else 1
+    if cpus > 1:
+        # list() waits for every column and re-raises the first error
+        list(_column_pool(cpus).map(fill, range(len(marginals))))
+    else:
+        for j in range(len(marginals)):
+            fill(j)
     return cols
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from vecsobol import (
     load_external_model,
     read_sample_csv,
 )
-from vecsobol import cli, oracle
+from vecsobol import cli, oracle, spaces
 from vecsobol.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -348,6 +352,42 @@ class TestMain:
             rc = main(["--config", str(config), "--output", str(out), "--reproducible"])
             assert rc == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and at least two CPUs",
+    )
+    def test_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # n is above the threshold, so the unpinned run fills its columns on threads
+        n = spaces._PARALLEL_MIN_DRAWS + 1
+        config = tmp_path / "run.yaml"
+        config.write_text(f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nseed: 13\n"
+                          "oracle: auto\nci: delta\n")
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        # BLAS sizes its own thread count from the CPUs and may reorder its
+        # sums with it; hold it fixed so only the column draws see the pin
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        outs = []
+        for pin in (True, False):
+            out = tmp_path / f"pinned-{pin}.json"
+            code = (
+                "import os, sys\n"
+                f"if {pin}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})\n"
+                "from vecsobol import spaces\n"
+                "from vecsobol.cli import main\n"
+                f"rc = main(['--config', {str(config)!r}, '--output', {str(out)!r}, "
+                "'--reproducible'])\n"
+                "print('threaded' if spaces._pool is not None else 'serial')\n"
+                "sys.exit(rc)\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            assert proc.stdout.split()[-1] == ("serial" if pin else "threaded")
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_flags_override_config(self, tmp_path):
         out = tmp_path / "r.json"

@@ -22,6 +22,7 @@ from vecsobol import (
     get_model,
     linear_model,
 )
+from vecsobol import inference
 from vecsobol.inference import _bootstrap_block, _bootstrap_estimates
 
 U1 = SubsetIndex((0,), 2)
@@ -162,6 +163,29 @@ class TestBootstrapCi:
         with pytest.raises(ContractError):
             bootstrap_ci(_sample(n=100, seed=1), 100, 0.95, seed=1)
 
+    @pytest.mark.parametrize("n", [2000, 3001])
+    def test_block_size_moves_replicates_by_ulps_only(self, monkeypatch, n):
+        sample = _sample("sum_prod", n=n, seed=9)
+        b_reps = 200
+        reps = {}
+        for block in (1, 7, _bootstrap_block(n), b_reps):
+            monkeypatch.setattr(inference, "_bootstrap_block", lambda n, block=block: block)
+            reps[block] = _bootstrap_estimates(sample, b_reps, np.random.Generator(np.random.Philox(5)))
+        for got in reps.values():
+            assert np.max(np.abs(got - reps[1]) / np.abs(reps[1])) <= 1e-13
+
+    def test_peak_memory_fits_the_block_budget(self):
+        # a block of replicates is sized to stay in a core's L2 cache; a
+        # 16 MiB budget, one block of 200 replicates here, peaked at 6.5 MB
+        sample = _sample(n=2000, seed=7)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(sample, 200, 0.95, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_peak_memory_is_bounded(self):
         sample = _sample(n=100_000, seed=7)
         tracemalloc.start()
@@ -235,7 +259,10 @@ def test_import_leaves_scipy_stats_unloaded():
     src = str(Path(vecsobol.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
-        "import sys, vecsobol, vecsobol.cli\n"
+        "import sys, threading\n"
+        "threads = threading.active_count()\n"
+        "import vecsobol, vecsobol.cli\n"
+        "print(threading.active_count() == threads, 'concurrent.futures' in sys.modules)\n"
         "print('scipy.stats' in sys.modules)\n"
         "model = vecsobol.get_model('identity_2')\n"
         "u = vecsobol.SubsetIndex((0,), 2)\n"
@@ -245,4 +272,5 @@ def test_import_leaves_scipy_stats_unloaded():
         "print('scipy' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    # import starts no thread and builds no pool: the column pool is made on first use
+    assert out.stdout.split() == ["True", "False", "False", "False"]

@@ -1,6 +1,14 @@
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
+from vecsobol import spaces
 from vecsobol import (
     ConfigurationError,
     ContractError,
@@ -105,3 +113,132 @@ def test_subset_index_contracts():
     assert full.is_full
     with pytest.raises(ContractError):
         full.complement_subset()
+
+
+MIXED = InputSpace(
+    (Uniform(-1, 2), Normal(3, 0.5), Discrete((0.0, 1.0, 4.0), (0.2, 0.3, 0.5)), Uniform(0, 1))
+)
+
+
+_column_pool = spaces._column_pool
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Start without a column pool; shut down whatever pool the test builds."""
+    monkeypatch.setattr(spaces, "_pool", None)
+    yield
+    if spaces._pool is not None:
+        spaces._pool.shutdown()
+
+
+def _draw(monkeypatch, space, n, seed, cpus):
+    """Sample as if `cpus` CPUs were available; returns (matrix, pool used)."""
+    used = []
+    monkeypatch.setattr(spaces, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(spaces, "_column_pool", lambda c: used.append(c) or _column_pool(c))
+    return sample_inputs(space, n, seed), bool(used)
+
+
+@pytest.mark.parametrize("space", [MIXED, InputSpace.normal(1), InputSpace(MIXED.marginals[2:3])],
+                         ids=["mixed", "p=1 normal", "p=1 discrete"])
+def test_column_draws_do_not_depend_on_the_thread_count(monkeypatch, fresh_pool, space):
+    monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 1)
+    serial, used = _draw(monkeypatch, space, 1000, 17, cpus=1)
+    assert not used
+    for cpus in (2, 3):
+        parallel, used = _draw(monkeypatch, space, 1000, 17, cpus)
+        assert used == (space.dims > 1)
+        assert parallel.tobytes() == serial.tobytes()
+        if spaces._pool is not None:  # the next count builds a pool of its own size
+            spaces._pool.shutdown()
+            spaces._pool = None
+
+
+def test_threads_start_at_the_threshold(monkeypatch, fresh_pool):
+    threshold = spaces._PARALLEL_MIN_DRAWS
+    for n, parallel_path in ((threshold - 1, False), (threshold, True)):
+        serial, used = _draw(monkeypatch, MIXED, n, 23, cpus=1)
+        assert not used
+        parallel, used = _draw(monkeypatch, MIXED, n, 23, cpus=2)
+        assert used == parallel_path
+        assert parallel.tobytes() == serial.tobytes()
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch, fresh_pool):
+    # more callers and pool threads than cores, switching threads often
+    monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 1)
+    monkeypatch.setattr(spaces, "_available_cpus", lambda: 1)
+    expected = [sample_inputs(MIXED, 500, seed) for seed in range(8)]
+    monkeypatch.setattr(spaces, "_available_cpus", lambda: 4)
+    pools, got = set(), [None] * 8
+
+    def draw(seed):
+        for _ in range(20):
+            got[seed] = sample_inputs(MIXED, 500, seed)
+            pools.add(id(spaces._pool))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=draw, args=(seed,)) for seed in range(8)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(pools) == 1
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_worker_count_falls_back_to_cpu_count(monkeypatch):
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert spaces._available_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert spaces._available_cpus() == 1
+
+
+def test_one_cpu_draws_serially_without_a_pool(monkeypatch, fresh_pool):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    x = sample_inputs(MIXED, spaces._PARALLEL_MIN_DRAWS, 29)
+    assert spaces._pool is None
+    assert x.shape == (spaces._PARALLEL_MIN_DRAWS, MIXED.dims)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_after_a_parallel_draw(monkeypatch, fresh_pool):
+    monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 16)
+    expected = sample_inputs(MIXED, 64, 31)
+    assert spaces._pool is not None  # the parent drew on the parallel path
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # forking a process that runs threads is the point of this test
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # child: without the at-fork hook the inherited pool has no threads
+        code = 1
+        try:
+            if spaces._pool is None:
+                os.write(write_end, sample_inputs(MIXED, 64, 31).tobytes())
+                code = 0 if spaces._pool is not None else 2
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    deadline = time.monotonic() + 30.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+            pytest.fail("the forked child hung drawing a design")
+        time.sleep(0.01)
+    with os.fdopen(read_end, "rb") as fh:
+        got = fh.read()
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+    assert got == expected.tobytes()
