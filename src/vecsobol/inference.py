@@ -3,12 +3,14 @@
 The estimator is a smooth function of the column means of the per-pair
 statistics T (pickfreeze.pair_table), so both intervals are built on T:
 
-- delta_variance: the variance of the projection T @ grad, where grad is the
-  gradient of the ratio at the empirical means (Janon et al. 2014). The
-  n-vector projection replaces a covariance matrix of the statistics.
+- delta_variance: grad^T Cov(T) grad, where grad is the gradient of the
+  ratio at the empirical means (Janon et al. 2014). The (k+2)-by-(k+2)
+  covariance of T comes from the same blocked pass over the sample as the
+  estimate (pickfreeze.PairMoments), so the delta method reads no rows.
 - bootstrap_ci: Efron's multinomial view of pair resampling. A resample of
   pair indices is a vector of counts, and its replicate means are
-  counts @ T / n, one matrix product per block of replicates.
+  counts @ T / n, one matrix product per block of replicates, summed over
+  fixed row chunks in order.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
 against an oracle target. No scipy at runtime: the normal quantile and
@@ -27,6 +29,7 @@ from .errors import ContractError, DegenerateSampleError
 from .models import VectorModel
 from .pickfreeze import (
     PickFreezeSample,
+    _row_blocks,
     empirical_covariances,
     estimate_index,
     evaluate_pairs,
@@ -82,30 +85,41 @@ class ReplicationReport:
     coverage: float  # fraction of per-replicate CIs containing the target
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ContractError(f"confidence level must be in (0, 1), got {level}")
+
+
+def _check_b_reps(b_reps: int) -> None:
+    if b_reps < 200:
+        raise ContractError(f"bootstrap needs at least 200 replicates, got {b_reps}")
+
+
 def delta_variance(sample: PickFreezeSample) -> float:
     """Delta-method estimate of the asymptotic variance of the index estimator.
 
     The estimate is f(U, V, hbar) = (U - V - |hbar|^2) / (U + V - |hbar|^2) of
-    the column means of pair_table(sample); this returns the empirical
-    variance of T @ grad f. Nonnegative by construction.
+    the column means of pair_table(sample); this returns grad^T Cov(T) grad
+    with the covariance of T that the moments kernel already holds, so no
+    pass over the rows is made. Rounding below zero is returned as zero.
     """
     if sample.n < 10:
         raise ContractError(f"delta method needs n >= 10, got {sample.n}")
     value = estimate_index(sample)  # raises DegenerateSampleError when flat
     denom = float(np.trace(empirical_covariances(sample).total)) / sample.n
 
+    mom = sample.moments
     grad = np.empty(sample.out_dims + 2)
     grad[0] = 1.0 - value
     grad[1] = -(1.0 + value)
-    grad[2:] = -2.0 * (1.0 - value) * sample.moments.mean
+    grad[2:] = -2.0 * (1.0 - value) * mom.mean
     grad /= denom
-    return float(np.var(pair_table(sample) @ grad))
+    return max(0.0, float(grad @ mom.table_cov @ grad))
 
 
 def delta_ci(sample: PickFreezeSample, level: float = 0.95) -> IndexEstimate:
     """Symmetric normal-approximation interval around the point estimate."""
-    if not 0.0 < level < 1.0:
-        raise ContractError(f"confidence level must be in (0, 1), got {level}")
+    _check_level(level)
     value = estimate_index(sample)
     sigma2 = delta_variance(sample)
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * float(np.sqrt(sigma2 / sample.n))
@@ -139,7 +153,12 @@ def _bootstrap_estimates(
         idx += n * np.arange(rows)[:, None]  # row r counts into bins r*n .. r*n + n - 1
         counts = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
         del idx
-        means = (counts @ table) / n
+        # summed over fixed row chunks in order: one product over all n rows
+        # would be split across BLAS threads at large n
+        means = np.zeros((rows, table.shape[1]))
+        for chunk in _row_blocks(n):
+            means += counts[:, chunk] @ table[chunk]
+        means /= n
         u, v, centering = means[:, 0], means[:, 1], np.sum(means[:, 2:] ** 2, axis=1)
         out[start : start + rows] = (u - v - centering) / (u + v - centering)
     return out
@@ -154,10 +173,8 @@ def bootstrap_ci(
     distribution, so resampling is over pair indices only. Deterministic in
     the seed.
     """
-    if b_reps < 200:
-        raise ContractError(f"bootstrap needs at least 200 replicates, got {b_reps}")
-    if not 0.0 < level < 1.0:
-        raise ContractError(f"confidence level must be in (0, 1), got {level}")
+    _check_b_reps(b_reps)
+    _check_level(level)
     value = estimate_index(sample)  # degenerate samples rejected here
 
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
@@ -202,6 +219,10 @@ def clt_diagnostic(
         raise ContractError("target must be a finite oracle value")
     if ci_method not in ("delta", "bootstrap"):
         raise ContractError(f"ci_method must be 'delta' or 'bootstrap', got {ci_method!r}")
+    # checked here as well, before any design is drawn or model evaluated
+    _check_level(ci_level)
+    if ci_method == "bootstrap":
+        _check_b_reps(b_reps)
 
     root = as_seed_sequence(seed)
     children = root.spawn(reps)

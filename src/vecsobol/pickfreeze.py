@@ -16,16 +16,21 @@ the pair mean h = (a + b)/2 and the half difference e = (a - b)/2 of a row,
     total  = sum_i (h_i - hbar)(h_i - hbar)^T + sum_i e_i e_i^T
     subset = sum_i (h_i - hbar)(h_i - hbar)^T - sum_i e_i e_i^T.
 
-PairMoments holds the two k-by-k Gram blocks and hbar, cached on the
-immutable sample, and every estimate is read off them. Coincident pairs have
-e = 0 exactly, so their two matrices are equal bit for bit; the Gram blocks
-come from symmetric rank-k updates, so both matrices are exactly symmetric;
-and the weighted estimator Tr(M C_hat)/Tr(M Sigma_hat) reduces to the plain
-ratio at M = identity, bit for bit.
-
-The per-pair statistics T_i = [|h_i|^2, |e_i|^2, h_i] (pair_table) have the
-column means the estimator is a function of. The delta method and the
-bootstrap in the inference module are built on them.
+The kernel reads a sample in fixed blocks of _BLOCK_ROWS rows: one pass
+for the pilot shift, then one pass that forms s = a + b and d = a - b per
+block and merges the block's centred cross-products of
+W = [|s|^2, |d|^2, s, d] into running totals with Chan's pairwise update.
+PairMoments holds what that pass yields, cached on the immutable sample:
+the two k-by-k Gram blocks, and the mean and covariance of the per-pair
+statistics T_i = [|h_i|^2, |e_i|^2, h_i] (pair_table), whose column means
+U, V and hbar the estimator is a function of. Every estimate is read off
+the Gram blocks, and the delta method in the inference module off the
+covariance of T. Partial sums are added in block order, so the results do
+not depend on the BLAS thread count. Coincident pairs have e = 0 exactly,
+so their two matrices are equal bit for bit; the cross-products come from
+symmetric rank-k updates, so both matrices are exactly symmetric; and the
+weighted estimator Tr(M C_hat)/Tr(M Sigma_hat) reduces to the plain ratio
+at M = identity, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,12 +89,21 @@ class PickFreezeSample:
     subset: Optional[SubsetIndex] = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        y_u = np.asarray(self.y_u, dtype=float)
+        # copies: the caller may still hold the arrays, and an owner can make
+        # a read-only array writeable again, so only a copy is safe here
+        self._freeze(np.array(self.y, dtype=float), np.array(self.y_u, dtype=float))
+
+    @classmethod
+    def _adopt(cls, y: np.ndarray, y_u: np.ndarray, subset: Optional[SubsetIndex]) -> "PickFreezeSample":
+        """A sample over float arrays that nothing else holds, without copying them."""
+        sample = cls.__new__(cls)
+        object.__setattr__(sample, "subset", subset)
+        sample._freeze(y, y_u)
+        return sample
+
+    def _freeze(self, y: np.ndarray, y_u: np.ndarray) -> None:
         if y.ndim != 2 or y.shape != y_u.shape:
             raise ContractError(f"y and y_u must be equal-shape 2-D matrices, got {y.shape} vs {y_u.shape}")
-        y = y.copy()
-        y_u = y_u.copy()
         y.flags.writeable = False
         y_u.flags.writeable = False
         object.__setattr__(self, "y", y)
@@ -113,7 +127,7 @@ class PickFreezeSample:
         o = np.asarray(matrix, dtype=float)
         if o.shape != (self.out_dims, self.out_dims):
             raise ContractError(f"matrix must be {self.out_dims}x{self.out_dims}, got {o.shape}")
-        return PickFreezeSample(self.y @ o.T, self.y_u @ o.T, self.subset)
+        return PickFreezeSample._adopt(self.y @ o.T, self.y_u @ o.T, self.subset)
 
 
 @dataclass(frozen=True)
@@ -125,10 +139,16 @@ class PairMoments:
     """
 
     shift: np.ndarray  # (k,) pilot shift: the first-pass pair mean
-    mean: np.ndarray  # (k,) hbar, the mean of h
     centered_gram: np.ndarray  # (k, k) sum_i (h_i - hbar)(h_i - hbar)^T
     diff_gram: np.ndarray  # (k, k) sum_i e_i e_i^T
+    table_mean: np.ndarray  # (k + 2,) column means of T = [|h|^2, |e|^2, h]
+    table_cov: np.ndarray  # (k + 2, k + 2) covariance of T, divided by n
     scale: float  # max |h| + max |e|, which bounds the shifted magnitudes |a|, |b|
+
+    @property
+    def mean(self) -> np.ndarray:
+        """hbar, the mean of h."""
+        return self.table_mean[2:]
 
 
 @dataclass
@@ -164,6 +184,25 @@ def generate_design(
     return PickFreezeDesign(x=x, x_prime=x_prime, subset=subset, seed=seed_int)
 
 
+def _frozen_mix(x: np.ndarray, x_prime: np.ndarray, complement: tuple[int, ...]) -> np.ndarray:
+    """x with its complement columns taken from x_prime, in the original
+    column order, copied run by run of adjacent columns from one source."""
+    n, p = x.shape
+    mixed = np.empty((n, p))
+    redrawn = set(complement)
+    start = used = 0
+    for stop in range(1, p + 1):
+        if stop < p and (stop in redrawn) == (start in redrawn):
+            continue
+        if start in redrawn:
+            mixed[:, start:stop] = x_prime[:, used : used + stop - start]
+            used += stop - start
+        else:
+            mixed[:, start:stop] = x[:, start:stop]
+        start = stop
+    return mixed
+
+
 def evaluate_pairs(model: VectorModel, design: PickFreezeDesign) -> PickFreezeSample:
     """Evaluate (Y, Y^u): the second run keeps the subset columns and swaps in
     the redrawn complement columns, in the original coordinate order."""
@@ -172,59 +211,109 @@ def evaluate_pairs(model: VectorModel, design: PickFreezeDesign) -> PickFreezeSa
             f"model expects {model.in_dims} inputs but the design has {design.x.shape[1]}"
         )
     y = model.evaluate(design.x)
-    mixed = design.x.copy()
-    comp = list(design.subset.complement)
-    if comp:
-        mixed[:, comp] = design.x_prime
-    y_u = model.evaluate(mixed)
-    return PickFreezeSample(y=y, y_u=y_u, subset=design.subset)
+    y_u = model.evaluate(_frozen_mix(design.x, design.x_prime, design.subset.complement))
+    if _fresh(y, design.x, design.x_prime) and _fresh(y_u, y, design.x, design.x_prime):
+        return PickFreezeSample._adopt(y, y_u, design.subset)
+    # a model that returns its input, a view, or one array twice
+    return PickFreezeSample(y, y_u, design.subset)
 
 
-def _column_means(x: np.ndarray) -> np.ndarray:
-    # a matrix-vector product: numpy's own reduction down the rows of a
-    # C-ordered matrix is several times slower
-    return (np.ones(x.shape[0]) @ x) / x.shape[0]
+def _fresh(out: np.ndarray, *held: np.ndarray) -> bool:
+    """Whether a model output owns its memory and overlaps none of the held arrays."""
+    return out.flags.owndata and not any(np.may_share_memory(out, a) for a in held)
 
 
-def _pair_sums(y: np.ndarray, y_u: np.ndarray, shift: np.ndarray):
-    """Row sums s = a + b and differences d = a - b of the shifted outputs
-    a = y - shift and b = y_u - shift, so h = s/2 and e = d/2.
-
-    a is exact when the shift is close to y, so large offsets cancel before
-    any product is formed; d = y - y_u needs no shift.
-    """
-    s = y - shift
-    d = y_u - shift
-    s += d
-    np.subtract(y, y_u, out=d)
-    return s, d
+# Rows reduced per step of the moments kernel and of the bootstrap sums. It
+# is a constant, never read from the machine: partial sums are added in block
+# order, and a BLAS product over one block gave the same bits under one and
+# two OpenBLAS threads, where a product over 5e5 rows did not (its rows are
+# split between the threads). For a few outputs the kernel's block buffers
+# (3k + 2 rows of 4096 floats) stay in a core's L2 cache. Kernel time at
+# n=5e5, k=4, one BLAS thread (2-vCPU Xeon, 2 MiB L2 per core), by block:
+#   1024 56 ms | 2048 47 ms | 4096 42 ms | 8192 38 ms | 16384 41 ms | 65536 53 ms
+_BLOCK_ROWS = 4096
 
 
-def _max_abs(x: np.ndarray) -> float:
-    return max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
+def _row_blocks(n: int):
+    """Row slices of at most _BLOCK_ROWS rows, in order."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n))
 
 
 def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
+    """Reduce a sample in row blocks into its PairMoments.
+
+    A block is held transposed, as the rows of W = [|s|^2, |d|^2, s, d] with
+    s = a + b = 2h and d = a - b = 2e, so every step runs along the block's
+    rows. W is centred on the block's own means and the blocks' centred
+    cross-products are merged with Chan's pairwise update. The quarter and
+    half factors of h and e are powers of two, applied once at the end.
+    """
+    n, k = y.shape
+    rows0 = min(n, _BLOCK_ROWS)
+    w = 2 * k + 2
+    buf = np.empty((w, rows0))
+    tmp = np.empty((k, rows0))
+    total = np.zeros(w)
+    m2 = np.zeros((w, w))
+    max_s2 = max_d2 = 0.0
     # finite outputs too large to square overflow here; that is checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = 0.5 * (_column_means(y) + _column_means(y_u))
-        s, d = _pair_sums(y, y_u, shift)
-        mean_s = _column_means(s)
-        # s.T @ s is a symmetric rank-k update, so the Gram blocks are exactly
-        # symmetric, and a zero d gives an exactly zero diff_gram
-        centered = 0.25 * (s.T @ s - y.shape[0] * np.outer(mean_s, mean_s))
-        diff = 0.25 * (d.T @ d)
-    if not (np.isfinite(centered).all() and np.isfinite(diff).all()):
+        ones = np.ones(rows0)
+        pilot = np.zeros(k)
+        for rows in _row_blocks(n):
+            o = ones[: rows.stop - rows.start]
+            pilot += o @ y[rows]
+            pilot += o @ y_u[rows]
+        shift = pilot / (2 * n)
+        shift_col = shift[:, None]
+        for rows in _row_blocks(n):
+            m = rows.stop - rows.start
+            wb, t = buf[:, :m], tmp[:, :m]
+            s, d = wb[2 : k + 2], wb[k + 2 :]
+            yb, yub = y[rows].T, y_u[rows].T
+            # a = y - shift is exact when the shift is close to y, so large
+            # offsets cancel before any product is formed; d needs no shift
+            np.subtract(yb, shift_col, out=s)
+            np.subtract(yub, shift_col, out=t)
+            s += t
+            np.subtract(yb, yub, out=d)
+            np.square(s, out=t)
+            np.add.reduce(t, axis=0, out=wb[0])
+            max_s2 = max(max_s2, float(t.max()))
+            np.square(d, out=t)
+            np.add.reduce(t, axis=0, out=wb[1])
+            max_d2 = max(max_d2, float(t.max()))
+            block_sum = wb.sum(axis=1)
+            block_mean = block_sum / m
+            if rows.start:
+                delta = block_mean - total / rows.start
+                m2 += np.outer(delta, delta) * (rows.start * m / (rows.start + m))
+            wb -= block_mean[:, None]
+            # wb @ wb.T is a symmetric rank-m update, so m2 stays exactly
+            # symmetric, and zero d rows stay exactly zero
+            m2 += wb @ wb.T
+            total += block_sum
+        mean_w = total / n
+        mean_d = mean_w[k + 2 :]
+        centered = 0.25 * m2[2 : k + 2, 2 : k + 2]
+        diff = 0.25 * (m2[k + 2 :, k + 2 :] + n * np.outer(mean_d, mean_d))
+        # T = [|h|^2, |e|^2, h] = [|s|^2 / 4, |d|^2 / 4, s / 2]
+        factor = np.full(k + 2, 0.5)
+        factor[:2] = 0.25
+        table_mean = mean_w[: k + 2] * factor
+        table_cov = m2[: k + 2, : k + 2] * np.outer(factor, factor) / n
+    if not (np.isfinite(m2).all() and np.isfinite(diff).all()):
         raise DegenerateSampleError("sample moments overflow: the outputs are too large")
-    mean = 0.5 * mean_s
-    for a in (shift, mean, centered, diff):
+    for a in (shift, centered, diff, table_mean, table_cov):
         a.flags.writeable = False
     return PairMoments(
         shift=shift,
-        mean=mean,
         centered_gram=centered,
         diff_gram=diff,
-        scale=0.5 * (_max_abs(s) + _max_abs(d)),
+        table_mean=table_mean,
+        table_cov=table_cov,
+        scale=0.5 * (float(np.sqrt(max_s2)) + float(np.sqrt(max_d2))),
     )
 
 
@@ -232,10 +321,15 @@ def pair_table(sample: PickFreezeSample) -> np.ndarray:
     """Per-pair statistics T_i = [|h_i|^2, |e_i|^2, h_i], shape (n, k + 2).
 
     Their column means U, V and hbar give the estimator as
-    (U - V - |hbar|^2) / (U + V - |hbar|^2). Built on demand and never
-    cached: it is as large as the sample.
+    (U - V - |hbar|^2) / (U + V - |hbar|^2); the moments kernel holds their
+    mean and covariance. Built on demand for the bootstrap and never cached:
+    it is as large as the sample.
     """
-    s, d = _pair_sums(sample.y, sample.y_u, sample.moments.shift)
+    shift = sample.moments.shift
+    s = sample.y - shift
+    d = sample.y_u - shift
+    s += d
+    np.subtract(sample.y, sample.y_u, out=d)
     quarter = np.full(sample.out_dims, 0.25)
     table = np.empty((sample.n, sample.out_dims + 2))
     np.multiply(s, 0.5, out=table[:, 2:])
@@ -328,4 +422,4 @@ def read_sample_csv(path: str, subset: Optional[SubsetIndex] = None) -> PickFree
         raise ConfigurationError(
             f"{path}: sample header must be y_1..y_k,yu_1..yu_k, got {','.join(header)}"
         )
-    return PickFreezeSample(y=data[:, :k], y_u=data[:, k:], subset=subset)
+    return PickFreezeSample._adopt(data[:, :k], data[:, k:], subset)

@@ -49,6 +49,34 @@ seed: 1
 """
 
 
+# Runs large enough that a BLAS product over all n rows is split across threads
+BLAS_DELTA_WEIGHTED = """
+model: {name: linear, params: {matrix: [[1.974, 0.709, 0.231, 0.32, 0.106, 0.765],
+  [-0.901, -0.684, -0.921, -0.925, -0.488, -0.072], [-1.796, -0.062, 1.802, 0.532, -0.67, 0.923],
+  [0.025, -0.054, 1.802, 0.817, -0.119, 0.383]]}}
+subsets: [[1], [2], [3], [4], [5], [6], [1, 2]]
+n: 200000
+seed: 610
+ci: delta
+oracle: auto
+matrix: [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]]
+"""
+BLAS_BOOTSTRAP = """
+model: sum_prod
+subsets: [[1]]
+n: 200000
+seed: 17
+ci: {kind: bootstrap, reps: 200}
+oracle: auto
+"""
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pairs_csv(tmp_path, n=500):
     model = get_model("sum_prod")
     sample = evaluate_pairs(model, generate_design(model.space(), SubsetIndex((0,), 2), n, 3))
@@ -386,6 +414,27 @@ class TestMain:
             proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                  text=True, check=True)
             assert proc.stdout.split()[-1] == ("serial" if pin else "threaded")
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(_cpu_count() < 2, reason="needs at least two CPUs")
+    @pytest.mark.parametrize("config", [BLAS_DELTA_WEIGHTED, BLAS_BOOTSTRAP], ids=["delta-weighted", "bootstrap"])
+    def test_report_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, config):
+        path = tmp_path / "run.yaml"
+        path.write_text(config)
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        outs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}.json"
+            code = (
+                "import sys\n"
+                "from vecsobol.cli import main\n"
+                f"sys.exit(main(['--config', {str(path)!r}, '--output', {str(out)!r}, '--reproducible']))\n"
+            )
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 

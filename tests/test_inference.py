@@ -6,16 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecsobol
 from vecsobol import (
     ContractError,
     PickFreezeSample,
     SubsetIndex,
+    VectorModel,
     bootstrap_ci,
     clt_diagnostic,
     delta_ci,
     delta_variance,
+    empirical_covariances,
     estimate_index,
     evaluate_pairs,
     generate_design,
@@ -24,6 +28,7 @@ from vecsobol import (
 )
 from vecsobol import inference
 from vecsobol.inference import _bootstrap_block, _bootstrap_estimates
+from vecsobol.pickfreeze import pair_table
 
 U1 = SubsetIndex((0,), 2)
 
@@ -44,6 +49,14 @@ def _reference_delta_variance(sample):
     value = np.sum(a - b * b) / denom
     grad = np.concatenate([np.full(k, 1.0), -2.0 * b * (1.0 - value), np.full(k, -value)]) / denom
     return float(grad @ np.cov(t, rowvar=False, ddof=0) @ grad)
+
+
+def _projection_delta_variance(sample):
+    """The delta method as a projection: the variance of pair_table(sample) @ grad."""
+    value = estimate_index(sample)
+    denom = float(np.trace(empirical_covariances(sample).total)) / sample.n
+    grad = np.concatenate([[1.0 - value, -(1.0 + value)], -2.0 * (1.0 - value) * sample.moments.mean])
+    return float(np.var(pair_table(sample) @ (grad / denom)))
 
 
 def _reference_bootstrap(sample, b_reps, rng, block):
@@ -76,6 +89,26 @@ class TestAgainstReferenceAlgebra:
         for sample in _samples_for_reference():
             ref = _reference_delta_variance(sample)
             assert abs(delta_variance(sample) - ref) <= 1e-12 * ref
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        law=st.sampled_from(["normal", "uniform", "exponential"]),
+        log_sd=st.floats(-6.0, 6.0),
+        log_offset=st.floats(0.0, 8.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_delta_variance_matches_projection_form(self, seed, k, law, log_sd, log_offset, sign):
+        rng = np.random.default_rng(seed)
+        n, sd = 9001, 10.0**log_sd  # three blocks, the last partial
+        draw = getattr(rng, "standard_normal" if law == "normal" else law)
+        y = sd * draw(size=(n, k))
+        y_u = 0.5 * y + sd * draw(size=(n, k))
+        offset = sign * sd * 10.0**log_offset * rng.uniform(0.5, 1.0, size=k)
+        sample = PickFreezeSample(y + offset, y_u + offset)
+        ref = _projection_delta_variance(sample)
+        assert abs(delta_variance(sample) - ref) <= 1e-12 * ref
 
     def test_bootstrap_replicates_match_gather_form(self):
         for sample in _samples_for_reference():
@@ -219,6 +252,28 @@ class TestCltDiagnostic:
         b = clt_diagnostic(model, model.space(), U1, 300, 200, target=0.5, seed=41)
         assert np.array_equal(a.estimates, b.estimates)
         assert a.coverage == b.coverage and a.normality_stat == b.normality_stat
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ci_level": 1.5}, "confidence level"),
+            ({"ci_level": float("nan")}, "confidence level"),
+            ({"ci_level": 0.0, "ci_method": "bootstrap"}, "confidence level"),
+            ({"ci_method": "bootstrap", "b_reps": 100}, "at least 200 replicates"),
+        ],
+    )
+    def test_bad_interval_settings_fail_before_any_evaluation(self, kwargs, message):
+        base = get_model("identity_2")
+        rows = []
+
+        def counting(x):
+            rows.append(x.shape[0])
+            return base.evaluate(x)
+
+        model = VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=counting)
+        with pytest.raises(ContractError, match=message):
+            clt_diagnostic(model, base.space(), U1, 100, 200, target=0.5, seed=1, **kwargs)
+        assert rows == []
 
     def test_contracts(self):
         model = get_model("identity_2")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vecsobol import (
     PickFreezeDesign,
     PickFreezeSample,
     SubsetIndex,
+    VectorModel,
     delta_variance,
     empirical_covariances,
     estimate_index,
@@ -24,6 +26,8 @@ from vecsobol import (
     read_sample_csv,
     write_sample_csv,
 )
+from vecsobol import pickfreeze
+from vecsobol.pickfreeze import _frozen_mix
 
 U1 = SubsetIndex((0,), 2)
 
@@ -298,6 +302,128 @@ class TestSampleCache:
         # the sample holds copies, so changing the source leaves the cache valid
         y[:] = 0.0
         assert estimate_index(sample) == estimate_index(PickFreezeSample(sample.y, sample.y_u))
+
+
+class TestSampleOwnership:
+    def test_constructor_copies_a_read_only_array(self):
+        # the owner of a read-only array may make it writeable again
+        rng = np.random.default_rng(3)
+        y, y_u = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
+        kept = (y.copy(), y_u.copy())
+        y.flags.writeable = y_u.flags.writeable = False
+        sample = PickFreezeSample(y, y_u)
+        y.flags.writeable = y_u.flags.writeable = True
+        y[:] = 0.0
+        y_u[:] = 1.0
+        assert np.array_equal(sample.y, kept[0]) and np.array_equal(sample.y_u, kept[1])
+
+    def test_internal_samples_are_read_only(self, tmp_path):
+        sample = _sample("sum_prod", n=64, seed=20)
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, str(path))
+        for built in (sample, sample.left_compose(np.eye(2)), read_sample_csv(str(path))):
+            assert not built.y.flags.writeable and not built.y_u.flags.writeable
+
+    def test_a_model_returning_its_input_is_copied(self):
+        model = VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=lambda x: x)
+        design = generate_design(InputSpace.uniform(2), U1, 50, 4)
+        sample = evaluate_pairs(model, design)
+        assert np.array_equal(sample.y, design.x)
+        assert not np.may_share_memory(sample.y, design.x)
+
+    def test_evaluate_pairs_keeps_the_model_outputs(self):
+        # the sample takes the model's output arrays: the peak is the two
+        # outputs and the mixed input matrix, with no copy of either output
+        n, k, p = 200_000, 4, 6
+        model = linear_model(np.random.default_rng(5).standard_normal((k, p)))
+        design = generate_design(model.space(), SubsetIndex((0,), p), n, 3)
+        tracemalloc.start()
+        try:
+            evaluate_pairs(model, design)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (2 * k + p) + 2**20
+
+
+class TestFrozenMix:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_column_assignment(self, data):
+        p = data.draw(st.integers(1, 8))
+        indices = data.draw(st.lists(st.integers(0, p - 1), min_size=1, unique=True))
+        subset = SubsetIndex(tuple(indices), p)
+        n = data.draw(st.integers(1, 30))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal((n, p))
+        x_prime = rng.standard_normal((n, len(subset.complement)))
+        expected = x.copy()
+        comp = list(subset.complement)
+        if comp:
+            expected[:, comp] = x_prime
+        got = _frozen_mix(x, x_prime, subset.complement)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestBlockedKernel:
+    BLOCK_ROWS = (1, 7, 4096)
+
+    def _fresh(self, sample):
+        return PickFreezeSample(sample.y, sample.y_u)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_block_size_moves_results_by_ulps_only(self, monkeypatch, offset):
+        n = 5003  # a multiple of none of the block sizes
+        model = linear_model(np.array([[1.0, 0.5, -2.0, 0.3], [0.0, 3.0, 1.0, -1.0], [2.0, -1.0, 0.5, 0.0]]))
+        base = evaluate_pairs(model, generate_design(model.space(), SubsetIndex((1,), 4), n, 3))
+        sample = PickFreezeSample(base.y + offset, base.y_u + offset)
+        m = np.diag([1.0, 2.0, 3.0])
+        results = {}
+        for rows in self.BLOCK_ROWS + (n,):
+            monkeypatch.setattr(pickfreeze, "_BLOCK_ROWS", rows)
+            fresh = self._fresh(sample)
+            emp = empirical_covariances(fresh)
+            results[rows] = (
+                np.array([estimate_index(fresh), estimate_index_general(fresh, m), delta_variance(fresh)]),
+                emp.total,
+                emp.subset,
+            )
+        ref = results[n]
+        for got in results.values():
+            for a, b in zip(got, ref):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_exact_results_at_every_block_size(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 9001
+        y = rng.standard_normal((n, 3)) + 1e4
+        y_u = 0.5 * y + rng.standard_normal((n, 3))
+        for rows in self.BLOCK_ROWS:
+            monkeypatch.setattr(pickfreeze, "_BLOCK_ROWS", rows)
+            coincident = PickFreezeSample(y, y)
+            assert estimate_index(coincident) == 1.0
+            assert delta_variance(coincident) == 0.0
+            emp = empirical_covariances(coincident)
+            assert np.array_equal(emp.total, emp.subset) and np.array_equal(emp.total, emp.total.T)
+            sample = PickFreezeSample(y, y_u)
+            assert estimate_index_general(sample, np.eye(3)) == estimate_index(sample)
+
+    def test_reduction_memory_does_not_grow_with_n(self):
+        # the kernel holds a few block buffers; no n-by-k temporary
+        rng = np.random.default_rng(6)
+        peaks = []
+        for n in (50_000, 200_000):
+            sample = PickFreezeSample(rng.standard_normal((n, 4)), rng.standard_normal((n, 4)))
+            tracemalloc.start()
+            try:
+                estimate_index(sample)
+                delta_variance(sample)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < 2**20
+        assert peaks[1] <= peaks[0] + 1024
 
 
 class TestSampleCsv:
