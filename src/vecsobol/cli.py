@@ -38,7 +38,6 @@ from .oracle import (
     MAX_QUADRATURE_DIMS,
     CovarianceTriple,
     covariances_quadrature,
-    decompose_discrete,
     exact_index,
 )
 from .pickfreeze import (
@@ -433,22 +432,27 @@ def subset_design(config: RunConfig, index: int):
 def resolve_oracle(
     model: VectorModel, space: InputSpace, subset: SubsetIndex
 ) -> Optional[CovarianceTriple]:
-    """Pick an exact route the model family admits, or None (always for a
-    table, which answers only its own rows)."""
+    """Pick an exact route the model family admits: its closed form, else the
+    grid oracle over the space's discrete supports and Gauss rules. None for a
+    table, which answers only its own rows, and for more than
+    MAX_QUADRATURE_DIMS continuous inputs."""
     if model.exact_cov is not None:
         return model.exact_cov(space, subset)
     if model.kind == "external":
         return None
-    if space.all_discrete:
-        return decompose_discrete(model, space, subset).covariance_triple()
-    if space.all_continuous and space.dims <= MAX_QUADRATURE_DIMS:
-        return covariances_quadrature(model, space, subset, _quadrature_nodes(space.dims))
-    return None
+    continuous = sum(not m.is_discrete for m in space.marginals)
+    if continuous > MAX_QUADRATURE_DIMS:
+        return None
+    support = math.prod(len(m.points) for m in space.marginals if m.is_discrete)
+    return covariances_quadrature(model, space, subset, _quadrature_nodes(continuous, support))
 
 
-def _quadrature_nodes(dims: int) -> int:
-    """The most nodes per input, up to the default, whose grid fits MAX_GRID_NODES."""
-    return next(n for n in range(DEFAULT_QUADRATURE_NODES, 0, -1) if n**dims <= MAX_GRID_NODES)
+def _quadrature_nodes(dims: int, support: int = 1) -> int:
+    """The most nodes per continuous input, up to the default, whose grid (times
+    the discrete inputs' `support` cells) fits MAX_GRID_NODES; 1 when none
+    does, so the grid oracle reports the cap."""
+    nodes = range(DEFAULT_QUADRATURE_NODES, 0, -1)
+    return next((n for n in nodes if n**dims * support <= MAX_GRID_NODES), 1)
 
 
 def _replication_dict(report) -> dict:

@@ -10,12 +10,13 @@ split gives
 and the generalized sensitivity index of the group, weighted by a square
 matrix M, is the trace ratio Tr(M subset) / Tr(M total).
 
-Four oracle routes produce the covariance triple: a closed form for linear
-models, exact weighted enumeration for finite (discrete) input grids,
-tensorized Gauss quadrature for smooth models on up to 4 continuous inputs,
-and a large-sample Monte Carlo fallback. Enumeration and quadrature share the
-same grid machinery; they differ only in where the nodes and weights come
-from.
+Three oracle routes produce the covariance triple: a closed form for linear
+models, one tensor-grid route for any product of discrete and continuous
+inputs (exact weighted enumeration of discrete supports, tensorized Gauss
+quadrature for up to 4 smooth continuous inputs), and a large-sample Monte
+Carlo fallback. On a product grid the decomposition identity holds exactly,
+so the grid route's residual is rounding, not an estimate of quadrature
+error.
 """
 
 from __future__ import annotations
@@ -78,9 +79,12 @@ class CovarianceTriple:
     """Covariance matrices of the orthogonal output decomposition for one subset.
 
     ``residual`` is the max-entry defect of total == subset + complement +
-    interaction as measured by the producing method (for methods that define
-    the interaction by subtraction it measures the directly-computed
-    interaction instead, so it stays an honest quality indicator).
+    interaction as reported by the producing method. Where the interaction is
+    computed directly (closed form, grid) it is rounding only; where it is
+    defined by subtraction (Monte Carlo) it is zero. It is not an estimate of
+    how far a coarse quadrature rule is from the true covariances: that would
+    need a second rule to compare against. ``accuracy_warning`` flags a
+    residual above 1e-6, an identity broken beyond rounding.
     """
 
     total: np.ndarray
@@ -225,13 +229,47 @@ def covariances_linear(
 
 
 # ---------------------------------------------------------------------------
-# shared tensor-grid machinery (enumeration and quadrature)
+# tensor-grid oracle (discrete, continuous and mixed product spaces)
 # ---------------------------------------------------------------------------
 
 
-def _tensor_weights(weight_cols: list[np.ndarray]) -> np.ndarray:
-    """Raveled (C-order) tensor product of per-dimension weight vectors."""
-    return reduce(np.multiply.outer, weight_cols, np.array(1.0)).ravel()
+# Grid rows per model call and per Gram step: slabs of the first grid axis are
+# taken together up to this many rows, or one at a time when a slab is larger.
+# A small grid then costs a few calls and a large one holds one slab of
+# temporaries.
+_CHUNK_ROWS = 4096
+
+
+def _slabs_per_chunk(slab_shape) -> int:
+    return max(1, _CHUNK_ROWS // math.prod(slab_shape))
+
+
+def _contract(t: np.ndarray, weights: list[np.ndarray], axes) -> np.ndarray:
+    """Weighted sum of a grid tensor over the given axes, each kept with length 1."""
+    labels = list(range(t.ndim))
+    for j in axes:
+        t = np.expand_dims(np.einsum(t, labels, weights[j], [j], labels[:j] + labels[j + 1 :]), j)
+    return t
+
+
+def _weighted_gram(a: np.ndarray, b: np.ndarray, weights: list[np.ndarray], axes) -> np.ndarray:
+    """Sum of w a b^T over the cells of two grid tensors of one shape.
+
+    The tensors vary along ``axes`` only (every other grid axis has length 1)
+    and w is the product of those axes' rule weights. The sum runs over
+    chunks of slabs of the first axis, so no weighted copy of a whole
+    tensor exists.
+    """
+    k = a.shape[-1]
+    w = [weights[j] for j in axes] or [np.ones(1)]  # no axes: one cell of weight 1
+    shape = [len(x) for x in w] + [k]
+    a, b = a.reshape(shape), b.reshape(shape)
+    step = _slabs_per_chunk(shape[1:-1])
+    out = np.zeros((k, k))
+    for i in range(0, len(w[0]), step):
+        w_chunk = reduce(np.multiply.outer, w[1:], w[0][i : i + step]).reshape(-1, 1)
+        out += a[i : i + step].reshape(-1, k).T @ (b[i : i + step].reshape(-1, k) * w_chunk)
+    return out
 
 
 @dataclass
@@ -240,69 +278,67 @@ class HoeffdingComponents:
 
     The model value at any grid node is mean + subset part + complement part +
     interaction part; every part has zero mean under the input law and the
-    parts are pairwise uncorrelated. The *_cov fields are the covariance
-    matrices of the total output and of the three parts, each computed
-    directly from its tabulated values.
+    parts are pairwise uncorrelated. The parts are tensors over the grid axes
+    (``outputs`` has shape sizes + (k,)); the subset part has length 1 along
+    the complement axes and the complement part along the subset axes. The
+    *_values properties ravel them in C order over the axes each part varies
+    along. The *_cov fields are the covariance matrices of the total output
+    and of the three parts, each computed directly from its tabulated values.
     """
 
     subset: SubsetIndex
-    mean: np.ndarray
-    grid: np.ndarray
-    grid_weights: np.ndarray
+    method: str
+    weights: list[np.ndarray]
     outputs: np.ndarray
-    subset_values: np.ndarray
-    subset_weights: np.ndarray
-    complement_values: np.ndarray
-    complement_weights: np.ndarray
-    interaction_values: np.ndarray
-    subset_positions: np.ndarray
-    complement_positions: np.ndarray
+    mean: np.ndarray
+    subset_part: np.ndarray
+    complement_part: np.ndarray
+    interaction_part: np.ndarray
     total_cov: np.ndarray
     subset_cov: np.ndarray
     complement_cov: np.ndarray
     interaction_cov: np.ndarray
 
+    @property
+    def subset_values(self) -> np.ndarray:
+        return self.subset_part.reshape(-1, self.mean.size)
+
+    @property
+    def complement_values(self) -> np.ndarray:
+        return self.complement_part.reshape(-1, self.mean.size)
+
+    @property
+    def interaction_values(self) -> np.ndarray:
+        return self.interaction_part.reshape(-1, self.mean.size)
+
     def reconstruction_residual(self) -> float:
         """Max abs defect of mean + parts == model value over the grid."""
-        rebuilt = (
-            self.mean
-            + self.subset_values[self.subset_positions]
-            + self.complement_values[self.complement_positions]
-            + self.interaction_values
-        )
+        rebuilt = self.mean + self.subset_part + self.complement_part + self.interaction_part
         return float(np.max(np.abs(rebuilt - self.outputs)))
 
     def component_mean_defect(self) -> float:
         """Largest abs entry among the three component means (all should vanish)."""
+        grid_axes = range(len(self.weights))
         defects = [
-            self.subset_weights @ self.subset_values,
-            self.complement_weights @ self.complement_values,
-            self.grid_weights @ self.interaction_values,
+            _contract(self.subset_part, self.weights, self.subset.indices),
+            _contract(self.complement_part, self.weights, self.subset.complement),
+            _contract(self.interaction_part, self.weights, grid_axes),
         ]
         return float(max(np.max(np.abs(d)) for d in defects))
 
     def orthogonality_defect(self) -> float:
         """Largest abs entry among the pairwise component cross-covariances."""
-        sub = self.subset_values[self.subset_positions]
-        comp = self.complement_values[self.complement_positions]
-        inter = self.interaction_values
-        w = self.grid_weights[:, None]
+        shape = self.outputs.shape
+        sub = np.broadcast_to(self.subset_part, shape)
+        comp = np.broadcast_to(self.complement_part, shape)
+        inter = self.interaction_part
+        grid_axes = range(len(self.weights))
         pairs = [
-            sub.T @ (comp * w),
-            sub.T @ (inter * w),
-            comp.T @ (inter * w),
+            _weighted_gram(sub, comp, self.weights, grid_axes),
+            _weighted_gram(sub, inter, self.weights, grid_axes),
+            _weighted_gram(comp, inter, self.weights, grid_axes),
         ]
         return float(max(np.max(np.abs(m)) for m in pairs))
-
-    def identity_residual(self) -> float:
-        """Max-entry defect of total == subset + complement + interaction covariance."""
-        return float(
-            np.max(
-                np.abs(
-                    self.total_cov - self.subset_cov - self.complement_cov - self.interaction_cov
-                )
-            )
-        )
 
     def covariance_triple(self) -> CovarianceTriple:
         """Triple with the interaction covariance computed directly from its values."""
@@ -311,99 +347,69 @@ class HoeffdingComponents:
             subset=self.subset_cov,
             complement=self.complement_cov,
             interaction=self.interaction_cov,
-            method="enumeration",
+            method=self.method,
         )
         triple.residual = triple.identity_defect()
+        triple.accuracy_warning = triple.residual > 1e-6
         return triple
 
 
 def _decompose_grid(
-    model: VectorModel,
-    nodes: list[np.ndarray],
-    weights: list[np.ndarray],
-    subset: SubsetIndex,
+    model: VectorModel, space: InputSpace, subset: SubsetIndex, nodes_per_dim: int
 ) -> HoeffdingComponents:
-    """Exact decomposition of a model over a product grid with product weights."""
-    p = model.in_dims
-    sizes = [len(n) for n in nodes]
-    total_nodes = math.prod(sizes)
-    if total_nodes > MAX_GRID_NODES:
+    """Exact decomposition of a model over the tensor grid of the marginals' rules.
+
+    Each marginal gives its rule through ``quadrature(nodes_per_dim)``: a
+    discrete one its support, a continuous one a Gauss rule. The model is
+    evaluated into a tensor of shape sizes + (k,), a chunk of slabs of the
+    first axis at a time through one reused input block, so no full-grid input
+    matrix exists. The parts are weighted contractions of that tensor.
+    """
+    rules = [m.quadrature(nodes_per_dim) for m in space.marginals]
+    nodes = [np.asarray(r[0], dtype=float) for r in rules]
+    weights = [np.asarray(r[1], dtype=float) for r in rules]
+    sizes = tuple(len(x) for x in nodes)
+    if math.prod(sizes) > MAX_GRID_NODES:
         raise ResourceError(
-            f"grid has {total_nodes} nodes, above the cap of {MAX_GRID_NODES}"
+            f"grid has {math.prod(sizes)} nodes, above the cap of {MAX_GRID_NODES}"
         )
 
-    comp = subset.complement
-    # per-row multi-indices in C order: index j varies fastest for the last dim
-    strides = np.ones(p, dtype=np.int64)
-    for j in range(p - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    rows = np.arange(total_nodes, dtype=np.int64)
+    p, k = model.in_dims, model.out_dims
+    step = _slabs_per_chunk(sizes[1:])
+    block = np.empty((min(step, sizes[0]),) + sizes[1:] + (p,))
+    for j in range(1, p):
+        block[..., j] = nodes[j].reshape([-1 if i == j else 1 for i in range(p)])
+    outputs = np.empty(sizes + (k,))
+    for i in range(0, sizes[0], step):
+        x0 = nodes[0][i : i + step]
+        x = block[: len(x0)]
+        x[..., 0] = x0.reshape((-1,) + (1,) * (p - 1))
+        outputs[i : i + len(x0)] = model.evaluate(x.reshape(-1, p)).reshape(x.shape[:-1] + (k,))
 
-    grid = np.empty((total_nodes, p))
-    w_full = np.ones(total_nodes)
-    w_comp_part = np.ones(total_nodes)
-    w_sub_part = np.ones(total_nodes)
-    pos_sub = np.zeros(total_nodes, dtype=np.int64)
-    pos_comp = np.zeros(total_nodes, dtype=np.int64)
-    stride_sub = 1
-    stride_comp = 1
-    for j in range(p - 1, -1, -1):
-        ij = (rows // strides[j]) % sizes[j]
-        grid[:, j] = nodes[j][ij]
-        wj = weights[j][ij]
-        w_full *= wj
-        if j in subset.indices:
-            pos_sub += ij * stride_sub
-            stride_sub *= sizes[j]
-            w_sub_part *= wj
-        else:
-            pos_comp += ij * stride_comp
-            stride_comp *= sizes[j]
-            w_comp_part *= wj
-
-    outputs = model.evaluate(grid)
-    k = model.out_dims
-    mean = w_full @ outputs
-
-    n_sub = math.prod(sizes[j] for j in subset.indices)
-    n_comp = math.prod(sizes[j] for j in comp)
-
-    def conditional(pos, n_cells, other_weight):
-        cond = np.empty((n_cells, k))
-        for col in range(k):
-            cond[:, col] = np.bincount(
-                pos, weights=other_weight * outputs[:, col], minlength=n_cells
-            )
-        return cond
-
-    # conditional means given the subset cell, minus the grand mean
-    sub_values = conditional(pos_sub, n_sub, w_comp_part) - mean
-    comp_values = conditional(pos_comp, n_comp, w_sub_part) - mean
-    interaction_values = outputs - mean - sub_values[pos_sub] - comp_values[pos_comp]
-
-    # cell weights, raveled in the same C order the positions were built in
-    # (ascending dimensions, last one fastest)
-    w_sub_cells = _tensor_weights([weights[j] for j in subset.indices])
-    w_comp_cells = _tensor_weights([weights[j] for j in comp])
-
-    centered = outputs - mean
+    sub, comp = subset.indices, subset.complement
+    grid_axes = range(p)
+    sub_mean = _contract(outputs, weights, comp)  # E[Y | subset inputs]
+    mean = _contract(sub_mean, weights, sub)
+    sub_part = sub_mean - mean
+    comp_part = _contract(outputs, weights, sub) - mean
+    # one full-size buffer: centred outputs first, then the interaction
+    rest = outputs - mean
+    total_cov = _weighted_gram(rest, rest, weights, grid_axes)
+    rest -= sub_part
+    rest -= comp_part
     return HoeffdingComponents(
         subset=subset,
-        mean=mean,
-        grid=grid,
-        grid_weights=w_full,
+        method="enumeration" if space.all_discrete else "quadrature",
+        weights=weights,
         outputs=outputs,
-        subset_values=sub_values,
-        subset_weights=w_sub_cells,
-        complement_values=comp_values,
-        complement_weights=w_comp_cells,
-        interaction_values=interaction_values,
-        subset_positions=pos_sub,
-        complement_positions=pos_comp,
-        total_cov=centered.T @ (centered * w_full[:, None]),
-        subset_cov=sub_values.T @ (sub_values * w_sub_cells[:, None]),
-        complement_cov=comp_values.T @ (comp_values * w_comp_cells[:, None]),
-        interaction_cov=interaction_values.T @ (interaction_values * w_full[:, None]),
+        mean=mean.reshape(k),
+        subset_part=sub_part,
+        complement_part=comp_part,
+        interaction_part=rest,
+        total_cov=total_cov,
+        subset_cov=_weighted_gram(sub_part, sub_part, weights, sub),
+        complement_cov=_weighted_gram(comp_part, comp_part, weights, comp),
+        interaction_cov=_weighted_gram(rest, rest, weights, grid_axes),
     )
 
 
@@ -420,47 +426,36 @@ def decompose_discrete(
         raise UnsupportedOracleError(
             "exact enumeration needs discrete marginals; use quadrature or monte carlo"
         )
-    nodes = [np.asarray(m.points) for m in space.marginals]
-    weights = [np.asarray(m.probs) for m in space.marginals]
-    return _decompose_grid(model, nodes, weights, subset)
+    return _decompose_grid(model, space, subset, 1)
 
 
 def covariances_quadrature(
     model: VectorModel, space: InputSpace, subset: SubsetIndex, nodes_per_dim: int
 ) -> CovarianceTriple:
-    """Quadrature-grade triple via tensorized Gauss rules (Legendre/Hermite).
+    """Covariance triple on the tensor grid of the marginals' rules, for any product space.
 
-    Only for smooth models on at most MAX_QUADRATURE_DIMS continuous inputs.
-    The interaction part is defined by subtraction so the decomposition
-    identity holds by construction; the reported residual compares against
-    the directly-computed interaction covariance and flags accuracy_warning
-    above 1e-6.
+    Continuous inputs (at most MAX_QUADRATURE_DIMS) take nodes_per_dim-node
+    Gauss rules (Legendre/Hermite), which are exact for polynomial models of
+    degree below 2 * nodes_per_dim in each input; discrete inputs take their
+    support, which is exact. The method is "enumeration" when every input is
+    discrete and "quadrature" otherwise. All four covariances are computed
+    directly from the tabulated parts, and the decomposition identity holds
+    on any product grid, so ``residual`` is rounding only: it does not
+    estimate the quadrature error of a coarse rule.
     """
     _check_dims(model, space, subset)
-    if space.dims > MAX_QUADRATURE_DIMS:
+    continuous = sum(not m.is_discrete for m in space.marginals)
+    if continuous > MAX_QUADRATURE_DIMS:
         raise ResourceError(
-            f"quadrature oracle supports at most {MAX_QUADRATURE_DIMS} inputs, got {space.dims}"
-        )
-    if not space.all_continuous:
-        raise UnsupportedOracleError(
-            "quadrature oracle needs continuous marginals; use enumeration for discrete spaces"
+            f"quadrature oracle supports at most {MAX_QUADRATURE_DIMS} continuous inputs, "
+            f"got {continuous}"
         )
     if nodes_per_dim < 1:
         raise ContractError("nodes_per_dim must be >= 1")
 
-    rules = [m.quadrature(nodes_per_dim) for m in space.marginals]
-    dec = _decompose_grid(model, [r[0] for r in rules], [r[1] for r in rules], subset)
-    _check_positive_definite(dec.total_cov, "quadrature oracle")
-    residual = dec.identity_residual()
-    return CovarianceTriple(
-        total=dec.total_cov,
-        subset=dec.subset_cov,
-        complement=dec.complement_cov,
-        interaction=dec.total_cov - dec.subset_cov - dec.complement_cov,
-        method="quadrature",
-        residual=residual,
-        accuracy_warning=residual > 1e-6,
-    )
+    dec = _decompose_grid(model, space, subset, nodes_per_dim)
+    _check_positive_definite(dec.total_cov, f"{dec.method} oracle")
+    return dec.covariance_triple()
 
 
 # ---------------------------------------------------------------------------

@@ -177,10 +177,6 @@ class InputSpace:
     def all_discrete(self) -> bool:
         return all(m.is_discrete for m in self.marginals)
 
-    @property
-    def all_continuous(self) -> bool:
-        return not any(m.is_discrete for m in self.marginals)
-
     def variances(self) -> np.ndarray:
         return np.array([m.variance for m in self.marginals])
 

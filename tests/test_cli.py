@@ -48,6 +48,16 @@ n: 1000
 seed: 1
 """
 
+COIN = "{kind: discrete, points: [0, 1], probs: [0.5, 0.5]}"
+MIXED_SUM_PROD = f"""
+model: sum_prod
+space: [{{kind: uniform}}, {COIN}]
+subsets: [[1]]
+n: 1000
+seed: 1
+oracle: auto
+"""
+
 
 # Runs large enough that a BLAS product over all n rows is split across threads
 BLAS_DELTA_WEIGHTED = """
@@ -321,6 +331,19 @@ class TestRun:
         # the most nodes, up to 64, whose product grid stays within MAX_GRID_NODES
         assert [cli._quadrature_nodes(d) for d in (1, 2, 3, 4)] == [64, 64, 64, 56]
 
+    def test_quadrature_nodes_share_the_cap_with_discrete_supports(self):
+        # discrete supports multiply the grid; a grid over the cap gets 1 node and fails there
+        assert cli._quadrature_nodes(2, 10_000) == 31
+        assert cli._quadrature_nodes(0, 6) == 64
+        assert cli._quadrature_nodes(1, cli.MAX_GRID_NODES + 1) == 1
+
+    def test_mixed_space_gets_a_grid_oracle(self):
+        config = parse_config(MIXED_SUM_PROD)
+        rec = run(config).subsets[0]
+        assert rec.oracle_method == "quadrature"
+        # uniform x1, fair-coin x2: Tr C_1 = 5/48 and Tr Sigma = 21/48
+        assert rec.oracle_subset == pytest.approx(5 / 21, abs=1e-12)
+
     def test_sample_only_mode(self, tmp_path):
         model = get_model("sum_prod")
         sample = evaluate_pairs(
@@ -509,6 +532,30 @@ class TestMain:
              "--output", str(out)]
         )
         assert rc == EXIT_IO
+
+    def test_singular_discrete_oracle_exits_3(self, tmp_path, capsys):
+        # u_only pads its output with a zero column, so no grid gives it a definite covariance
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            f"model: u_only\nspace: [{COIN}, {COIN}]\nsubsets: [[1]]\nn: 1000\nseed: 1\n"
+            "oracle: auto\n"
+        )
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_DEGENERATE
+        assert "total output covariance is singular" in capsys.readouterr().err
+
+    def test_over_cap_discrete_grid_exits_3(self, tmp_path, capsys, monkeypatch):
+        for module in (cli, oracle):
+            monkeypatch.setattr(module, "MAX_GRID_NODES", 8)
+        three = "{kind: discrete, points: [0, 1, 2], probs: [0.25, 0.5, 0.25]}"
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            f"model: sum_prod\nspace: [{three}, {three}]\nsubsets: [[1]]\nn: 100\nseed: 1\n"
+            "oracle: auto\n"
+        )
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_DEGENERATE
+        assert "grid has 9 nodes, above the cap of 8" in capsys.readouterr().err
 
     def _tabulated_config(self, tmp_path, extra=""):
         # tabulate every row the run will ask for, then drive it from the table

@@ -5,8 +5,14 @@ Frozen expected values were derived independently by symbolic integration
 oracles under test must reproduce them, not the other way around.
 """
 
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecsobol import (
     ContractError,
@@ -14,8 +20,10 @@ from vecsobol import (
     Discrete,
     IllPosedIndexError,
     InputSpace,
+    Normal,
     ResourceError,
     SubsetIndex,
+    Uniform,
     UnsupportedOracleError,
     VectorModel,
     covariances_linear,
@@ -26,6 +34,7 @@ from vecsobol import (
     get_model,
     linear_model,
 )
+from vecsobol.oracle import _decompose_grid
 
 U1 = SubsetIndex((0,), 2)
 
@@ -124,7 +133,8 @@ class TestDecomposeDiscrete:
         assert np.max(np.abs(comps.subset_values)) == 0.0
         assert np.max(np.abs(comps.complement_values)) == 0.0
         # the interaction part is the full product term
-        prods = comps.grid[:, 0] * comps.grid[:, 1]
+        x1, x2 = (np.asarray(m.points) for m in _pm1_space().marginals)
+        prods = np.multiply.outer(x1, x2).ravel()
         assert np.array_equal(comps.interaction_values[:, 0], prods)
 
     def test_sum_prod_on_four_point_grid(self):
@@ -224,8 +234,118 @@ class TestCovariancesQuadrature:
         model = linear_model(np.ones((1, 5)))
         with pytest.raises(ResourceError):
             covariances_quadrature(model, InputSpace.uniform(5), SubsetIndex((0,), 5), 4)
-        with pytest.raises(UnsupportedOracleError):
-            covariances_quadrature(get_model("identity_2"), _pm1_space(), U1, 4)
+        # a discrete space takes its support as the rule: the same triple as enumeration
+        quad = covariances_quadrature(get_model("identity_2"), _pm1_space(), U1, 4)
+        enum = decompose_discrete(get_model("identity_2"), _pm1_space(), U1).covariance_triple()
+        for part in ("total", "subset", "complement", "interaction"):
+            assert np.max(np.abs(getattr(quad, part) - getattr(enum, part))) <= 1e-15
+
+    def test_memory_stays_within_64_bytes_per_node(self):
+        # the outputs and the interaction tensor take 48 B per node at k=3; no
+        # full-grid input matrix, weight vector or weighted copy may join them
+        def _eval(x):
+            return np.stack(
+                [np.exp(x[:, 0]) * np.sin(x[:, 1]), x[:, 1] * x[:, 3] + np.cos(x[:, 2]),
+                 np.exp(-x[:, 0] * x[:, 3])], axis=1)
+
+        model = VectorModel(in_dims=4, out_dims=3, kind="builtin", eval_fn=_eval, name="smooth")
+        space, subset = InputSpace.uniform(4), SubsetIndex((1, 2), 4)
+        covariances_quadrature(model, space, subset, 2)  # warm the rule code outside the trace
+        tracemalloc.start()
+        try:
+            covariances_quadrature(model, space, subset, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 16**4 <= 64
+
+
+# ---------------------------------------------------------------------------
+# the grid kernel against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_triple(f, rules, subset):
+    """Covariance triple from conditional means formed cell by cell in a Python loop."""
+    p = len(rules)
+    cells = list(itertools.product(*(range(len(x)) for x, _ in rules)))
+    y = {c: f(np.array([[rules[j][0][c[j]] for j in range(p)]]))[0] for c in cells}
+    w = {c: math.prod(rules[j][1][c[j]] for j in range(p)) for c in cells}
+    mean = sum(w[c] * y[c] for c in cells)
+
+    def centred_conditional(axes):
+        num, den = {}, {}
+        for c in cells:
+            key = tuple(c[j] for j in axes)
+            num[key] = num.get(key, 0.0) + w[c] * y[c]
+            den[key] = den.get(key, 0.0) + w[c]
+        return {key: num[key] / den[key] - mean for key in num}, den
+
+    def cov(values, weights):
+        return sum(weights[key] * np.outer(v, v) for key, v in values.items())
+
+    sub, sub_w = centred_conditional(subset.indices)
+    comp, comp_w = centred_conditional(subset.complement)
+    centred = {c: y[c] - mean for c in cells}
+    inter = {
+        c: centred[c]
+        - sub[tuple(c[j] for j in subset.indices)]
+        - comp[tuple(c[j] for j in subset.complement)]
+        for c in cells
+    }
+    return cov(centred, w), cov(sub, sub_w), cov(comp, comp_w), cov(inter, w)
+
+
+_coef = st.floats(-2.0, 2.0, allow_nan=False)
+_marginals = st.one_of(
+    st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3).flatmap(
+        lambda raw: st.builds(
+            Discrete,
+            st.lists(st.floats(-3.0, 3.0), min_size=len(raw), max_size=len(raw), unique=True)
+            .map(tuple),
+            st.just(tuple(np.asarray(raw) / sum(raw))),
+        )
+    ),
+    st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(-2.0, 2.0), st.floats(0.1, 3.0)),
+    st.builds(Normal, st.floats(-2.0, 2.0), st.floats(0.1, 2.0)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    marginals=st.lists(_marginals, min_size=1, max_size=3),
+    nodes=st.integers(2, 5),
+    coef=st.lists(_coef, min_size=12, max_size=12),
+)
+def test_grid_kernel_matches_a_brute_force_reference(marginals, nodes, coef):
+    space = InputSpace(tuple(marginals))
+    p = space.dims
+    a = np.asarray(coef).reshape(2, 6)
+
+    def _eval(x):
+        # smooth and bounded, with main effects and interactions of every input
+        x = np.hstack([x, np.zeros((x.shape[0], 3 - p))])
+        feats = np.stack(
+            [np.sin(x[:, 0]), np.cos(x[:, 1]), np.tanh(x[:, 2]), np.sin(x[:, 0] * x[:, 1]),
+             np.cos(x[:, 1] - x[:, 2]), np.sin(x[:, 0]) * np.cos(x[:, 2])], axis=1)
+        return feats @ a.T
+
+    model = VectorModel(in_dims=p, out_dims=2, kind="builtin", eval_fn=_eval, name="smooth")
+    rules = [m.quadrature(nodes) for m in marginals]
+    for size in range(1, p + 1):
+        for indices in itertools.combinations(range(p), size):
+            subset = SubsetIndex(indices, p)
+            comps = _decompose_grid(model, space, subset, nodes)
+            triple = comps.covariance_triple()
+            reference = _reference_triple(model.evaluate, rules, subset)
+            scale = max(1.0, float(np.max(np.abs(reference[0]))))
+            for got, want in zip(
+                (triple.total, triple.subset, triple.complement, triple.interaction), reference
+            ):
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            assert comps.reconstruction_residual() <= 1e-12
+            assert comps.component_mean_defect() <= 1e-12
+            assert comps.orthogonality_defect() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
