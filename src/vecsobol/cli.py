@@ -23,7 +23,7 @@ from typing import Any, Optional
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, oracle
 from .errors import ConfigurationError, ContractError, ReportError, VecSobolError
 from .inference import bootstrap_ci, clt_diagnostic, delta_ci
 from .models import (
@@ -334,9 +334,9 @@ def config_from_tree(tree: dict) -> RunConfig:
     schema = _number(tree.get("schema"), "schema", 1, integer=True)
     if schema != 1:
         raise _fail("schema", f"unsupported schema version {schema!r}")
-    oracle = tree.get("oracle") or "none"
-    if oracle not in (("none",) if mode == "sample" else ("none", "auto")):
-        raise _fail("oracle", f"expected none|auto (none in sample mode), got {oracle!r}")
+    oracle_mode = tree.get("oracle") or "none"
+    if oracle_mode not in (("none",) if mode == "sample" else ("none", "auto")):
+        raise _fail("oracle", f"expected none|auto (none in sample mode), got {oracle_mode!r}")
     config = RunConfig(
         model=None,
         space=None,
@@ -344,7 +344,7 @@ def config_from_tree(tree: dict) -> RunConfig:
         n=0,
         seed=_number(tree.get("seed"), "seed", 0, integer=True, low=0),
         ci=_parse_ci(tree.get("ci")),
-        oracle=oracle,
+        oracle=oracle_mode,
     )
 
     if mode == "sample":
@@ -432,12 +432,14 @@ def subset_design(config: RunConfig, index: int):
 def resolve_oracle(
     model: VectorModel, space: InputSpace, subset: SubsetIndex
 ) -> Optional[CovarianceTriple]:
-    """Pick an exact route the model family admits: its closed form, else the
-    grid oracle over the space's discrete supports and Gauss rules. None for a
-    table, which answers only its own rows, and for more than
-    MAX_QUADRATURE_DIMS continuous inputs."""
-    if model.exact_cov is not None:
-        return model.exact_cov(space, subset)
+    """Pick the exact route the model's kind admits: the closed form for a
+    linear model, None for a table, which answers only its own rows, and for
+    more than MAX_QUADRATURE_DIMS continuous inputs, else the grid oracle over
+    the space's discrete supports and Gauss rules."""
+    if model.kind == "linear":
+        # looked up on the module at call time, so the tracer's wrapper there
+        # (bench/spans.py) sees every call
+        return oracle.covariances_linear(model.matrix, space.variances(), subset)
     if model.kind == "external":
         return None
     continuous = sum(not m.is_discrete for m in space.marginals)

@@ -1,9 +1,9 @@
 """Vector-valued models, output transforms, and the built-in test corpus.
 
 A model is a deterministic map from p inputs to k outputs, evaluated row-wise
-on n-by-p matrices. Corpus entries carry a default input space and, where the
-model family admits one, an exact covariance oracle hook used by the CLI's
-``oracle: auto`` mode.
+on n-by-p matrices. Corpus entries carry a default input space. A model's
+``kind`` tells the CLI's ``oracle: auto`` mode which exact route applies; this
+module knows nothing of the oracles.
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ class VectorModel:
     """Deterministic map R^p -> R^k plus corpus metadata.
 
     evaluate() is vectorized over rows and must be bit-stable: identical input
-    matrices give identical output matrices.
+    matrices give identical output matrices. ``kind`` picks the exact oracle
+    route (``cli.resolve_oracle``): the closed form in ``matrix`` for 'linear',
+    none for an 'external' table, the grid otherwise.
     """
 
     in_dims: int
@@ -81,7 +83,6 @@ class VectorModel:
     name: str = ""
     matrix: Optional[np.ndarray] = None  # set iff kind == 'linear'
     default_space: Optional[InputSpace] = None
-    exact_cov: Optional[Callable] = None  # (space, subset) -> CovarianceTriple
     params: dict = field(default_factory=dict)
 
     def evaluate(self, inputs: np.ndarray) -> np.ndarray:
@@ -117,16 +118,13 @@ def linear_model(
         raise ConfigurationError("linear model matrix must be equal-length rows of numbers") from None
     if a.ndim != 2:
         raise ConfigurationError(f"linear model matrix must be 2-D, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ConfigurationError("linear model matrix entries must be finite")
     a.flags.writeable = False
     k, p = a.shape
 
     def _eval(x: np.ndarray) -> np.ndarray:
         return x @ a.T
-
-    from .oracle import covariances_linear  # deferred: oracle imports this module
-
-    def _exact(space: InputSpace, subset) -> object:
-        return covariances_linear(a, space.variances(), subset)
 
     return VectorModel(
         in_dims=p,
@@ -136,7 +134,6 @@ def linear_model(
         name=name,
         matrix=a,
         default_space=default_space or InputSpace.normal(p),
-        exact_cov=_exact,
     )
 
 
@@ -144,7 +141,7 @@ def apply_transform(model: VectorModel, transform: OutputTransform) -> VectorMod
     """Left-compose the model with an output transform.
 
     Linear models stay linear (the matrices are folded); other kinds get a
-    wrapped evaluator. Any attached exact covariance oracle is composed too.
+    wrapped evaluator.
     """
     if transform.out_dims is not None and transform.out_dims != model.out_dims:
         raise ContractError(
@@ -172,12 +169,6 @@ def apply_transform(model: VectorModel, transform: OutputTransform) -> VectorMod
         def _eval(x: np.ndarray) -> np.ndarray:
             return base_eval(x) @ o.T
 
-    base_oracle = model.exact_cov
-    composed_oracle = None
-    if base_oracle is not None:
-        def composed_oracle(space, subset):
-            return base_oracle(space, subset).left_compose(o)
-
     return VectorModel(
         in_dims=model.in_dims,
         out_dims=model.out_dims,
@@ -185,7 +176,6 @@ def apply_transform(model: VectorModel, transform: OutputTransform) -> VectorMod
         eval_fn=_eval,
         name=f"{model.name}+{transform.kind}",
         default_space=model.default_space,
-        exact_cov=composed_oracle,
         params=dict(model.params),
     )
 
@@ -249,6 +239,8 @@ def _make_u_only(dims: int = 2, coords=(0,)) -> VectorModel:
 
 def _make_constant(values=(1.0, 2.0), dims: int = 2) -> VectorModel:
     values = tuple(float(v) for v in values)
+    if not np.isfinite(values).all():
+        raise ConfigurationError("constant model values must be finite")
 
     def _eval(x: np.ndarray) -> np.ndarray:
         return np.tile(values, (x.shape[0], 1))

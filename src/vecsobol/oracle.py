@@ -22,7 +22,7 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
@@ -59,10 +59,15 @@ def _check_dims(model: VectorModel, space: InputSpace, subset: SubsetIndex) -> N
 
 
 def _check_positive_definite(sigma: np.ndarray, what: str) -> None:
-    """Reject models whose total covariance is numerically singular.
+    """Reject models whose total covariance is not finite or numerically singular.
 
     Threshold: smallest eigenvalue must exceed 1e-10 * Tr(sigma)/k.
     """
+    if not np.isfinite(sigma).all():
+        raise DegenerateModelError(
+            f"{what}: total output covariance is not finite; "
+            "the model gives non-finite outputs on the input law"
+        )
     k = sigma.shape[0]
     smallest = float(np.linalg.eigvalsh(sigma)[0])
     floor = 1e-10 * float(np.trace(sigma)) / k
@@ -78,10 +83,12 @@ def _check_positive_definite(sigma: np.ndarray, what: str) -> None:
 class CovarianceTriple:
     """Covariance matrices of the orthogonal output decomposition for one subset.
 
-    ``residual`` is the max-entry defect of total == subset + complement +
-    interaction as reported by the producing method. Where the interaction is
-    computed directly (closed form, grid) it is rounding only; where it is
-    defined by subtraction (Monte Carlo) it is zero. It is not an estimate of
+    The four parts are stored symmetrized. ``residual`` is set here, by one
+    rule for every route: the max-entry defect of total == subset +
+    complement + interaction over the stored parts (``identity_defect``).
+    Where the interaction is computed directly (closed form, grid) the
+    residual is rounding; where it is defined by subtraction (Monte Carlo) it
+    is the rounding of that subtraction, not zero. It is not an estimate of
     how far a coarse quadrature rule is from the true covariances: that would
     need a second rule to compare against. ``accuracy_warning`` flags a
     residual above 1e-6, an identity broken beyond rounding.
@@ -92,10 +99,9 @@ class CovarianceTriple:
     complement: np.ndarray
     interaction: np.ndarray
     method: str
-    residual: float = 0.0
-    accuracy_warning: bool = False
     mc_n: Optional[int] = None
     mc_seed: Optional[int] = None
+    residual: float = field(init=False)
 
     def __post_init__(self):
         for name in ("total", "subset", "complement", "interaction"):
@@ -103,6 +109,11 @@ class CovarianceTriple:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ContractError(f"{name} covariance must be square, got shape {m.shape}")
             setattr(self, name, _symmetrize(m))
+        self.residual = self.identity_defect()
+
+    @property
+    def accuracy_warning(self) -> bool:
+        return self.residual > 1e-6
 
     @property
     def out_dims(self) -> int:
@@ -125,15 +136,7 @@ class CovarianceTriple:
             name: o @ getattr(self, name) @ o.T
             for name in ("total", "subset", "complement", "interaction")
         }
-        out = CovarianceTriple(
-            method=self.method,
-            accuracy_warning=self.accuracy_warning,
-            mc_n=self.mc_n,
-            mc_seed=self.mc_seed,
-            **parts,
-        )
-        out.residual = out.identity_defect()
-        return out
+        return CovarianceTriple(method=self.method, mc_n=self.mc_n, mc_seed=self.mc_seed, **parts)
 
 
 @dataclass
@@ -217,14 +220,12 @@ def covariances_linear(
     c_subset = part(subset.indices)
     c_complement = part(subset.complement)
     _check_positive_definite(sigma, "linear model")
-    residual = float(np.max(np.abs(sigma - c_subset - c_complement)))
     return CovarianceTriple(
         total=sigma,
         subset=c_subset,
         complement=c_complement,
         interaction=np.zeros((k, k)),
         method="closed_form",
-        residual=residual,
     )
 
 
@@ -342,16 +343,13 @@ class HoeffdingComponents:
 
     def covariance_triple(self) -> CovarianceTriple:
         """Triple with the interaction covariance computed directly from its values."""
-        triple = CovarianceTriple(
+        return CovarianceTriple(
             total=self.total_cov,
             subset=self.subset_cov,
             complement=self.complement_cov,
             interaction=self.interaction_cov,
             method=self.method,
         )
-        triple.residual = triple.identity_defect()
-        triple.accuracy_warning = triple.residual > 1e-6
-        return triple
 
 
 def _decompose_grid(
@@ -519,7 +517,6 @@ def covariances_monte_carlo(
         complement=c_complement,
         interaction=sigma - c_subset - c_complement,
         method="monte_carlo",
-        residual=0.0,
         mc_n=n,
         mc_seed=mc_seed,
     )

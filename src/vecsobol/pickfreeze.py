@@ -304,6 +304,9 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
         table_mean = mean_w[: k + 2] * factor
         table_cov = m2[: k + 2, : k + 2] * np.outer(factor, factor) / n
     if not (np.isfinite(m2).all() and np.isfinite(diff).all()):
+        bad = np.flatnonzero(~(np.isfinite(y).all(axis=1) & np.isfinite(y_u).all(axis=1)))
+        if bad.size:  # rows counted from 1, as in the sample file
+            raise DegenerateSampleError(f"sample output row {bad[0] + 1} is not finite")
         raise DegenerateSampleError("sample moments overflow: the outputs are too large")
     for a in (shift, centered, diff, table_mean, table_cov):
         a.flags.writeable = False
@@ -384,6 +387,8 @@ def estimate_index_general(sample: PickFreezeSample, m: np.ndarray) -> float:
     k = sample.out_dims
     if m.shape != (k, k):
         raise ContractError(f"weight matrix must be {k}x{k}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ContractError("weight matrix must be finite")
     emp = empirical_covariances(sample)
     denominator = float(np.trace(m @ emp.total))
     m_scale = float(np.max(np.abs(m)))

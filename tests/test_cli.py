@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from vecsobol import (
     ConfigurationError,
     ContractError,
+    DegenerateModelError,
+    DegenerateSampleError,
     InputSpace,
     SubsetIndex,
     VectorModel,
@@ -337,6 +339,34 @@ class TestRun:
         assert cli._quadrature_nodes(0, 6) == 64
         assert cli._quadrature_nodes(1, cli.MAX_GRID_NODES + 1) == 1
 
+    def test_linear_kind_gets_the_closed_form(self):
+        # the route follows the model's kind: a hand-built linear model and a
+        # transformed corpus one both get the closed form
+        a = np.array([[1.0, 2.0], [0.5, -1.0]])
+        model = VectorModel(in_dims=2, out_dims=2, kind="linear", eval_fn=lambda x: x @ a.T,
+                            matrix=a)
+        space = InputSpace.uniform(2)
+        triple = cli.resolve_oracle(model, space, SubsetIndex((0,), 2))
+        expected = oracle.covariances_linear(a, space.variances(), SubsetIndex((0,), 2))
+        assert triple.method == "closed_form"
+        assert np.array_equal(triple.subset, expected.subset)
+        config = parse_config(MINIMAL + "oracle: auto\ntransform: {kind: homothety, scale: 3}\n")
+        assert run(config).subsets[0].oracle_method == "closed_form"
+
+    def test_non_finite_model_outputs_are_named(self):
+        # NaN wherever x1 > 0.9: the oracle and the estimator each say what is wrong
+        def _eval(x):
+            y = np.stack([x[:, 0] + x[:, 1], x[:, 0] * x[:, 1]], axis=1)
+            y[x[:, 0] > 0.9] = np.nan
+            return y
+
+        model = VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=_eval)
+        space, subset = InputSpace.uniform(2), SubsetIndex((0,), 2)
+        with pytest.raises(DegenerateModelError, match="total output covariance is not finite"):
+            cli.resolve_oracle(model, space, subset)
+        with pytest.raises(DegenerateSampleError, match=r"output row \d+ is not finite"):
+            run(RunConfig(model, space, [subset], 200, 2, oracle="auto"))
+
     def test_mixed_space_gets_a_grid_oracle(self):
         config = parse_config(MIXED_SUM_PROD)
         rec = run(config).subsets[0]
@@ -518,6 +548,17 @@ class TestMain:
         timed = json.loads(outs[2].read_text())
         assert timed["elapsed_s"] >= timed["subsets"][0]["elapsed_s"] >= 0.0
         assert timed["subsets"][0]["subset"] == [1]
+
+    @pytest.mark.parametrize("params", ["{matrix: [[1, .inf], [0, 1]]}", "{values: [.nan, 1]}"],
+                             ids=["linear", "constant"])
+    def test_non_finite_corpus_parameter_exits_2(self, tmp_path, capsys, params):
+        name = "linear" if "matrix" in params else "constant"
+        config = tmp_path / "run.yaml"
+        config.write_text(f"model: {{name: {name}, params: {params}}}\nsubsets: [[1]]\nn: 100\n")
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("configuration error: model: ") and "must be finite" in err
 
     def test_exit_codes(self, tmp_path):
         assert main(["--model", "nope", "--subset", "1"]) == EXIT_CONFIG

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vecsobol.models
 from vecsobol import (
     ConfigurationError,
     ContractError,
@@ -62,6 +66,26 @@ def test_constant_model():
     model = get_model("constant")
     out = model.evaluate(np.zeros((4, 2)))
     assert np.array_equal(out, np.tile([1.0, 2.0], (4, 1)))
+
+
+def test_corpus_parameters_must_be_finite():
+    with pytest.raises(ConfigurationError, match="finite"):
+        get_model("linear", matrix=[[1.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(ConfigurationError, match="finite"):
+        get_model("constant", values=[np.nan, 1.0])
+
+
+def test_models_module_does_not_import_the_oracles():
+    # the oracle route follows from a model's kind; models knows nothing of it
+    tree = ast.parse(Path(vecsobol.models.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert "oracle" not in imported
 
 
 def test_swap_isometry_exchanges_coordinates():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from vecsobol import (
     ContractError,
+    CovarianceTriple,
     DegenerateModelError,
     Discrete,
     IllPosedIndexError,
@@ -459,3 +460,54 @@ class TestMonteCarloOracle:
         sample = evaluate_pairs(model, design)
         assert not np.allclose(mc.total, (sample.y - sample.y.mean(0)).T
                                @ (sample.y - sample.y.mean(0)) / 1000)
+
+
+# ---------------------------------------------------------------------------
+# one residual rule, non-finite models
+# ---------------------------------------------------------------------------
+
+
+class TestResidualRule:
+    def test_residual_is_the_identity_defect_of_the_stored_parts(self):
+        eye = np.eye(2)
+        triple = CovarianceTriple(total=eye, subset=0.5 * eye, complement=0.5 * eye - 1e-3,
+                                  interaction=np.zeros((2, 2)), method="test")
+        assert triple.residual == pytest.approx(1e-3) and triple.accuracy_warning
+        # composing recomputes the residual, and the warning follows it
+        shrunk = triple.left_compose(1e-3 * eye)
+        assert shrunk.residual == shrunk.identity_defect() < 1e-6
+        assert not shrunk.accuracy_warning
+        with pytest.raises(TypeError):
+            CovarianceTriple(total=eye, subset=eye, complement=eye, interaction=eye,
+                             method="test", residual=0.0)
+
+    def test_every_route_reports_its_identity_defect(self):
+        model = get_model("sum_prod")
+        triples = [
+            covariances_linear(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones(2), U1),
+            covariances_quadrature(model, model.space(), U1, 8),
+            covariances_monte_carlo(model, model.space(), U1, 1000, seed=1),
+        ]
+        for triple in triples:
+            assert triple.residual == triple.identity_defect() <= 1e-12
+
+
+def _nan_where_x1_large():
+    def _eval(x):
+        y = np.stack([x[:, 0] + x[:, 1], x[:, 0] * x[:, 1]], axis=1)
+        y[x[:, 0] > 0.9] = np.nan
+        return y
+
+    return VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=_eval, name="nan_x1")
+
+
+class TestNonFiniteModel:
+    def test_grid_oracle_names_a_non_finite_covariance(self):
+        model = _nan_where_x1_large()
+        with pytest.raises(DegenerateModelError, match="total output covariance is not finite"):
+            covariances_quadrature(model, InputSpace.uniform(2), U1, 16)
+
+    def test_monte_carlo_oracle_names_a_non_finite_covariance(self):
+        model = _nan_where_x1_large()
+        with pytest.raises(DegenerateModelError, match="total output covariance is not finite"):
+            covariances_monte_carlo(model, InputSpace.uniform(2), U1, 1000, seed=1)

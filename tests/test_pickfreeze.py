@@ -153,6 +153,14 @@ class TestEstimator:
         with pytest.raises(DegenerateSampleError, match="overflow"):
             estimate_index(PickFreezeSample(big, -big))
 
+    def test_non_finite_output_row_is_named(self):
+        y = np.arange(10.0).reshape(5, 2)
+        y_u = y[::-1].copy()
+        y_u[2, 1] = np.nan
+        y[3, 0] = np.inf
+        with pytest.raises(DegenerateSampleError, match="output row 3 is not finite"):
+            estimate_index(PickFreezeSample(y, y_u))
+
     def test_small_variance_model_is_not_rejected(self):
         model = linear_model(1e-8 * np.eye(2))
         sample = evaluate_pairs(model, generate_design(model.space(), U1, 1000, 7))
@@ -210,6 +218,13 @@ class TestGeneralWeighting:
         assert estimate_index_general(sample, m) == pytest.approx(1 / 3, abs=0.01)
         swapped = sample.left_compose(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert estimate_index_general(swapped, m) == pytest.approx(2 / 3, abs=0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_matrix_is_rejected(self, bad):
+        m = np.eye(2)
+        m[0, 1] = bad
+        with pytest.raises(ContractError, match="weight matrix must be finite"):
+            estimate_index_general(_sample(n=100, seed=4), m)
 
     def test_near_zero_weighted_denominator(self):
         sample = _sample(n=100, seed=4)
