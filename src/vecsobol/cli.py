@@ -6,8 +6,8 @@ report. Runs are deterministic given the config; with --reproducible the
 timing fields are dropped so two runs of the same config produce
 byte-identical reports.
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate model or
-ill-posed index, 4 report/output error.
+Exit codes: 0 success, 2 configuration error, 3 degenerate model,
+ill-posed index or out of memory, 4 report/output error.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class RunConfig:
     n: int
     seed: int
     matrix: Optional[np.ndarray] = None
-    transform: Optional[OutputTransform] = None
     ci: CISpec = field(default_factory=lambda: CISpec("none"))
     oracle: str = "none"  # 'none' | 'auto'
     replications: Optional[int] = None
@@ -375,12 +374,18 @@ def config_from_tree(tree: dict) -> RunConfig:
         )
 
     config.subsets = _parse_subsets(tree.get("subsets"), model.in_dims)
-    config.n = _number(tree.get("n"), "n", 1000, integer=True, low=2)
+    # rows beyond this make a design or output matrix numpy cannot address
+    max_rows = np.iinfo(np.intp).max // (8 * max(model.in_dims, model.out_dims))
+    config.n = _number(tree.get("n"), "n", 1000, integer=True, low=2, high=max_rows)
 
     if tree.get("matrix") is not None:
         config.matrix = _parse_matrix(tree["matrix"], "matrix", model.out_dims)
     if tree.get("transform") is not None:
-        config.transform = _parse_transform(tree["transform"], model.out_dims)
+        transform = _parse_transform(tree["transform"], model.out_dims)
+        try:
+            config.model = apply_transform(model, transform)
+        except ConfigurationError as exc:
+            raise _fail("transform", str(exc)) from None
 
     if tree.get("replications") is not None:
         config.replications = _number(tree["replications"], "replications", integer=True, low=200)
@@ -469,7 +474,7 @@ def _replication_dict(report) -> dict:
     }
 
 
-def _samples(config: RunConfig, model: Optional[VectorModel]):
+def _samples(config: RunConfig):
     """Yield (subset, sample, ci seed, replication seed, start time) per analysed sample.
 
     Sample mode reads its file once; its subset is only a label (None when
@@ -487,18 +492,15 @@ def _samples(config: RunConfig, model: Optional[VectorModel]):
     for subset, (design_ss, ci_ss, rep_ss) in zip(config.subsets, _subset_seed_streams(config)):
         started = time.perf_counter()
         design = generate_design(config.space, subset, config.n, design_ss)
-        yield subset, evaluate_pairs(model, design), ci_ss, rep_ss, started
+        yield subset, evaluate_pairs(config.model, design), ci_ss, rep_ss, started
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute the configured analysis; deterministic given the config."""
     started = time.perf_counter()
     model = config.model
-    if config.transform is not None:
-        model = apply_transform(model, config.transform)
-
     results = []
-    for subset, sample, ci_ss, rep_ss, t0 in _samples(config, model):
+    for subset, sample, ci_ss, rep_ss, t0 in _samples(config):
         result = SubsetResult(
             subset=[] if subset is None else list(subset.to_one_based()),
             n=sample.n,
@@ -721,6 +723,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VecSobolError as exc:
         # degenerate models and samples, ill-posed indices, oracle limits
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK
 

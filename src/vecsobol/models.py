@@ -140,8 +140,10 @@ def linear_model(
 def apply_transform(model: VectorModel, transform: OutputTransform) -> VectorModel:
     """Left-compose the model with an output transform.
 
-    Linear models stay linear (the matrices are folded); other kinds get a
-    wrapped evaluator.
+    Linear models stay linear (the matrices are folded, and a fold that
+    overflows raises ConfigurationError); other kinds get a wrapped evaluator,
+    whose overflowing outputs are left non-finite for the estimator and the
+    oracles to name.
     """
     if transform.out_dims is not None and transform.out_dims != model.out_dims:
         raise ContractError(
@@ -151,8 +153,12 @@ def apply_transform(model: VectorModel, transform: OutputTransform) -> VectorMod
     o = transform.as_matrix(model.out_dims)
 
     if model.kind == "linear":
+        with np.errstate(over="ignore", invalid="ignore"):
+            folded = o @ model.matrix
+        if not np.isfinite(folded).all():
+            raise ConfigurationError("overflows when folded into the linear model's matrix")
         return linear_model(
-            o @ model.matrix,
+            folded,
             default_space=model.default_space,
             name=f"{model.name}+{transform.kind}",
         )
@@ -162,12 +168,14 @@ def apply_transform(model: VectorModel, transform: OutputTransform) -> VectorMod
         lam = float(transform.scale)
 
         def _eval(x: np.ndarray) -> np.ndarray:
-            return lam * base_eval(x)
+            with np.errstate(over="ignore"):
+                return lam * base_eval(x)
 
     else:
 
         def _eval(x: np.ndarray) -> np.ndarray:
-            return base_eval(x) @ o.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                return base_eval(x) @ o.T
 
     return VectorModel(
         in_dims=model.in_dims,

@@ -155,8 +155,11 @@ class ExactIndex:
 def exact_index(cov: CovarianceTriple, m: np.ndarray) -> ExactIndex:
     """Trace-ratio indices Tr(M C)/Tr(M total) for the three covariance parts.
 
-    Raises IllPosedIndexError when |Tr(M total)| <= 1e-12, and enforces that
-    the three indices sum to 1 within 1e-10 (they do whenever the triple
+    Raises IllPosedIndexError when |Tr(M total)| <= 1e-12 max|M| Tr|total|,
+    a floor relative to the scale of both (Tr|total| sums the diagonal's
+    magnitudes), so the indices, which no homothety of the outputs or of M
+    changes, are accepted or refused alike at every scale. Enforces that the
+    three indices sum to 1 within 1e-10 (they do whenever the triple
     satisfies the decomposition identity and the denominator is well posed).
     """
     m = np.asarray(m, dtype=float)
@@ -167,7 +170,7 @@ def exact_index(cov: CovarianceTriple, m: np.ndarray) -> ExactIndex:
         raise ContractError("weight matrix must be finite")
 
     denom = float(np.einsum("ij,ji->", m, cov.total))
-    if abs(denom) <= 1e-12:
+    if abs(denom) <= 1e-12 * np.max(np.abs(m)) * np.sum(np.abs(np.diag(cov.total))):
         raise IllPosedIndexError(
             f"Tr(M total) = {denom:.3e} is too close to zero; the index is ill posed"
         )

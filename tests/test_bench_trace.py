@@ -2,12 +2,14 @@
 
 bench/spans.py wraps package functions by name in the modules where their
 callers look them up. A refactor that moves a call to a name the tracer does
-not wrap leaves a traced run silently without that layer's spans; this test
-runs one traced closed-form CLI analysis and asserts the layers it must show.
+not wrap leaves a traced run silently without that layer's spans; these
+tests run traced CLI analyses and assert the layers and counts they must show.
 """
 
 import importlib.util
 from pathlib import Path
+
+from vecsobol import spaces
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -19,21 +21,46 @@ def _load_bench_module(name):
     return module
 
 
-def test_traced_run_records_the_closed_form_oracle():
+def _traced_run(config_text):
+    """Run one CLI analysis under the bench tracer; returns (report, spans)."""
     spans, workloads = _load_bench_module("spans"), _load_bench_module("workloads")
     vs = workloads.import_package()
     tracer = spans.Tracer()
     try:
         spans.instrument(tracer, vs)
-        config = vs["cli"].parse_config(
-            "model: identity_2\nsubsets: [[1]]\nn: 200\nseed: 1\noracle: auto\nci: delta\n"
-        )
+        config = vs["cli"].parse_config(config_text)
         tracer.pass_id, tracer.active = 0, True
         report = vs["cli"].run(config)
     finally:
         tracer.restore()
+    return report, tracer.spans
+
+
+def test_traced_run_records_the_closed_form_oracle():
+    report, spans = _traced_run(
+        "model: identity_2\nsubsets: [[1]]\nn: 200\nseed: 1\noracle: auto\nci: delta\n"
+    )
     assert report.subsets[0].oracle_method == "closed_form"
-    names = {span["name"] for span in tracer.spans}
+    names = {span["name"] for span in spans}
     expected = {"cli.run", "pickfreeze.estimate", "inference.delta", "oracle.closed_form",
                 "oracle.exact_index"}
     assert expected <= names
+
+
+def test_traced_parallel_draws_count_every_design_column(monkeypatch):
+    # at the threshold on two CPUs the design columns are filled on threads;
+    # the tracer still reads n and the marginals off sample_marginals' arguments
+    n = spaces._PARALLEL_MIN_DRAWS
+    monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+    report, spans = _traced_run(
+        f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nseed: 1\noracle: auto\n"
+    )
+    assert [s.oracle_method for s in report.subsets] == ["quadrature"] * 2
+    draws = {}
+    for span in spans:
+        if span["name"] == "spaces.sample":
+            draws[span["parent"]] = draws.get(span["parent"], 0) + span["counts"]["spaces.draws"]
+    designs = [span["id"] for span in spans if span["name"] == "pickfreeze.design"]
+    # two inputs drawn for x and one complement column for x': 3n per subset
+    assert sorted(draws) == designs and set(draws.values()) == {3 * n}
+    assert sum(span["name"] == "oracle.quadrature" for span in spans) == 2

@@ -455,13 +455,18 @@ class TestMain:
         for pin in (True, False):
             out = tmp_path / f"pinned-{pin}.json"
             code = (
-                "import os, sys\n"
+                "import concurrent.futures, os, sys\n"
                 f"if {pin}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})\n"
-                "from vecsobol import spaces\n"
+                "opened = []\n"
+                "class Recording(concurrent.futures.ThreadPoolExecutor):\n"
+                "    def __init__(self, *args, **kwargs):\n"
+                "        opened.append(args)\n"
+                "        super().__init__(*args, **kwargs)\n"
+                "concurrent.futures.ThreadPoolExecutor = Recording\n"
                 "from vecsobol.cli import main\n"
                 f"rc = main(['--config', {str(config)!r}, '--output', {str(out)!r}, "
                 "'--reproducible'])\n"
-                "print('threaded' if spaces._pool is not None else 'serial')\n"
+                "print('threaded' if opened else 'serial')\n"
                 "sys.exit(rc)\n"
             )
             proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -559,6 +564,55 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err.startswith("configuration error: model: ") and "must be finite" in err
+
+    @pytest.mark.parametrize("model, code, message", [
+        ("{name: linear, params: {matrix: [[10, 1], [0, 1]]}}", EXIT_CONFIG,
+         "configuration error: transform: overflows when folded into the linear model's matrix"),
+        ("sum_prod", EXIT_DEGENERATE, "error: sample output row "),
+    ], ids=["linear", "sum_prod"])
+    def test_overflowing_transform_is_named_without_a_warning(self, tmp_path, capsys, model,
+                                                               code, message):
+        # warnings are errors under this suite, so numpy's overflow warning fails the test
+        config = tmp_path / "run.yaml"
+        config.write_text(f"model: {model}\nsubsets: [[1]]\nn: 100\nseed: 1\n"
+                          "transform: {kind: homothety, scale: 1e308}\n")
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_transform_is_folded_into_the_model_when_read(self):
+        config = parse_config(MINIMAL + "transform: {kind: homothety, scale: 3}\n")
+        assert np.array_equal(config.model.matrix, 3 * np.eye(2))
+        assert not hasattr(config, "transform")
+
+    @pytest.mark.parametrize("model", ["identity_2", "sum_prod"])
+    def test_small_homothety_keeps_the_oracle(self, tmp_path, model):
+        # Tr(total) is about 1e-14 here; the index does not change under a homothety
+        config = tmp_path / "run.yaml"
+        config.write_text(f"model: {model}\nsubsets: [[1]]\nn: 200\nseed: 1\noracle: auto\n"
+                          "transform: {kind: homothety, scale: 1e-7}\n")
+        out = tmp_path / "r.json"
+        assert main(["--config", str(config), "--output", str(out), "--reproducible"]) == EXIT_OK
+        expected = 0.5 if model == "identity_2" else 15 / 31
+        assert json.loads(out.read_text())["subsets"][0]["oracle_subset"] == pytest.approx(
+            expected, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [10**18, 10**20])
+    def test_unaddressable_n_exits_2(self, tmp_path, capsys, n):
+        config = tmp_path / "run.yaml"
+        config.write_text(f"model: sum_prod\nsubsets: [[1]]\nn: {n}\n")
+        assert main(["--config", str(config), "--output", str(tmp_path / "r.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: n: must be in [2, ")
+
+    def test_design_too_large_for_memory_exits_3(self, tmp_path, capsys):
+        # 1e17 rows of two inputs is 1.4 EiB, beyond any 57-bit address space,
+        # so the allocation fails before a page is touched
+        config = tmp_path / "run.yaml"
+        config.write_text(f"model: sum_prod\nsubsets: [[1]]\nn: {10**17}\n")
+        assert main(["--config", str(config), "--output", str(tmp_path / "r.json")]) == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_exit_codes(self, tmp_path):
         assert main(["--model", "nope", "--subset", "1"]) == EXIT_CONFIG

@@ -430,6 +430,21 @@ class TestExactIndex:
             scaled = triple.left_compose(lam * np.eye(2))
             assert abs(exact_index(scaled, np.eye(2)).subset - base) < 1e-10
 
+    @pytest.mark.parametrize("lam", [1e-150, 1e-7, 1e7, 1e150])
+    def test_scaled_outputs_and_weights_give_the_same_index(self, lam):
+        # the ill-posed floor scales with M and the total, as the index does
+        model = get_model("sum_prod")
+        antisymmetric = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for triple in (_proof_triple(), covariances_quadrature(model, model.space(), U1, 32)):
+            m = np.diag([1.0, 2.0])
+            base = exact_index(triple, m)
+            for scaled in (exact_index(triple.left_compose(lam * np.eye(2)), m),
+                           exact_index(triple, lam * m)):
+                for part in ("subset", "complement", "interaction"):
+                    assert getattr(scaled, part) == pytest.approx(getattr(base, part), abs=1e-12)
+            with pytest.raises(IllPosedIndexError):
+                exact_index(triple.left_compose(lam * np.eye(2)), antisymmetric)
+
     def test_ill_posed_guard(self):
         with pytest.raises(IllPosedIndexError):
             exact_index(_proof_triple(), np.array([[0.0, 1.0], [-1.0, 0.0]]))  # antisymmetric

@@ -120,63 +120,72 @@ MIXED = InputSpace(
 )
 
 
-_column_pool = spaces._column_pool
-
-
 @pytest.fixture
-def fresh_pool(monkeypatch):
-    """Start without a column pool; shut down whatever pool the test builds."""
-    monkeypatch.setattr(spaces, "_pool", None)
-    yield
-    if spaces._pool is not None:
-        spaces._pool.shutdown()
+def executors(monkeypatch):
+    """Record the worker count of every thread pool a draw opens."""
+    import concurrent.futures
+
+    opened = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return opened
 
 
-def _draw(monkeypatch, space, n, seed, cpus):
-    """Sample as if `cpus` CPUs were available; returns (matrix, pool used)."""
-    used = []
+def _draw(monkeypatch, executors, space, n, seed, cpus):
+    """Sample as if `cpus` CPUs were available; returns (matrix, pool opened)."""
+    executors.clear()
     monkeypatch.setattr(spaces, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(spaces, "_column_pool", lambda c: used.append(c) or _column_pool(c))
-    return sample_inputs(space, n, seed), bool(used)
+    return sample_inputs(space, n, seed), bool(executors)
 
 
 @pytest.mark.parametrize("space", [MIXED, InputSpace.normal(1), InputSpace(MIXED.marginals[2:3])],
                          ids=["mixed", "p=1 normal", "p=1 discrete"])
-def test_column_draws_do_not_depend_on_the_thread_count(monkeypatch, fresh_pool, space):
+def test_column_draws_do_not_depend_on_the_thread_count(monkeypatch, executors, space):
     monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 1)
-    serial, used = _draw(monkeypatch, space, 1000, 17, cpus=1)
+    serial, used = _draw(monkeypatch, executors, space, 1000, 17, cpus=1)
     assert not used
     for cpus in (2, 3):
-        parallel, used = _draw(monkeypatch, space, 1000, 17, cpus)
+        parallel, used = _draw(monkeypatch, executors, space, 1000, 17, cpus)
         assert used == (space.dims > 1)
         assert parallel.tobytes() == serial.tobytes()
-        if spaces._pool is not None:  # the next count builds a pool of its own size
-            spaces._pool.shutdown()
-            spaces._pool = None
 
 
-def test_threads_start_at_the_threshold(monkeypatch, fresh_pool):
+def test_threads_start_at_the_threshold(monkeypatch, executors):
     threshold = spaces._PARALLEL_MIN_DRAWS
     for n, parallel_path in ((threshold - 1, False), (threshold, True)):
-        serial, used = _draw(monkeypatch, MIXED, n, 23, cpus=1)
+        serial, used = _draw(monkeypatch, executors, MIXED, n, 23, cpus=1)
         assert not used
-        parallel, used = _draw(monkeypatch, MIXED, n, 23, cpus=2)
+        parallel, used = _draw(monkeypatch, executors, MIXED, n, 23, cpus=2)
         assert used == parallel_path
         assert parallel.tobytes() == serial.tobytes()
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch, fresh_pool):
+def test_no_thread_outlives_a_parallel_draw(monkeypatch, executors):
+    monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 1)
+    before = threading.active_count()
+    _, used = _draw(monkeypatch, executors, MIXED, 1000, 19, cpus=4)
+    assert used and executors == [4]
+    assert threading.active_count() == before
+    assert not any(t.name.startswith("vecsobol-draw") for t in threading.enumerate())
+
+
+def test_concurrent_callers_draw_the_serial_designs(monkeypatch, executors):
     # more callers and pool threads than cores, switching threads often
     monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 1)
     monkeypatch.setattr(spaces, "_available_cpus", lambda: 1)
     expected = [sample_inputs(MIXED, 500, seed) for seed in range(8)]
+    assert not executors
     monkeypatch.setattr(spaces, "_available_cpus", lambda: 4)
-    pools, got = set(), [None] * 8
+    got = [None] * 8
 
     def draw(seed):
         for _ in range(20):
             got[seed] = sample_inputs(MIXED, 500, seed)
-            pools.add(id(spaces._pool))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -189,7 +198,7 @@ def test_concurrent_callers_share_one_pool(monkeypatch, fresh_pool):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert len(pools) == 1
+    assert len(executors) == 8 * 20
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
 
@@ -203,30 +212,30 @@ def test_worker_count_falls_back_to_cpu_count(monkeypatch):
     assert spaces._available_cpus() == 1
 
 
-def test_one_cpu_draws_serially_without_a_pool(monkeypatch, fresh_pool):
+def test_one_cpu_draws_serially_without_a_pool(monkeypatch, executors):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     x = sample_inputs(MIXED, spaces._PARALLEL_MIN_DRAWS, 29)
-    assert spaces._pool is None
+    assert not executors
     assert x.shape == (spaces._PARALLEL_MIN_DRAWS, MIXED.dims)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_draws_after_a_parallel_draw(monkeypatch, fresh_pool):
+def test_forked_child_draws_after_a_parallel_draw(monkeypatch, executors):
     monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
     monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 16)
     expected = sample_inputs(MIXED, 64, 31)
-    assert spaces._pool is not None  # the parent drew on the parallel path
+    assert executors  # the parent drew on the parallel path
     read_end, write_end = os.pipe()
     with warnings.catch_warnings():
-        # forking a process that runs threads is the point of this test
+        # forking a process that may run threads is the point of this test
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
-    if pid == 0:  # child: without the at-fork hook the inherited pool has no threads
+    if pid == 0:  # child: it must open threads of its own and finish
         code = 1
         try:
-            if spaces._pool is None:
-                os.write(write_end, sample_inputs(MIXED, 64, 31).tobytes())
-                code = 0 if spaces._pool is not None else 2
+            executors.clear()
+            os.write(write_end, sample_inputs(MIXED, 64, 31).tobytes())
+            code = 0 if executors else 2
         finally:
             os._exit(code)
     os.close(write_end)
