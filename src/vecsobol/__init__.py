@@ -26,7 +26,6 @@ from .inference import (
     delta_variance,
 )
 from .models import (
-    OutputTransform,
     VectorModel,
     apply_transform,
     corpus_names,
@@ -86,7 +85,6 @@ __all__ = [
     "sample_inputs",
     # models
     "VectorModel",
-    "OutputTransform",
     "apply_transform",
     "linear_model",
     "get_model",

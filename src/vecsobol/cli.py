@@ -26,20 +26,8 @@ import yaml
 from . import __version__, oracle
 from .errors import ConfigurationError, ContractError, ReportError, VecSobolError
 from .inference import bootstrap_ci, clt_diagnostic, delta_ci
-from .models import (
-    OutputTransform,
-    VectorModel,
-    apply_transform,
-    get_model,
-    load_external_model,
-)
-from .oracle import (
-    MAX_GRID_NODES,
-    MAX_QUADRATURE_DIMS,
-    CovarianceTriple,
-    covariances_quadrature,
-    exact_index,
-)
+from .models import VectorModel, apply_transform, get_model, load_external_model
+from .oracle import CovarianceTriple, covariances_quadrature, exact_index, grid_nodes
 from .pickfreeze import (
     estimate_index,
     estimate_index_general,
@@ -53,8 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
-
-DEFAULT_QUADRATURE_NODES = 64
 
 
 @dataclass
@@ -311,17 +297,26 @@ def _parse_ci(node: Any) -> CISpec:
     return CISpec(kind, level, _number(node.get("reps"), "ci.reps", 1000, integer=True, low=min_reps))
 
 
-def _parse_transform(node: Any, out_dims: int) -> OutputTransform:
+def _parse_transform(node: Any, out_dims: int) -> np.ndarray:
+    """The k-by-k output map O of a transform: a nonzero multiple of I for a
+    homothety, an orthogonal matrix (to 1e-10 per entry) for an isometry, any
+    finite square matrix for a general linear map."""
     kind = _kind(node, "transform", _TRANSFORM_KEYS, "transform")
     if kind == "homothety":
-        path, args = "transform.scale", {"scale": _number(node.get("scale"), "transform.scale")}
-    else:
-        path = "transform.matrix"
-        args = {"matrix": _parse_matrix(node.get("matrix"), path, out_dims)}
-    try:
-        return OutputTransform(kind=kind, **args)
-    except ConfigurationError as exc:
-        raise _fail(path, str(exc)) from None
+        scale = _number(node.get("scale"), "transform.scale")
+        if scale == 0:
+            raise _fail("transform.scale", "homothety requires a nonzero scale")
+        return scale * np.eye(out_dims)
+    o = _parse_matrix(node.get("matrix"), "transform.matrix", out_dims)
+    if kind == "isometry":
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.max(np.abs(o.T @ o - np.eye(out_dims)))
+        if not defect <= 1e-10:
+            raise _fail(
+                "transform.matrix",
+                f"declared isometry is not orthogonal (max |O^t O - I| = {defect:.3e})",
+            )
+    return o
 
 
 def config_from_tree(tree: dict) -> RunConfig:
@@ -381,9 +376,9 @@ def config_from_tree(tree: dict) -> RunConfig:
     if tree.get("matrix") is not None:
         config.matrix = _parse_matrix(tree["matrix"], "matrix", model.out_dims)
     if tree.get("transform") is not None:
-        transform = _parse_transform(tree["transform"], model.out_dims)
+        o = _parse_transform(tree["transform"], model.out_dims)
         try:
-            config.model = apply_transform(model, transform)
+            config.model = apply_transform(model, o)
         except ConfigurationError as exc:
             raise _fail("transform", str(exc)) from None
 
@@ -426,9 +421,10 @@ def _subset_seed_streams(config: RunConfig) -> list:
 def subset_design(config: RunConfig, index: int):
     """The exact design run() will evaluate for config.subsets[index].
 
-    External-model users tabulate the base rows and the frozen-mix rows of
-    this design, evaluate them offline, and feed the table back via
-    model.external.
+    The design holds the base rows x and the complement redraws x_prime.
+    External-model users tabulate the model at x and at the frozen mix, x
+    with its complement columns replaced by those of x_prime in column order,
+    and feed the table back via model.external.
     """
     streams = _subset_seed_streams(config)
     return generate_design(config.space, config.subsets[index], config.n, streams[index][0])
@@ -438,28 +434,17 @@ def resolve_oracle(
     model: VectorModel, space: InputSpace, subset: SubsetIndex
 ) -> Optional[CovarianceTriple]:
     """Pick the exact route the model's kind admits: the closed form for a
-    linear model, None for a table, which answers only its own rows, and for
-    more than MAX_QUADRATURE_DIMS continuous inputs, else the grid oracle over
-    the space's discrete supports and Gauss rules."""
+    linear model, None for a table, which answers only its own rows, else the
+    grid oracle over the space's discrete supports and Gauss rules, sized by
+    ``grid_nodes`` (None when that admits no grid)."""
     if model.kind == "linear":
         # looked up on the module at call time, so the tracer's wrapper there
         # (bench/spans.py) sees every call
         return oracle.covariances_linear(model.matrix, space.variances(), subset)
     if model.kind == "external":
         return None
-    continuous = sum(not m.is_discrete for m in space.marginals)
-    if continuous > MAX_QUADRATURE_DIMS:
-        return None
-    support = math.prod(len(m.points) for m in space.marginals if m.is_discrete)
-    return covariances_quadrature(model, space, subset, _quadrature_nodes(continuous, support))
-
-
-def _quadrature_nodes(dims: int, support: int = 1) -> int:
-    """The most nodes per continuous input, up to the default, whose grid (times
-    the discrete inputs' `support` cells) fits MAX_GRID_NODES; 1 when none
-    does, so the grid oracle reports the cap."""
-    nodes = range(DEFAULT_QUADRATURE_NODES, 0, -1)
-    return next((n for n in nodes if n**dims * support <= MAX_GRID_NODES), 1)
+    nodes = grid_nodes(space)
+    return None if nodes is None else covariances_quadrature(model, space, subset, nodes)
 
 
 def _replication_dict(report) -> dict:
@@ -573,10 +558,6 @@ def run(config: RunConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: RunReport) -> dict:
-    return asdict(report)
-
-
 def report_from_dict(tree: dict) -> RunReport:
     subsets = [SubsetResult(**s) for s in tree.get("subsets", [])]
     top = {k: v for k, v in tree.items() if k != "subsets"}
@@ -595,13 +576,13 @@ def _check_finite(node: Any, path: str) -> None:
 
 
 def report_to_json(report: RunReport) -> str:
-    tree = report_to_dict(report)
+    tree = asdict(report)
     _check_finite(tree, "report")
     return json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
 def report_to_csv(report: RunReport) -> str:
-    tree = report_to_dict(report)
+    tree = asdict(report)
     _check_finite(tree, "report")
     lines = ["subset,estimate,oracle,sigma2_hat,ci_low,ci_high,n,seed"]
     for sub in report.subsets:

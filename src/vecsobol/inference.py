@@ -69,7 +69,6 @@ class IndexEstimate:
     method: str  # 'delta' | 'bootstrap'
     n: int
     b_reps: Optional[int] = None
-    seed: Optional[int] = None
 
 
 @dataclass
@@ -181,7 +180,6 @@ def bootstrap_ci(
     boot = _bootstrap_estimates(sample, b_reps, rng)
     alpha = 1.0 - level
     lo, hi = np.quantile(boot, [alpha / 2.0, 1.0 - alpha / 2.0])
-    seed_int = int(seed) if isinstance(seed, (int, np.integer)) else None
     return IndexEstimate(
         value=value,
         sigma2_hat=sample.n * float(np.var(boot, ddof=1)),
@@ -191,7 +189,6 @@ def bootstrap_ci(
         method="bootstrap",
         n=sample.n,
         b_reps=b_reps,
-        seed=seed_int,
     )
 
 

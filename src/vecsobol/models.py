@@ -1,4 +1,4 @@
-"""Vector-valued models, output transforms, and the built-in test corpus.
+"""Vector-valued models, their composition with output maps, and the built-in test corpus.
 
 A model is a deterministic map from p inputs to k outputs, evaluated row-wise
 on n-by-p matrices. Corpus entries carry a default input space. A model's
@@ -20,50 +20,6 @@ from .errors import ConfigurationError, ContractError
 from .spaces import InputSpace
 
 EvalFn = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class OutputTransform:
-    """Left-composition applied to model outputs.
-
-    kind 'isometry' requires an orthogonal matrix (checked to 1e-10 per entry),
-    'homothety' a nonzero scalar, 'general_linear' any square matrix.
-    """
-
-    kind: str
-    matrix: Optional[np.ndarray] = None
-    scale: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in ("isometry", "homothety", "general_linear"):
-            raise ConfigurationError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "homothety":
-            if self.scale is None or self.scale == 0:
-                raise ConfigurationError("homothety requires a nonzero scale")
-        else:
-            if self.matrix is None:
-                raise ConfigurationError(f"{self.kind} requires a matrix")
-            m = np.asarray(self.matrix, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ConfigurationError(f"transform matrix must be square, got shape {m.shape}")
-            if self.kind == "isometry":
-                defect = np.max(np.abs(m.T @ m - np.eye(m.shape[0])))
-                if defect > 1e-10:
-                    raise ConfigurationError(
-                        f"declared isometry is not orthogonal (max |O^t O - I| = {defect:.3e})"
-                    )
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
-
-    @property
-    def out_dims(self) -> Optional[int]:
-        return None if self.kind == "homothety" else self.matrix.shape[0]
-
-    def as_matrix(self, k: int) -> np.ndarray:
-        """The k-by-k matrix this transform multiplies outputs by."""
-        if self.kind == "homothety":
-            return float(self.scale) * np.eye(k)
-        return self.matrix
 
 
 @dataclass(frozen=True)
@@ -124,7 +80,8 @@ def linear_model(
     k, p = a.shape
 
     def _eval(x: np.ndarray) -> np.ndarray:
-        return x @ a.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x @ a.T
 
     return VectorModel(
         in_dims=p,
@@ -137,52 +94,38 @@ def linear_model(
     )
 
 
-def apply_transform(model: VectorModel, transform: OutputTransform) -> VectorModel:
-    """Left-compose the model with an output transform.
+def apply_transform(model: VectorModel, matrix: np.ndarray) -> VectorModel:
+    """Left-compose the model with a k-by-k output map O: x -> O f(x).
 
-    Linear models stay linear (the matrices are folded, and a fold that
+    Linear models stay linear (O is folded into their matrix, and a fold that
     overflows raises ConfigurationError); other kinds get a wrapped evaluator,
     whose overflowing outputs are left non-finite for the estimator and the
     oracles to name.
     """
-    if transform.out_dims is not None and transform.out_dims != model.out_dims:
-        raise ContractError(
-            f"transform is {transform.out_dims}x{transform.out_dims} but model has "
-            f"{model.out_dims} outputs"
-        )
-    o = transform.as_matrix(model.out_dims)
+    o = np.array(matrix, dtype=float)
+    k = model.out_dims
+    if o.shape != (k, k):
+        raise ContractError(f"transform has shape {o.shape} but the model has {k} outputs")
 
     if model.kind == "linear":
         with np.errstate(over="ignore", invalid="ignore"):
             folded = o @ model.matrix
         if not np.isfinite(folded).all():
             raise ConfigurationError("overflows when folded into the linear model's matrix")
-        return linear_model(
-            folded,
-            default_space=model.default_space,
-            name=f"{model.name}+{transform.kind}",
-        )
+        return linear_model(folded, default_space=model.default_space, name=model.name)
 
     base_eval = model.eval_fn
-    if transform.kind == "homothety":
-        lam = float(transform.scale)
 
-        def _eval(x: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):
-                return lam * base_eval(x)
-
-    else:
-
-        def _eval(x: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return base_eval(x) @ o.T
+    def _eval(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return base_eval(x) @ o.T
 
     return VectorModel(
         in_dims=model.in_dims,
-        out_dims=model.out_dims,
+        out_dims=k,
         kind=model.kind,
         eval_fn=_eval,
-        name=f"{model.name}+{transform.kind}",
+        name=model.name,
         default_space=model.default_space,
         params=dict(model.params),
     )

@@ -14,9 +14,9 @@ Three oracle routes produce the covariance triple: a closed form for linear
 models, one tensor-grid route for any product of discrete and continuous
 inputs (exact weighted enumeration of discrete supports, tensorized Gauss
 quadrature for up to 4 smooth continuous inputs), and a large-sample Monte
-Carlo fallback. On a product grid the decomposition identity holds exactly,
-so the grid route's residual is rounding, not an estimate of quadrature
-error.
+Carlo route for library callers. On a product grid the decomposition identity
+holds exactly, so the grid route's residual is rounding, not an estimate of
+quadrature error.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence, sample_
 
 MAX_GRID_NODES = 10_000_000
 MAX_QUADRATURE_DIMS = 4
+DEFAULT_QUADRATURE_NODES = 64
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -91,7 +92,8 @@ class CovarianceTriple:
     is the rounding of that subtraction, not zero. It is not an estimate of
     how far a coarse quadrature rule is from the true covariances: that would
     need a second rule to compare against. ``accuracy_warning`` flags a
-    residual above 1e-6, an identity broken beyond rounding.
+    residual above 1e-6 of the largest total covariance entry, an identity
+    broken beyond rounding at any output scale.
     """
 
     total: np.ndarray
@@ -113,7 +115,7 @@ class CovarianceTriple:
 
     @property
     def accuracy_warning(self) -> bool:
-        return self.residual > 1e-6
+        return self.residual > 1e-6 * float(np.max(np.abs(self.total)))
 
     @property
     def out_dims(self) -> int:
@@ -430,6 +432,25 @@ def decompose_discrete(
     return _decompose_grid(model, space, subset, 1)
 
 
+def _continuous_dims(space: InputSpace) -> int:
+    return sum(not m.is_discrete for m in space.marginals)
+
+
+def grid_nodes(space: InputSpace) -> Optional[int]:
+    """Gauss nodes per continuous input for the grid oracle on this space.
+
+    The most, up to DEFAULT_QUADRATURE_NODES, whose grid (times the discrete
+    inputs' support cells) fits MAX_GRID_NODES; 1 when none does, so the grid
+    oracle reports the cap; None above MAX_QUADRATURE_DIMS continuous inputs.
+    """
+    continuous = _continuous_dims(space)
+    if continuous > MAX_QUADRATURE_DIMS:
+        return None
+    support = math.prod(len(m.points) for m in space.marginals if m.is_discrete)
+    nodes = range(DEFAULT_QUADRATURE_NODES, 0, -1)
+    return next((n for n in nodes if n**continuous * support <= MAX_GRID_NODES), 1)
+
+
 def covariances_quadrature(
     model: VectorModel, space: InputSpace, subset: SubsetIndex, nodes_per_dim: int
 ) -> CovarianceTriple:
@@ -445,7 +466,7 @@ def covariances_quadrature(
     estimate the quadrature error of a coarse rule.
     """
     _check_dims(model, space, subset)
-    continuous = sum(not m.is_discrete for m in space.marginals)
+    continuous = _continuous_dims(space)
     if continuous > MAX_QUADRATURE_DIMS:
         raise ResourceError(
             f"quadrature oracle supports at most {MAX_QUADRATURE_DIMS} continuous inputs, "
@@ -460,7 +481,7 @@ def covariances_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo fallback oracle
+# Monte Carlo oracle
 # ---------------------------------------------------------------------------
 
 # oracle streams hang off a tagged child of the user seed so that reusing one

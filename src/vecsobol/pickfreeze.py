@@ -58,7 +58,6 @@ class PickFreezeDesign:
     x: np.ndarray  # (n, p)
     x_prime: np.ndarray  # (n, p - r), marginals of the complement coordinates
     subset: SubsetIndex
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.x.shape[0] != self.x_prime.shape[0]:
@@ -180,8 +179,7 @@ def generate_design(
     x = sample_marginals(space.marginals, n, ss_x)
     comp_marginals = tuple(space.marginals[j] for j in subset.complement)
     x_prime = sample_marginals(comp_marginals, n, ss_prime)
-    seed_int = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return PickFreezeDesign(x=x, x_prime=x_prime, subset=subset, seed=seed_int)
+    return PickFreezeDesign(x=x, x_prime=x_prime, subset=subset)
 
 
 def _frozen_mix(x: np.ndarray, x_prime: np.ndarray, complement: tuple[int, ...]) -> np.ndarray:

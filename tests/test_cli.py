@@ -103,6 +103,10 @@ MALFORMED = [
     ("space[0].low", "model: sum_prod\nspace: [{kind: uniform, low: abc}, {kind: uniform}]\n"
      "subsets: [[1]]\n"),
     ("transform.scale", MINIMAL + "transform: {kind: homothety, scale: abc}\n"),
+    # the field with its message, so its test id differs from the entry above
+    ("transform.scale: homothety requires a nonzero scale",
+     MINIMAL + "transform: {kind: homothety, scale: 0}\n"),
+    ("transform.kind", MINIMAL + "transform: {kind: weird, scale: 1}\n"),
     ("seed", "sample: PAIRS\nseed: abc\n"),
     ("seed", "sample: PAIRS\nseed: -1\n"),
     ("seed", "model: identity_2\nsubsets: [[1]]\nseed: -1\n"),
@@ -320,8 +324,7 @@ class TestRun:
 
     def test_quadrature_nodes_fit_the_grid_cap(self, monkeypatch):
         # 4 smooth inputs: 64^4 nodes exceed the cap, so fewer nodes per input are used
-        for module in (cli, oracle):
-            monkeypatch.setattr(module, "MAX_GRID_NODES", 10**4)
+        monkeypatch.setattr(oracle, "MAX_GRID_NODES", 10**4)
         model = VectorModel(in_dims=4, out_dims=2, kind="builtin",
                             eval_fn=lambda x: np.stack([x.sum(axis=1), x[:, 0] * x[:, 1]], axis=1))
         config = RunConfig(model, InputSpace.uniform(4), [SubsetIndex((0,), 4)], 100, 2, oracle="auto")
@@ -331,13 +334,22 @@ class TestRun:
 
     def test_quadrature_nodes_per_input(self):
         # the most nodes, up to 64, whose product grid stays within MAX_GRID_NODES
-        assert [cli._quadrature_nodes(d) for d in (1, 2, 3, 4)] == [64, 64, 64, 56]
+        nodes = [oracle.grid_nodes(InputSpace.uniform(d)) for d in (1, 2, 3, 4)]
+        assert nodes == [64, 64, 64, 56]
+        assert oracle.grid_nodes(InputSpace.uniform(5)) is None
 
-    def test_quadrature_nodes_share_the_cap_with_discrete_supports(self):
+    def test_quadrature_nodes_share_the_cap_with_discrete_supports(self, monkeypatch):
         # discrete supports multiply the grid; a grid over the cap gets 1 node and fails there
-        assert cli._quadrature_nodes(2, 10_000) == 31
-        assert cli._quadrature_nodes(0, 6) == 64
-        assert cli._quadrature_nodes(1, cli.MAX_GRID_NODES + 1) == 1
+        def uniform_points(count):
+            return spaces.Discrete(tuple(range(count)), (1 / count,) * count)
+
+        hundred = uniform_points(100)
+        beside = InputSpace(InputSpace.uniform(2).marginals + (hundred, hundred))
+        assert oracle.grid_nodes(beside) == 31
+        assert oracle.grid_nodes(InputSpace((uniform_points(2), uniform_points(3)))) == 64
+        monkeypatch.setattr(oracle, "MAX_GRID_NODES", 8)
+        three = uniform_points(3)
+        assert oracle.grid_nodes(InputSpace((spaces.Uniform(0, 1), three, three))) == 1
 
     def test_linear_kind_gets_the_closed_form(self):
         # the route follows the model's kind: a hand-built linear model and a
@@ -569,7 +581,8 @@ class TestMain:
         ("{name: linear, params: {matrix: [[10, 1], [0, 1]]}}", EXIT_CONFIG,
          "configuration error: transform: overflows when folded into the linear model's matrix"),
         ("sum_prod", EXIT_DEGENERATE, "error: sample output row "),
-    ], ids=["linear", "sum_prod"])
+        ("identity_2", EXIT_DEGENERATE, "error: sample output row "),
+    ], ids=["linear", "sum_prod", "identity_2"])
     def test_overflowing_transform_is_named_without_a_warning(self, tmp_path, capsys, model,
                                                                code, message):
         # warnings are errors under this suite, so numpy's overflow warning fails the test
@@ -580,6 +593,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == code
         assert err.startswith(message) and err.count("\n") == 1
+
+    def test_overflowing_isometry_check_is_named_without_a_warning(self, tmp_path, capsys):
+        # O^t O overflows here, and a NaN defect is refused like a large one
+        config = tmp_path / "run.yaml"
+        config.write_text(MINIMAL + "transform: {kind: isometry, "
+                          "matrix: [[1e200, 1e200], [1e200, -1e200]]}\n")
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("configuration error: transform.matrix: ") and err.count("\n") == 1
 
     def test_transform_is_folded_into_the_model_when_read(self):
         config = parse_config(MINIMAL + "transform: {kind: homothety, scale: 3}\n")
@@ -640,8 +663,7 @@ class TestMain:
         assert "total output covariance is singular" in capsys.readouterr().err
 
     def test_over_cap_discrete_grid_exits_3(self, tmp_path, capsys, monkeypatch):
-        for module in (cli, oracle):
-            monkeypatch.setattr(module, "MAX_GRID_NODES", 8)
+        monkeypatch.setattr(oracle, "MAX_GRID_NODES", 8)
         three = "{kind: discrete, points: [0, 1, 2], probs: [0.25, 0.5, 0.25]}"
         config = tmp_path / "run.yaml"
         config.write_text(

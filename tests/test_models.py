@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecsobol.models
 from vecsobol import (
     ConfigurationError,
     ContractError,
-    OutputTransform,
     apply_transform,
     corpus_names,
     get_model,
@@ -90,20 +91,20 @@ def test_models_module_does_not_import_the_oracles():
 
 def test_swap_isometry_exchanges_coordinates():
     # the isometry that exchanges the two canonical basis vectors
-    swap = OutputTransform(kind="isometry", matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     model = apply_transform(linear_model(np.eye(2)), swap)
     assert np.array_equal(model.evaluate([[1.0, 2.0]]), [[2.0, 1.0]])
 
 
 def test_unit_homothety_is_identity():
     model = get_model("sum_prod")
-    t = apply_transform(model, OutputTransform(kind="homothety", scale=1.0))
+    t = apply_transform(model, np.eye(2))
     x = sample_inputs(model.space(), 50, 1)
     assert np.array_equal(t.evaluate(x), model.evaluate(x))
 
 
 def test_homothety_scales_outputs():
-    model = apply_transform(get_model("sum_prod"), OutputTransform(kind="homothety", scale=2.0))
+    model = apply_transform(get_model("sum_prod"), 2.0 * np.eye(2))
     assert np.array_equal(model.evaluate([[0.5, 0.5]]), [[2.0, 0.5]])
 
 
@@ -111,22 +112,34 @@ def test_isometry_roundtrip_recovers_outputs():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
     for model in (get_model("sum_prod"), get_model("identity_2")):
-        fwd = apply_transform(model, OutputTransform(kind="isometry", matrix=q))
-        back = apply_transform(fwd, OutputTransform(kind="isometry", matrix=q.T))
+        fwd = apply_transform(model, q)
+        back = apply_transform(fwd, q.T)
         x = sample_inputs(model.space(), 200, 8)
         assert np.max(np.abs(back.evaluate(x) - model.evaluate(x))) < 1e-12
 
 
 def test_transform_validation():
-    with pytest.raises(ConfigurationError):
-        OutputTransform(kind="homothety", scale=0.0)
-    with pytest.raises(ConfigurationError):
-        OutputTransform(kind="isometry", matrix=np.array([[1.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(ConfigurationError):
-        OutputTransform(kind="weird", scale=1.0)
-    swap3 = OutputTransform(kind="isometry", matrix=np.eye(3))
+    # the transform's kinds are checked where the config is read; here only its shape
     with pytest.raises(ContractError):
-        apply_transform(get_model("sum_prod"), swap3)
+        apply_transform(get_model("sum_prod"), np.eye(3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    scale=st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_homothety_matrix_is_the_scalar_multiple(scale, rows, seed):
+    # lam * I composes like the scalar lam, bit for bit, also where it overflows
+    base = get_model("sum_prod")
+    x = sample_inputs(base.space(), rows, seed)
+    with np.errstate(over="ignore"):
+        expected = scale * base.evaluate(x)
+    got = apply_transform(base, scale * np.eye(2)).evaluate(x)
+    assert np.array_equal(got, expected, equal_nan=True)
+    folded = apply_transform(get_model("identity_2"), scale * np.eye(2))
+    assert folded.kind == "linear" and np.array_equal(folded.matrix, scale * np.eye(2))
 
 
 def test_external_model_roundtrip(tmp_path):

@@ -491,10 +491,18 @@ class TestResidualRule:
         # composing recomputes the residual, and the warning follows it
         shrunk = triple.left_compose(1e-3 * eye)
         assert shrunk.residual == shrunk.identity_defect() < 1e-6
-        assert not shrunk.accuracy_warning
+        # the defect relative to the total is still 1e-3
+        assert shrunk.accuracy_warning
         with pytest.raises(TypeError):
             CovarianceTriple(total=eye, subset=eye, complement=eye, interaction=eye,
                              method="test", residual=0.0)
+
+    def test_warning_does_not_follow_the_output_scale(self):
+        # rounding grows with the outputs; relative to the total it stays at 1e-15
+        model = get_model("sum_prod")
+        triple = covariances_quadrature(model, model.space(), U1, 64)
+        scaled = triple.left_compose(1e6 * np.eye(2))
+        assert scaled.residual > 1e-6 and not scaled.accuracy_warning
 
     def test_every_route_reports_its_identity_defect(self):
         model = get_model("sum_prod")
