@@ -14,7 +14,6 @@ from .errors import (
     IllPosedIndexError,
     ReportError,
     ResourceError,
-    UnsupportedOracleError,
     VecSobolError,
 )
 from .inference import (
@@ -40,7 +39,7 @@ from .oracle import (
     covariances_linear,
     covariances_monte_carlo,
     covariances_quadrature,
-    decompose_discrete,
+    decompose_grid,
     exact_index,
 )
 from .pickfreeze import (
@@ -75,7 +74,6 @@ __all__ = [
     "IllPosedIndexError",
     "ReportError",
     "ResourceError",
-    "UnsupportedOracleError",
     # spaces
     "Uniform",
     "Normal",
@@ -97,7 +95,7 @@ __all__ = [
     "covariances_linear",
     "covariances_quadrature",
     "covariances_monte_carlo",
-    "decompose_discrete",
+    "decompose_grid",
     "exact_index",
     # pick-freeze
     "PickFreezeDesign",

@@ -25,7 +25,7 @@ import yaml
 
 from . import __version__, oracle
 from .errors import ConfigurationError, ContractError, ReportError, VecSobolError
-from .inference import bootstrap_ci, clt_diagnostic, delta_ci
+from .inference import DELTA_MIN_N, bootstrap_ci, clt_diagnostic, delta_ci
 from .models import VectorModel, apply_transform, get_model, load_external_model
 from .oracle import CovarianceTriple, covariances_quadrature, exact_index, grid_nodes
 from .pickfreeze import (
@@ -113,9 +113,9 @@ _TOP_KEYS = {
     "sample": ("schema", "sample", "subsets", "seed", "ci", "oracle", "matrix"),
 }
 _MARGINAL_KEYS = {
-    "uniform": ("kind", "low", "high", "a", "b"),
+    "uniform": ("kind", "low", "high"),
     "normal": ("kind", "mean", "sd"),
-    "discrete": ("kind", "support", "points", "probs"),
+    "discrete": ("kind", "points", "probs"),
 }
 _TRANSFORM_KEYS = {
     "homothety": ("kind", "scale"),
@@ -200,18 +200,9 @@ def _parse_marginal(node: Any, path: str):
         return tuple(_number(v, f"{path}.{key}[{j}]") for j, v in enumerate(values))
 
     if kind == "uniform":
-        low_key = "low" if "low" in node else "a"
-        high_key = "high" if "high" in node else "b"
-        make, args = Uniform, (num(low_key, 0.0), num(high_key, 1.0))
+        make, args = Uniform, (num("low", 0.0), num("high", 1.0))
     elif kind == "normal":
         make, args = Normal, (num("mean", 0.0), num("sd", 1.0))
-    elif "support" in node:
-        support = node["support"]
-        if not isinstance(support, dict):
-            raise _fail(f"{path}.support", f"expected a mapping point: probability, got {support!r}")
-        probs = {_number(x, f"{path}.support"): _number(p, f"{path}.support[{x!r}]")
-                 for x, p in support.items()}
-        make, args = Discrete.from_mapping, (probs,)
     else:
         make, args = Discrete, (nums("points"), nums("probs"))
     try:
@@ -386,7 +377,15 @@ def config_from_tree(tree: dict) -> RunConfig:
         config.replications = _number(tree["replications"], "replications", integer=True, low=200)
         if config.oracle != "auto":
             raise _fail("replications", "a replication study needs oracle: auto for its target")
+        full = [list(s.to_one_based()) for s in config.subsets if s.is_full]
+        if full:
+            raise _fail("replications", f"subset {full[0]} is the full input group, whose "
+                        "estimate is exactly 1 in every replicate; a study needs proper subsets")
 
+    # a replication study takes delta intervals unless the ci is a bootstrap
+    delta = config.ci.kind == "delta" or (config.replications is not None and config.ci.kind != "bootstrap")
+    if delta and config.n < DELTA_MIN_N:
+        raise _fail("n", f"the delta method needs n >= {DELTA_MIN_N}, got {config.n}")
     return config
 
 
@@ -421,10 +420,8 @@ def _subset_seed_streams(config: RunConfig) -> list:
 def subset_design(config: RunConfig, index: int):
     """The exact design run() will evaluate for config.subsets[index].
 
-    The design holds the base rows x and the complement redraws x_prime.
-    External-model users tabulate the model at x and at the frozen mix, x
-    with its complement columns replaced by those of x_prime in column order,
-    and feed the table back via model.external.
+    External-model users tabulate the model at ``design.x`` and
+    ``design.x_u`` and feed the table back via model.external.
     """
     streams = _subset_seed_streams(config)
     return generate_design(config.space, config.subsets[index], config.n, streams[index][0])
@@ -471,6 +468,10 @@ def _samples(config: RunConfig):
             sample = read_sample_csv(config.sample_path)
         except OSError as exc:
             raise _fail("sample", f"cannot read file: {exc}") from None
+        if config.matrix is not None:
+            _parse_matrix(config.matrix, "matrix", sample.out_dims)
+        if config.ci.kind == "delta" and sample.n < DELTA_MIN_N:
+            raise _fail("sample", f"the delta method needs n >= {DELTA_MIN_N} pairs, got {sample.n}")
         label = config.subsets[0] if config.subsets else None
         yield label, sample, np.random.SeedSequence(config.seed), None, started
         return
@@ -556,12 +557,6 @@ def run(config: RunConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 # report serialization
 # ---------------------------------------------------------------------------
-
-
-def report_from_dict(tree: dict) -> RunReport:
-    subsets = [SubsetResult(**s) for s in tree.get("subsets", [])]
-    top = {k: v for k, v in tree.items() if k != "subsets"}
-    return RunReport(subsets=subsets, **top)
 
 
 def _check_finite(node: Any, path: str) -> None:

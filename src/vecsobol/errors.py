@@ -30,10 +30,6 @@ class IllPosedIndexError(VecSobolError):
     """The weighted total variance Tr(M Sigma) is too close to zero."""
 
 
-class UnsupportedOracleError(VecSobolError):
-    """The requested exact method does not apply to this model/input space."""
-
-
 class ResourceError(VecSobolError):
     """The exact method would exceed the configured grid/dimension budget."""
 

@@ -52,6 +52,9 @@ from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence
 # ulps, so a budget that followed the cache size would change reports.
 _BOOTSTRAP_BLOCK_BYTES = 2**20
 
+# the fewest pairs the delta method takes
+DELTA_MIN_N = 10
+
 
 @dataclass
 class IndexEstimate:
@@ -102,8 +105,8 @@ def delta_variance(sample: PickFreezeSample) -> float:
     with the covariance of T that the moments kernel already holds, so no
     pass over the rows is made. Rounding below zero is returned as zero.
     """
-    if sample.n < 10:
-        raise ContractError(f"delta method needs n >= 10, got {sample.n}")
+    if sample.n < DELTA_MIN_N:
+        raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {sample.n}")
     value = estimate_index(sample)  # raises DegenerateSampleError when flat
     denom = float(np.trace(empirical_covariances(sample).total)) / sample.n
 
@@ -212,6 +215,8 @@ def clt_diagnostic(
     """
     if reps < 200:
         raise ContractError(f"replication study needs reps >= 200, got {reps}")
+    if subset.is_full:  # its estimate is exactly 1 in every replicate
+        raise ContractError("a replication study needs a proper subset, not the full group")
     if not np.isfinite(target):
         raise ContractError("target must be a finite oracle value")
     if ci_method not in ("delta", "bootstrap"):

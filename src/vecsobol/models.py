@@ -184,7 +184,6 @@ def _make_u_only(dims: int = 2, coords=(0,)) -> VectorModel:
         eval_fn=_eval,
         name="u_only",
         default_space=InputSpace.uniform(dims),
-        params={"dims": dims, "coords": coords},
     )
 
 
@@ -203,7 +202,6 @@ def _make_constant(values=(1.0, 2.0), dims: int = 2) -> VectorModel:
         eval_fn=_eval,
         name="constant",
         default_space=InputSpace.uniform(dims),
-        params={"values": values, "dims": dims},
     )
 
 

@@ -33,7 +33,6 @@ from .errors import (
     DegenerateModelError,
     IllPosedIndexError,
     ResourceError,
-    UnsupportedOracleError,
 )
 from .models import VectorModel
 from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence, sample_marginals
@@ -101,8 +100,6 @@ class CovarianceTriple:
     complement: np.ndarray
     interaction: np.ndarray
     method: str
-    mc_n: Optional[int] = None
-    mc_seed: Optional[int] = None
     residual: float = field(init=False)
 
     def __post_init__(self):
@@ -138,7 +135,7 @@ class CovarianceTriple:
             name: o @ getattr(self, name) @ o.T
             for name in ("total", "subset", "complement", "interaction")
         }
-        return CovarianceTriple(method=self.method, mc_n=self.mc_n, mc_seed=self.mc_seed, **parts)
+        return CovarianceTriple(method=self.method, **parts)
 
 
 @dataclass
@@ -357,17 +354,32 @@ class HoeffdingComponents:
         )
 
 
-def _decompose_grid(
+def _continuous_dims(space: InputSpace) -> int:
+    return sum(not m.is_discrete for m in space.marginals)
+
+
+def decompose_grid(
     model: VectorModel, space: InputSpace, subset: SubsetIndex, nodes_per_dim: int
 ) -> HoeffdingComponents:
     """Exact decomposition of a model over the tensor grid of the marginals' rules.
 
     Each marginal gives its rule through ``quadrature(nodes_per_dim)``: a
-    discrete one its support, a continuous one a Gauss rule. The model is
-    evaluated into a tensor of shape sizes + (k,), a chunk of slabs of the
-    first axis at a time through one reused input block, so no full-grid input
-    matrix exists. The parts are weighted contractions of that tensor.
+    discrete one its support, a continuous one (at most MAX_QUADRATURE_DIMS)
+    a Gauss rule. The model is evaluated into a tensor of shape sizes + (k,),
+    a chunk of slabs of the first axis at a time through one reused input
+    block, so no full-grid input matrix exists. The parts are weighted
+    contractions of that tensor.
     """
+    _check_dims(model, space, subset)
+    continuous = _continuous_dims(space)
+    if continuous > MAX_QUADRATURE_DIMS:
+        raise ResourceError(
+            f"quadrature oracle supports at most {MAX_QUADRATURE_DIMS} continuous inputs, "
+            f"got {continuous}"
+        )
+    if nodes_per_dim < 1:
+        raise ContractError("nodes_per_dim must be >= 1")
+
     rules = [m.quadrature(nodes_per_dim) for m in space.marginals]
     nodes = [np.asarray(r[0], dtype=float) for r in rules]
     weights = [np.asarray(r[1], dtype=float) for r in rules]
@@ -416,26 +428,6 @@ def _decompose_grid(
     )
 
 
-def decompose_discrete(
-    model: VectorModel, space: InputSpace, subset: SubsetIndex
-) -> HoeffdingComponents:
-    """Exact decomposition by weighted enumeration of a finite input grid.
-
-    Requires every marginal to be discrete and the full grid to stay within
-    the node cap.
-    """
-    _check_dims(model, space, subset)
-    if not space.all_discrete:
-        raise UnsupportedOracleError(
-            "exact enumeration needs discrete marginals; use quadrature or monte carlo"
-        )
-    return _decompose_grid(model, space, subset, 1)
-
-
-def _continuous_dims(space: InputSpace) -> int:
-    return sum(not m.is_discrete for m in space.marginals)
-
-
 def grid_nodes(space: InputSpace) -> Optional[int]:
     """Gauss nodes per continuous input for the grid oracle on this space.
 
@@ -465,17 +457,7 @@ def covariances_quadrature(
     on any product grid, so ``residual`` is rounding only: it does not
     estimate the quadrature error of a coarse rule.
     """
-    _check_dims(model, space, subset)
-    continuous = _continuous_dims(space)
-    if continuous > MAX_QUADRATURE_DIMS:
-        raise ResourceError(
-            f"quadrature oracle supports at most {MAX_QUADRATURE_DIMS} continuous inputs, "
-            f"got {continuous}"
-        )
-    if nodes_per_dim < 1:
-        raise ContractError("nodes_per_dim must be >= 1")
-
-    dec = _decompose_grid(model, space, subset, nodes_per_dim)
+    dec = decompose_grid(model, space, subset, nodes_per_dim)
     _check_positive_definite(dec.total_cov, f"{dec.method} oracle")
     return dec.covariance_triple()
 
@@ -533,14 +515,10 @@ def covariances_monte_carlo(
     c_subset = 0.5 * (c_subset + c_subset.T)
     c_complement = 0.5 * (c_complement + c_complement.T)
     _check_positive_definite(sigma, "monte carlo oracle")
-
-    mc_seed = int(root.entropy) if isinstance(root.entropy, int) else None
     return CovarianceTriple(
         total=sigma,
         subset=c_subset,
         complement=c_complement,
         interaction=sigma - c_subset - c_complement,
         method="monte_carlo",
-        mc_n=n,
-        mc_seed=mc_seed,
     )

@@ -74,6 +74,11 @@ class PickFreezeDesign:
     def n(self) -> int:
         return self.x.shape[0]
 
+    @property
+    def x_u(self) -> np.ndarray:
+        """The second block: x with its complement columns taken from x_prime."""
+        return _frozen_mix(self.x, self.x_prime, self.subset.complement)
+
 
 @dataclass(frozen=True)
 class PickFreezeSample:
@@ -202,14 +207,13 @@ def _frozen_mix(x: np.ndarray, x_prime: np.ndarray, complement: tuple[int, ...])
 
 
 def evaluate_pairs(model: VectorModel, design: PickFreezeDesign) -> PickFreezeSample:
-    """Evaluate (Y, Y^u): the second run keeps the subset columns and swaps in
-    the redrawn complement columns, in the original coordinate order."""
+    """Evaluate (Y, Y^u) at the design's blocks x and x_u."""
     if model.in_dims != design.x.shape[1]:
         raise ContractError(
             f"model expects {model.in_dims} inputs but the design has {design.x.shape[1]}"
         )
     y = model.evaluate(design.x)
-    y_u = model.evaluate(_frozen_mix(design.x, design.x_prime, design.subset.complement))
+    y_u = model.evaluate(design.x_u)
     if _fresh(y, design.x, design.x_prime) and _fresh(y_u, y, design.x, design.x_prime):
         return PickFreezeSample._adopt(y, y_u, design.subset)
     # a model that returns its input, a view, or one array twice

@@ -198,7 +198,7 @@ def test_criterion_7_ci_coverage():
 def test_criterion_8_orthogonal_components():
     """Exact enumeration gives orthogonal components and a vanishing identity residual."""
     space = vs.InputSpace((vs.Discrete((0.0, 1.0), (0.5, 0.5)),) * 2)
-    comps = vs.decompose_discrete(vs.get_model("sum_prod"), space, U1)
+    comps = vs.decompose_grid(vs.get_model("sum_prod"), space, U1, 1)
     orth = comps.orthogonality_defect()
     residual = comps.covariance_triple().residual
     ok = orth <= 1e-12 and residual <= 1e-12

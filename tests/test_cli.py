@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from vecsobol.cli import (
     config_from_tree,
     main,
     parse_config,
-    report_from_dict,
     report_to_json,
     run,
     write_report,
@@ -122,6 +122,25 @@ MALFORMED = [
     ("ci.reps", MINIMAL + "ci: {kind: bootstrap, reps: 250.7}\n"),
     ("sample", "sample: no-such-pairs.csv\n"),
     ("model.params", "model: {name: constant, params: {values: [a]}}\nsubsets: [[1]]\n"),
+    # one spelling per field: a second spelling beside the first is an unknown key
+    ("space[0].a", "model: sum_prod\nspace: [{kind: uniform, low: 0, high: 1, a: 5, b: 9},"
+     " {kind: uniform}]\nsubsets: [[1]]\n"),
+    ("space[0].support: not a key of a discrete marginal",
+     "model: sum_prod\nspace: [{kind: discrete, points: [0, 1], probs: [0.5, 0.5], "
+     "support: {3: 1.0}}, {kind: uniform}]\nsubsets: [[1]]\n"),
+    # the full group's estimate is 1 in every replicate, so it has no spread to study
+    ("replications: subset [1, 2]", "model: sum_prod\nsubsets: [[1], [1, 2]]\noracle: auto\n"
+     "replications: 200\n"),
+]
+
+# (field, config; PAIRS stands for a valid sample file of 5 pairs): a sample
+# mode run finds these faults only once it has read the file; in model mode
+# the delta method's floor on n is checked with the config
+TOO_SMALL = [
+    ("matrix", "sample: PAIRS\nmatrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"),
+    ("sample", "sample: PAIRS\nci: delta\n"),
+    ("n", "model: sum_prod\nsubsets: [[1]]\nn: 5\nci: delta\n"),
+    ("n", "model: sum_prod\nsubsets: [[1]]\nn: 5\noracle: auto\nreplications: 200\n"),
 ]
 
 # a valid tree per mode; the property below replaces one field of it
@@ -133,7 +152,7 @@ VALID_TREES = {
             {"kind": "discrete", "points": [0, 1], "probs": [0.5, 0.5]},
             {"kind": "uniform", "low": -1, "high": 2},
         ],
-        "subsets": [[1], [1, 2]],
+        "subsets": [[1], [2]],
         "n": 100,
         "seed": 3,
         "ci": {"kind": "bootstrap", "level": 0.9, "reps": 300},
@@ -408,8 +427,7 @@ class TestReports:
 
     def test_json_roundtrip_is_lossless(self):
         report = self._report()
-        rebuilt = report_from_dict(json.loads(report_to_json(report)))
-        assert rebuilt == report
+        assert json.loads(report_to_json(report)) == asdict(report)
 
     def test_csv_rows(self, tmp_path):
         config = parse_config("model: sum_prod\nsubsets: [[1], [2], [1, 2]]\nn: 500\nseed: 3\n")
@@ -540,6 +558,15 @@ class TestMain:
         assert rc == EXIT_CONFIG
         assert err.startswith("configuration error: ") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, text", TOO_SMALL,
+                             ids=[f"{f}-{i}" for i, (f, _) in enumerate(TOO_SMALL)])
+    def test_error_found_at_run_time_starts_with_its_field(self, tmp_path, capsys, field, text):
+        config = tmp_path / "run.yaml"
+        config.write_text(text.replace("PAIRS", str(_pairs_csv(tmp_path, n=5))))
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
 
     def test_ci_flags_update_the_configured_interval(self, tmp_path):
         config = tmp_path / "run.yaml"
@@ -687,9 +714,7 @@ class TestMain:
         model = get_model("sum_prod")
         table.write_text("x1,x2,y1,y2\n0,0,0,0\n")  # placeholder so parsing succeeds
         design = subset_design(parse_config(config_text), 0)
-        mixed = design.x.copy()
-        mixed[:, 1] = design.x_prime[:, 0]
-        xs = np.vstack([design.x, mixed])
+        xs = np.vstack([design.x, design.x_u])
         ys = model.evaluate(xs)
         rows = ["x1,x2,y1,y2"] + [
             ",".join(repr(float(v)) for v in (*x, *y)) for x, y in zip(xs, ys)

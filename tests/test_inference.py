@@ -275,6 +275,20 @@ class TestCltDiagnostic:
             clt_diagnostic(model, base.space(), U1, 100, 200, target=0.5, seed=1, **kwargs)
         assert rows == []
 
+    def test_full_group_fails_before_any_evaluation(self):
+        # its estimate is exactly 1 in every replicate, so there is no spread to study
+        base = get_model("identity_2")
+        rows = []
+
+        def counting(x):
+            rows.append(x.shape[0])
+            return base.evaluate(x)
+
+        model = VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=counting)
+        with pytest.raises(ContractError, match="full group"):
+            clt_diagnostic(model, base.space(), SubsetIndex((0, 1), 2), 100, 200, target=1.0, seed=1)
+        assert rows == []
+
     def test_contracts(self):
         model = get_model("identity_2")
         with pytest.raises(ContractError):

@@ -25,17 +25,15 @@ from vecsobol import (
     ResourceError,
     SubsetIndex,
     Uniform,
-    UnsupportedOracleError,
     VectorModel,
     covariances_linear,
     covariances_monte_carlo,
     covariances_quadrature,
-    decompose_discrete,
+    decompose_grid,
     exact_index,
     get_model,
     linear_model,
 )
-from vecsobol.oracle import _decompose_grid
 
 U1 = SubsetIndex((0,), 2)
 
@@ -122,7 +120,7 @@ class TestCovariancesLinear:
 
 class TestDecomposeDiscrete:
     def test_additive_model_has_no_interaction(self):
-        comps = decompose_discrete(get_model("identity_2"), _pm1_space(), U1)
+        comps = decompose_grid(get_model("identity_2"), _pm1_space(), U1, 1)
         assert np.array_equal(comps.mean, np.zeros(2))
         # group part is (x1, 0) at grid points -1, +1 of the first coordinate
         assert np.array_equal(comps.subset_values, [[-1.0, 0.0], [1.0, 0.0]])
@@ -130,7 +128,7 @@ class TestDecomposeDiscrete:
         assert np.max(np.abs(comps.interaction_values)) == 0.0
 
     def test_pure_interaction_model(self):
-        comps = decompose_discrete(_product_model(), _pm1_space(), U1)
+        comps = decompose_grid(_product_model(), _pm1_space(), U1, 1)
         assert np.max(np.abs(comps.subset_values)) == 0.0
         assert np.max(np.abs(comps.complement_values)) == 0.0
         # the interaction part is the full product term
@@ -140,7 +138,7 @@ class TestDecomposeDiscrete:
 
     def test_sum_prod_on_four_point_grid(self):
         space = InputSpace((Discrete((0.0, 1.0), (0.5, 0.5)),) * 2)
-        comps = decompose_discrete(get_model("sum_prod"), space, U1)
+        comps = decompose_grid(get_model("sum_prod"), space, U1, 1)
         triple = comps.covariance_triple()
         assert np.allclose(triple.subset, SUM_PROD_DISCRETE_C_U, atol=1e-14)
         assert np.allclose(triple.total, SUM_PROD_DISCRETE_SIGMA, atol=1e-14)
@@ -163,26 +161,22 @@ class TestDecomposeDiscrete:
 
         model = VectorModel(in_dims=3, out_dims=2, kind="builtin", eval_fn=_eval, name="mix")
         for subset in (SubsetIndex((0,), 3), SubsetIndex((0, 2), 3), SubsetIndex((1,), 3)):
-            comps = decompose_discrete(model, space, subset)
+            comps = decompose_grid(model, space, subset, 1)
             assert comps.reconstruction_residual() <= 1e-10
             assert comps.component_mean_defect() <= 1e-12
             assert comps.orthogonality_defect() <= 1e-12
             assert comps.covariance_triple().residual <= 1e-12
 
     def test_full_subset(self):
-        comps = decompose_discrete(get_model("identity_2"), _pm1_space(), SubsetIndex((0, 1), 2))
+        comps = decompose_grid(get_model("identity_2"), _pm1_space(), SubsetIndex((0, 1), 2), 1)
         triple = comps.covariance_triple()
         assert np.allclose(triple.subset, triple.total)
         assert np.max(np.abs(triple.complement)) == 0.0
 
-    def test_requires_discrete_marginals(self):
-        with pytest.raises(UnsupportedOracleError):
-            decompose_discrete(get_model("sum_prod"), InputSpace.uniform(2), U1)
-
     def test_grid_cap(self):
         many = Discrete(tuple(map(float, range(10_000))), (1.0 / 10_000,) * 10_000)
         with pytest.raises(ResourceError):
-            decompose_discrete(get_model("sum_prod"), InputSpace((many, many)), U1)
+            decompose_grid(get_model("sum_prod"), InputSpace((many, many)), U1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +231,7 @@ class TestCovariancesQuadrature:
             covariances_quadrature(model, InputSpace.uniform(5), SubsetIndex((0,), 5), 4)
         # a discrete space takes its support as the rule: the same triple as enumeration
         quad = covariances_quadrature(get_model("identity_2"), _pm1_space(), U1, 4)
-        enum = decompose_discrete(get_model("identity_2"), _pm1_space(), U1).covariance_triple()
+        enum = decompose_grid(get_model("identity_2"), _pm1_space(), U1, 1).covariance_triple()
         for part in ("total", "subset", "complement", "interaction"):
             assert np.max(np.abs(getattr(quad, part) - getattr(enum, part))) <= 1e-15
 
@@ -336,7 +330,7 @@ def test_grid_kernel_matches_a_brute_force_reference(marginals, nodes, coef):
     for size in range(1, p + 1):
         for indices in itertools.combinations(range(p), size):
             subset = SubsetIndex(indices, p)
-            comps = _decompose_grid(model, space, subset, nodes)
+            comps = decompose_grid(model, space, subset, nodes)
             triple = comps.covariance_triple()
             reference = _reference_triple(model.evaluate, rules, subset)
             scale = max(1.0, float(np.max(np.abs(reference[0]))))
@@ -463,7 +457,7 @@ class TestMonteCarloOracle:
         mc = covariances_monte_carlo(model, model.space(), U1, 500_000, seed=3)
         assert np.max(np.abs(mc.subset - np.diag([1.0, 0.0]))) < 5.0 / np.sqrt(500_000)
         assert mc.identity_defect() <= 1e-12  # holds by construction
-        assert mc.method == "monte_carlo" and mc.mc_n == 500_000 and mc.mc_seed == 3
+        assert mc.method == "monte_carlo"
 
     def test_seed_disjoint_from_estimator_streams(self):
         from vecsobol import evaluate_pairs, generate_design

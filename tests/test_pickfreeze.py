@@ -379,6 +379,13 @@ class TestFrozenMix:
         got = _frozen_mix(x, x_prime, subset.complement)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
+    def test_design_second_block_keeps_the_subset_columns(self):
+        subset = SubsetIndex((1, 3), 5)
+        design = generate_design(InputSpace.uniform(5), subset, 50, 4)
+        assert np.array_equal(design.x_u[:, [1, 3]], design.x[:, [1, 3]])
+        assert np.array_equal(design.x_u[:, [0, 2, 4]], design.x_prime)
+        assert not np.array_equal(design.x_u[:, [0, 2, 4]], design.x[:, [0, 2, 4]])
+
 
 class TestBlockedKernel:
     BLOCK_ROWS = (1, 7, 4096)
