@@ -46,10 +46,12 @@ from .pickfreeze import (
     EmpiricalCovariances,
     PickFreezeDesign,
     PickFreezeSample,
+    SharedDesign,
     empirical_covariances,
     estimate_index,
     estimate_index_general,
     evaluate_pairs,
+    evaluate_shared,
     generate_design,
     read_sample_csv,
     write_sample_csv,
@@ -100,9 +102,11 @@ __all__ = [
     # pick-freeze
     "PickFreezeDesign",
     "PickFreezeSample",
+    "SharedDesign",
     "EmpiricalCovariances",
     "generate_design",
     "evaluate_pairs",
+    "evaluate_shared",
     "estimate_index",
     "estimate_index_general",
     "empirical_covariances",

@@ -31,7 +31,8 @@ from .oracle import CovarianceTriple, covariances_quadrature, exact_index, grid_
 from .pickfreeze import (
     estimate_index,
     estimate_index_general,
-    evaluate_pairs,
+    evaluate_pairs,  # unused here, but bench/spans.py wraps the name in this module
+    evaluate_shared,
     generate_design,
     read_sample_csv,
 )
@@ -222,7 +223,7 @@ def _parse_matrix(node: Any, path: str, size: Optional[int] = None) -> np.ndarra
     if not np.all(np.isfinite(m)):
         raise _fail(path, "matrix entries must be finite")
     if size is not None and m.shape[0] != size:
-        raise _fail(path, f"is {m.shape[0]}x{m.shape[1]} but the model has {size} outputs")
+        raise _fail(path, f"is {m.shape[0]}x{m.shape[1]} but the outputs have {size} components")
     return m
 
 
@@ -412,19 +413,31 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _subset_seed_streams(config: RunConfig) -> list:
-    """Per-subset (design, ci, replication) seed streams derived from the config seed."""
+    """Per-subset (design, ci, replication) seed streams derived from the config seed.
+
+    The run's one shared design is drawn from the first subset's design
+    stream; the other design streams are spawned but unused, so every
+    subset's ci and replication streams stay where they were.
+    """
     root = np.random.SeedSequence(config.seed)
     return [child.spawn(3) for child in root.spawn(len(config.subsets))]
 
 
-def subset_design(config: RunConfig, index: int):
-    """The exact design run() will evaluate for config.subsets[index].
+def _shared_design(config: RunConfig):
+    """The run's one design for all its subsets (see ``SharedDesign``)."""
+    design_ss = _subset_seed_streams(config)[0][0]
+    return generate_design(config.space, config.subsets, config.n, design_ss)
 
-    External-model users tabulate the model at ``design.x`` and
-    ``design.x_u`` and feed the table back via model.external.
+
+def subset_design(config: RunConfig, index: int):
+    """The exact design run() evaluates for config.subsets[index].
+
+    Its ``x`` is the run's shared base matrix, the same for every subset,
+    and its ``x_u`` that subset's second block. External-model users
+    tabulate the model at ``design.x`` and ``design.x_u`` of every subset
+    (repeated rows are accepted) and feed the table back via model.external.
     """
-    streams = _subset_seed_streams(config)
-    return generate_design(config.space, config.subsets[index], config.n, streams[index][0])
+    return _shared_design(config).design(config.subsets[index])
 
 
 def resolve_oracle(
@@ -459,8 +472,9 @@ def _replication_dict(report) -> dict:
 def _samples(config: RunConfig):
     """Yield (subset, sample, ci seed, replication seed, start time) per analysed sample.
 
-    Sample mode reads its file once; its subset is only a label (None when
-    absent) and its bootstrap draws from the config seed.
+    Model mode evaluates one shared design: (1 + s) n model rows for s
+    subsets. Sample mode reads its file once; its subset is only a label
+    (None when absent) and its bootstrap draws from the config seed.
     """
     if config.sample_path is not None:
         started = time.perf_counter()
@@ -475,10 +489,12 @@ def _samples(config: RunConfig):
         label = config.subsets[0] if config.subsets else None
         yield label, sample, np.random.SeedSequence(config.seed), None, started
         return
-    for subset, (design_ss, ci_ss, rep_ss) in zip(config.subsets, _subset_seed_streams(config)):
+    # the first subset's time includes the shared draw and the shared f(x)
+    started = time.perf_counter()
+    samples = evaluate_shared(config.model, _shared_design(config))
+    for sample, (_, ci_ss, rep_ss) in zip(samples, _subset_seed_streams(config)):
+        yield sample.subset, sample, ci_ss, rep_ss, started
         started = time.perf_counter()
-        design = generate_design(config.space, subset, config.n, design_ss)
-        yield subset, evaluate_pairs(config.model, design), ci_ss, rep_ss, started
 
 
 def run(config: RunConfig) -> RunReport:

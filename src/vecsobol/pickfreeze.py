@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class PickFreezeDesign:
     """Paired input design: a base matrix and a redraw of the complement columns.
 
     x and x_prime come from disjoint spawned streams of the same seed, so the
-    design is a pure function of (space, subset, n, seed).
+    design is a pure function of (space, subset, n, seed). A CLI run draws
+    a SharedDesign instead; ``SharedDesign.design`` gives each group's view.
     """
 
     x: np.ndarray  # (n, p)
@@ -78,6 +79,61 @@ class PickFreezeDesign:
     def x_u(self) -> np.ndarray:
         """The second block: x with its complement columns taken from x_prime."""
         return _frozen_mix(self.x, self.x_prime, self.subset.complement)
+
+
+@dataclass
+class SharedDesign:
+    """One pick-freeze design for all the groups of a run (Saltelli 2002).
+
+    x is the base matrix A and x_prime one redraw B of the union of the
+    groups' complement columns, in column order. Group u's second block A_u
+    is A with u's complement columns taken from B, so every group's pair
+    (A, A_u) is a standard pick-freeze pair and f(A) is evaluated once for
+    all of them. Only the correlation between the groups' estimates differs
+    from independent designs. With one group, B is that group's
+    PickFreezeDesign.x_prime, drawn from the same seed.
+    """
+
+    x: np.ndarray  # (n, p)
+    x_prime: np.ndarray  # (n, len(redrawn)), marginals of the redrawn coordinates
+    subsets: tuple[SubsetIndex, ...]
+
+    def __post_init__(self):
+        if self.x.shape[0] != self.x_prime.shape[0]:
+            raise ContractError("x and x_prime must have the same number of rows")
+        if self.x_prime.shape[1] != len(self.redrawn):
+            raise ContractError(
+                f"x_prime must have {len(self.redrawn)} columns, got {self.x_prime.shape[1]}"
+            )
+        self.x.flags.writeable = False
+        self.x_prime.flags.writeable = False
+
+    @property
+    def redrawn(self) -> tuple[int, ...]:
+        """The columns x_prime holds: the union of the groups' complements."""
+        return _redrawn(self.subsets)
+
+    def x_u(self, subset: SubsetIndex) -> np.ndarray:
+        """Group u's second block: x with u's complement columns from x_prime."""
+        return _frozen_mix(self.x, self.x_prime, subset.complement, self._columns(subset))
+
+    def design(self, subset: SubsetIndex) -> PickFreezeDesign:
+        """Group u's own design: its x is this x and its x_u is ``self.x_u(u)``."""
+        x_prime = self.x_prime[:, self._columns(subset)]
+        return PickFreezeDesign(x=self.x, x_prime=x_prime, subset=subset)
+
+    def _columns(self, subset: SubsetIndex) -> list[int]:
+        """The columns of x_prime that hold u's complement, in order."""
+        column = {j: i for i, j in enumerate(self.redrawn)}
+        if not all(j in column for j in subset.complement):
+            raise ContractError(
+                f"subset {list(subset.to_one_based())} frees inputs this design does not redraw"
+            )
+        return [column[j] for j in subset.complement]
+
+
+def _redrawn(subsets) -> tuple[int, ...]:
+    return tuple(sorted(set().union(*(s.complement for s in subsets))))
 
 
 @dataclass(frozen=True)
@@ -170,36 +226,56 @@ class EmpiricalCovariances:
 
 
 def generate_design(
-    space: InputSpace, subset: SubsetIndex, n: int, seed: SeedLike
-) -> PickFreezeDesign:
-    """Draw the pick-freeze design; deterministic in (space, subset, n, seed)."""
-    if subset.dims != space.dims:
-        raise ContractError(
-            f"subset is over {subset.dims} inputs but the space has {space.dims}"
-        )
+    space: InputSpace, subset: SubsetIndex | Sequence[SubsetIndex], n: int, seed: SeedLike
+) -> PickFreezeDesign | SharedDesign:
+    """Draw the pick-freeze design; deterministic in (space, subset, n, seed).
+
+    Given a run's sequence of subsets in place of one, it draws their
+    SharedDesign: x as for one subset and x_prime over the union of their
+    complements, in column order, from the same split of the seed. One
+    subset's SharedDesign thus holds the bytes of its PickFreezeDesign.
+    """
+    groups = (subset,) if isinstance(subset, SubsetIndex) else tuple(subset)
+    if not groups:
+        raise ContractError("a design needs at least one subset")
+    for group in groups:
+        if group.dims != space.dims:
+            raise ContractError(
+                f"subset is over {group.dims} inputs but the space has {space.dims}"
+            )
     if n < 2:
         raise ContractError(f"pick-freeze needs n >= 2, got {n}")
     root = as_seed_sequence(seed)
     ss_x, ss_prime = root.spawn(2)
     x = sample_marginals(space.marginals, n, ss_x)
-    comp_marginals = tuple(space.marginals[j] for j in subset.complement)
-    x_prime = sample_marginals(comp_marginals, n, ss_prime)
-    return PickFreezeDesign(x=x, x_prime=x_prime, subset=subset)
+    redrawn_marginals = tuple(space.marginals[j] for j in _redrawn(groups))
+    x_prime = sample_marginals(redrawn_marginals, n, ss_prime)
+    if isinstance(subset, SubsetIndex):
+        return PickFreezeDesign(x=x, x_prime=x_prime, subset=subset)
+    return SharedDesign(x=x, x_prime=x_prime, subsets=groups)
 
 
-def _frozen_mix(x: np.ndarray, x_prime: np.ndarray, complement: tuple[int, ...]) -> np.ndarray:
+def _frozen_mix(
+    x: np.ndarray,
+    x_prime: np.ndarray,
+    complement: tuple[int, ...],
+    columns: Optional[list[int]] = None,
+) -> np.ndarray:
     """x with its complement columns taken from x_prime, in the original
-    column order, copied run by run of adjacent columns from one source."""
+    column order, copied run by run of adjacent columns from one source.
+    Complement column complement[i] is x_prime's column columns[i] (by
+    default i); x_prime keeps its columns in input order, so a run of
+    adjacent complement columns is a run of adjacent x_prime columns."""
     n, p = x.shape
+    column = dict(zip(complement, range(len(complement)) if columns is None else columns))
     mixed = np.empty((n, p))
-    redrawn = set(complement)
-    start = used = 0
+    start = 0
     for stop in range(1, p + 1):
-        if stop < p and (stop in redrawn) == (start in redrawn):
+        if stop < p and (stop in column) == (start in column):
             continue
-        if start in redrawn:
-            mixed[:, start:stop] = x_prime[:, used : used + stop - start]
-            used += stop - start
+        if start in column:
+            first = column[start]
+            mixed[:, start:stop] = x_prime[:, first : first + stop - start]
         else:
             mixed[:, start:stop] = x[:, start:stop]
         start = stop
@@ -208,16 +284,31 @@ def _frozen_mix(x: np.ndarray, x_prime: np.ndarray, complement: tuple[int, ...])
 
 def evaluate_pairs(model: VectorModel, design: PickFreezeDesign) -> PickFreezeSample:
     """Evaluate (Y, Y^u) at the design's blocks x and x_u."""
+    return next(evaluate_shared(model, SharedDesign(design.x, design.x_prime, (design.subset,))))
+
+
+def evaluate_shared(model: VectorModel, design: SharedDesign) -> Iterator[PickFreezeSample]:
+    """Evaluate Y = f(x) once, then each group's Y^u in turn; yields the
+    groups' samples in order, which all hold that one Y.
+
+    (1 + s) n rows are evaluated for s groups. Only one second block is
+    alive at a time: each is dropped as soon as its outputs are taken.
+    """
     if model.in_dims != design.x.shape[1]:
         raise ContractError(
             f"model expects {model.in_dims} inputs but the design has {design.x.shape[1]}"
         )
     y = model.evaluate(design.x)
-    y_u = model.evaluate(design.x_u)
-    if _fresh(y, design.x, design.x_prime) and _fresh(y_u, y, design.x, design.x_prime):
-        return PickFreezeSample._adopt(y, y_u, design.subset)
-    # a model that returns its input, a view, or one array twice
-    return PickFreezeSample(y, y_u, design.subset)
+    for subset in design.subsets:
+        x_u = design.x_u(subset)
+        y_u = model.evaluate(x_u)
+        inputs = (design.x, design.x_prime, x_u)
+        if _fresh(y, *inputs) and _fresh(y_u, y, *inputs):
+            sample = PickFreezeSample._adopt(y, y_u, subset)
+        else:  # a model that returns its input, a view, or one array twice
+            sample = PickFreezeSample(y, y_u, subset)
+        del x_u, y_u, inputs
+        yield sample
 
 
 def _fresh(out: np.ndarray, *held: np.ndarray) -> bool:

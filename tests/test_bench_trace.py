@@ -61,6 +61,7 @@ def test_traced_parallel_draws_count_every_design_column(monkeypatch):
         if span["name"] == "spaces.sample":
             draws[span["parent"]] = draws.get(span["parent"], 0) + span["counts"]["spaces.draws"]
     designs = [span["id"] for span in spans if span["name"] == "pickfreeze.design"]
-    # two inputs drawn for x and one complement column for x': 3n per subset
-    assert sorted(draws) == designs and set(draws.values()) == {3 * n}
+    # one design for the run: two inputs drawn for x and, for x', the union
+    # of the two subsets' complements, which is both inputs: 4n
+    assert sorted(draws) == designs and len(designs) == 1 and set(draws.values()) == {4 * n}
     assert sum(span["name"] == "oracle.quadrature" for span in spans) == 2

@@ -18,6 +18,7 @@ from vecsobol import (
     InputSpace,
     SubsetIndex,
     VectorModel,
+    estimate_index,
     evaluate_pairs,
     generate_design,
     get_model,
@@ -131,6 +132,9 @@ MALFORMED = [
     # the full group's estimate is 1 in every replicate, so it has no spread to study
     ("replications: subset [1, 2]", "model: sum_prod\nsubsets: [[1], [1, 2]]\noracle: auto\n"
      "replications: 200\n"),
+    # sample mode has no model, so the message names the outputs only
+    ("matrix: is 3x3 but the outputs have 2 components",
+     "sample: PAIRS\nmatrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"),
 ]
 
 # (field, config; PAIRS stands for a valid sample file of 5 pairs): a sample
@@ -419,6 +423,82 @@ class TestRun:
         assert report.subsets[0].ci_low <= report.subsets[0].estimate
 
 
+def _recording_model(in_dims):
+    """A two-output model that keeps a copy of every input block it evaluates."""
+    blocks = []
+
+    def record(x):
+        blocks.append(x.copy())
+        return np.stack([x.sum(axis=1), np.prod(x, axis=1)], axis=1)
+
+    return VectorModel(in_dims=in_dims, out_dims=2, kind="builtin", eval_fn=record), blocks
+
+
+MARGINALS = [spaces.Uniform(-1, 2), spaces.Normal(3, 0.5), spaces.Discrete((0.0, 1.0, 4.0), (0.2, 0.3, 0.5))]
+
+
+@st.composite
+def _runs(draw):
+    """A mixed space of 1-4 inputs and 1-4 subsets of it."""
+    marginals = draw(st.lists(st.sampled_from(MARGINALS), min_size=1, max_size=4))
+    p = len(marginals)
+    groups = st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)
+    subsets = [SubsetIndex(tuple(g), p) for g in draw(st.lists(groups, min_size=1, max_size=4))]
+    return InputSpace(tuple(marginals)), subsets, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSharedDesign:
+    """run() draws one design for all its subsets and evaluates f(x) once."""
+
+    @pytest.mark.parametrize("subsets", [[[1]], [[1], [2]], [[1], [2], [3], [4], [5], [6], [1, 2]]],
+                             ids=["s1", "s2", "s7"])
+    def test_a_run_evaluates_one_plus_s_times_n_rows(self, subsets):
+        n = 300
+        model, blocks = _recording_model(6)
+        subsets = [SubsetIndex.from_one_based(u, 6) for u in subsets]
+        run(RunConfig(model, InputSpace.uniform(6), subsets, n, 4))
+        assert [len(b) for b in blocks] == [n] * (1 + len(subsets))
+
+    def test_one_subset_run_is_its_generate_design_sample(self):
+        model = get_model("sum_prod")
+        config = parse_config("model: sum_prod\nsubsets: [[2]]\nn: 3000\nseed: 21\n")
+        design_ss = cli._subset_seed_streams(config)[0][0]
+        design = generate_design(config.space, config.subsets[0], config.n, design_ss)
+        expected = estimate_index(evaluate_pairs(model, design))
+        assert run(config).subsets[0].estimate == expected
+
+    def test_each_estimate_is_its_subset_design_sample(self):
+        config = parse_config(
+            "model: {name: linear, params: {matrix: [[1, 2, 0.5], [0, -1, 3]]}}\n"
+            "subsets: [[1], [2, 3], [1, 2, 3], [3]]\nn: 2000\nseed: 8\n"
+        )
+        report = run(config)
+        for i, rec in enumerate(report.subsets):
+            sample = evaluate_pairs(config.model, cli.subset_design(config, i))
+            assert rec.estimate == estimate_index(sample)
+        assert report.subsets[2].estimate == 1.0  # the full group
+
+    def test_subset_designs_share_the_base_rows(self):
+        config = parse_config("model: sum_prod\nsubsets: [[1], [2]]\nn: 50\nseed: 3\n")
+        first, second = (cli.subset_design(config, i) for i in range(2))
+        assert np.array_equal(first.x, second.x)
+        assert np.array_equal(first.x_u[:, 0], first.x[:, 0])
+        assert np.array_equal(second.x_u[:, 1], second.x[:, 1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_runs())
+    def test_run_evaluates_exactly_the_subset_design_rows(self, case):
+        space, subsets, seed = case
+        n = 40
+        model, blocks = _recording_model(space.dims)
+        config = RunConfig(model, space, subsets, n, seed)
+        run(config)
+        views = [cli.subset_design(config, i) for i in range(len(subsets))]
+        requested = {tuple(row) for v in views for block in (v.x, v.x_u) for row in block}
+        assert sum(len(b) for b in blocks) == (1 + len(subsets)) * n
+        assert {tuple(row) for b in blocks for row in b} == requested
+
+
 class TestReports:
     def _report(self):
         config = parse_config(MINIMAL + "oracle: auto\nci: delta\n")
@@ -469,11 +549,13 @@ class TestMain:
         reason="needs CPU affinity and at least two CPUs",
     )
     def test_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
-        # n is above the threshold, so the unpinned run fills its columns on threads
+        # n is above the threshold, so the unpinned run fills its columns on
+        # threads; in the second run the shared x' redraws the union of the
+        # subsets' complements, inputs 1-4 of 5
         n = spaces._PARALLEL_MIN_DRAWS + 1
-        config = tmp_path / "run.yaml"
-        config.write_text(f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nseed: 13\n"
-                          "oracle: auto\nci: delta\n")
+        runs = [("sum_prod", "[[1], [2]]"),
+                ("{name: linear, params: {matrix: [[1, 2, 0, -1, 0.5], [0, 1, 3, 1, -2]]}}",
+                 "[[5], [2, 5], [1, 3, 5]]")]
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -481,29 +563,33 @@ class TestMain:
         # sums with it; hold it fixed so only the column draws see the pin
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
-        outs = []
-        for pin in (True, False):
-            out = tmp_path / f"pinned-{pin}.json"
-            code = (
-                "import concurrent.futures, os, sys\n"
-                f"if {pin}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})\n"
-                "opened = []\n"
-                "class Recording(concurrent.futures.ThreadPoolExecutor):\n"
-                "    def __init__(self, *args, **kwargs):\n"
-                "        opened.append(args)\n"
-                "        super().__init__(*args, **kwargs)\n"
-                "concurrent.futures.ThreadPoolExecutor = Recording\n"
-                "from vecsobol.cli import main\n"
-                f"rc = main(['--config', {str(config)!r}, '--output', {str(out)!r}, "
-                "'--reproducible'])\n"
-                "print('threaded' if opened else 'serial')\n"
-                "sys.exit(rc)\n"
-            )
-            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, check=True)
-            assert proc.stdout.split()[-1] == ("serial" if pin else "threaded")
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        for i, (model, subsets) in enumerate(runs):
+            config = tmp_path / f"run-{i}.yaml"
+            config.write_text(f"model: {model}\nsubsets: {subsets}\nn: {n}\nseed: 13\n"
+                              "oracle: auto\nci: delta\n")
+            outs = []
+            for pin in (True, False):
+                out = tmp_path / f"pinned-{pin}-{i}.json"
+                code = (
+                    "import concurrent.futures, os, sys\n"
+                    f"if {pin}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})\n"
+                    "opened = []\n"
+                    "class Recording(concurrent.futures.ThreadPoolExecutor):\n"
+                    "    def __init__(self, *args, **kwargs):\n"
+                    "        opened.append(args)\n"
+                    "        super().__init__(*args, **kwargs)\n"
+                    "concurrent.futures.ThreadPoolExecutor = Recording\n"
+                    "from vecsobol.cli import main\n"
+                    f"rc = main(['--config', {str(config)!r}, '--output', {str(out)!r}, "
+                    "'--reproducible'])\n"
+                    "print('threaded' if opened else 'serial')\n"
+                    "sys.exit(rc)\n"
+                )
+                proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                     text=True, check=True)
+                assert proc.stdout.split()[-1] == ("serial" if pin else "threaded")
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
 
     @pytest.mark.skipif(_cpu_count() < 2, reason="needs at least two CPUs")
     @pytest.mark.parametrize("config", [BLAS_DELTA_WEIGHTED, BLAS_BOOTSTRAP], ids=["delta-weighted", "bootstrap"])
@@ -702,19 +788,22 @@ class TestMain:
         assert "grid has 9 nodes, above the cap of 8" in capsys.readouterr().err
 
     def _tabulated_config(self, tmp_path, extra=""):
-        # tabulate every row the run will ask for, then drive it from the table
+        # tabulate every row the run will ask for, then drive it from the table;
+        # both subsets' views hold the shared base rows, so those rows repeat
         from vecsobol.cli import subset_design
 
         table = tmp_path / "table.csv"
         config_text = (
             "model: {external: %s}\n"
             "space: [{kind: uniform}, {kind: uniform}]\n"
-            "subsets: [[1]]\nn: 400\nseed: 13\n" % table
+            "subsets: [[1], [2]]\nn: 400\nseed: 13\n" % table
         ) + extra
         model = get_model("sum_prod")
         table.write_text("x1,x2,y1,y2\n0,0,0,0\n")  # placeholder so parsing succeeds
-        design = subset_design(parse_config(config_text), 0)
-        xs = np.vstack([design.x, design.x_u])
+        config = parse_config(config_text)
+        designs = [subset_design(config, i) for i in range(len(config.subsets))]
+        xs = np.vstack([block for d in designs for block in (d.x, d.x_u)])
+        assert len(np.unique(xs, axis=0)) == 3 * 400  # (1 + s) n distinct rows
         ys = model.evaluate(xs)
         rows = ["x1,x2,y1,y2"] + [
             ",".join(repr(float(v)) for v in (*x, *y)) for x, y in zip(xs, ys)
@@ -730,8 +819,8 @@ class TestMain:
         out = tmp_path / "r.json"
         assert main(["--config", str(config), "--output", str(out), "--reproducible"]) == EXIT_OK
         tree = json.loads(out.read_text())
-        direct = run(parse_config("model: sum_prod\nsubsets: [[1]]\nn: 400\nseed: 13\n"))
-        assert tree["subsets"][0]["estimate"] == direct.subsets[0].estimate
+        direct = run(parse_config("model: sum_prod\nsubsets: [[1], [2]]\nn: 400\nseed: 13\n"))
+        assert [s["estimate"] for s in tree["subsets"]] == [s.estimate for s in direct.subsets]
 
     def test_external_model_has_no_oracle(self, tmp_path, capsys):
         # a table answers only its own rows, not the quadrature nodes

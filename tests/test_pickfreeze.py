@@ -20,6 +20,7 @@ from vecsobol import (
     estimate_index,
     estimate_index_general,
     evaluate_pairs,
+    evaluate_shared,
     generate_design,
     get_model,
     linear_model,
@@ -385,6 +386,68 @@ class TestFrozenMix:
         assert np.array_equal(design.x_u[:, [1, 3]], design.x[:, [1, 3]])
         assert np.array_equal(design.x_u[:, [0, 2, 4]], design.x_prime)
         assert not np.array_equal(design.x_u[:, [0, 2, 4]], design.x[:, [0, 2, 4]])
+
+
+class TestSharedDesign:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_second_blocks_match_column_assignment(self, data):
+        p = data.draw(st.integers(1, 6))
+        groups = st.lists(st.integers(0, p - 1), min_size=1, unique=True)
+        subsets = [SubsetIndex(tuple(g), p) for g in data.draw(st.lists(groups, min_size=1, max_size=4))]
+        design = generate_design(InputSpace.uniform(p), subsets, 5, data.draw(st.integers(0, 2**32 - 1)))
+        assert design.redrawn == tuple(sorted(set().union(*(u.complement for u in subsets))))
+        for u in subsets:
+            expected = design.x.copy()
+            for j in u.complement:
+                expected[:, j] = design.x_prime[:, design.redrawn.index(j)]
+            assert design.x_u(u).tobytes() == expected.tobytes()
+            view = design.design(u)
+            assert view.x is design.x and view.x_u.tobytes() == expected.tobytes()
+
+    def test_one_group_holds_the_bytes_of_its_design(self):
+        u = SubsetIndex((1, 3), 5)
+        one = generate_design(InputSpace.uniform(5), u, 50, 4)
+        shared = generate_design(InputSpace.uniform(5), [u], 50, 4)
+        assert one.x.tobytes() == shared.x.tobytes()
+        assert one.x_prime.tobytes() == shared.x_prime.tobytes()
+
+    def test_samples_share_one_base_output(self):
+        model = get_model("sum_prod")
+        subsets = [U1, SubsetIndex((1,), 2), SubsetIndex((0, 1), 2)]
+        design = generate_design(model.space(), subsets, 100, 6)
+        samples = list(evaluate_shared(model, design))
+        assert [s.subset for s in samples] == subsets
+        assert all(s.y is samples[0].y for s in samples)
+        for u, sample in zip(subsets, samples):
+            assert np.array_equal(sample.y_u, model.evaluate(design.x_u(u)))
+        assert estimate_index(samples[2]) == 1.0
+
+    def test_one_second_block_is_alive_at_a_time(self):
+        # while a group is evaluated, memory holds the shared output, the
+        # previous group's output, and this group's second block and output
+        n, k, p = 200_000, 4, 6
+        model = linear_model(np.random.default_rng(5).standard_normal((k, p)))
+        design = generate_design(model.space(), [SubsetIndex((j,), p) for j in range(p)], n, 3)
+        tracemalloc.start()
+        try:
+            for sample in evaluate_shared(model, design):
+                del sample
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (3 * k + p) + 2**20
+
+    def test_contracts(self):
+        with pytest.raises(ContractError, match="at least one subset"):
+            generate_design(InputSpace.uniform(2), [], 10, 3)
+        with pytest.raises(ContractError):
+            generate_design(InputSpace.uniform(3), [SubsetIndex((0,), 3), U1], 10, 3)
+        design = generate_design(InputSpace.uniform(2), [U1], 10, 3)
+        with pytest.raises(ContractError):
+            next(evaluate_shared(get_model("u_only", dims=3), design))
+        with pytest.raises(ContractError, match=r"subset \[2\] frees inputs"):
+            design.x_u(SubsetIndex((1,), 2))
 
 
 class TestBlockedKernel:
