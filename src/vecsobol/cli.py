@@ -491,9 +491,13 @@ def _samples(config: RunConfig):
         return
     # the first subset's time includes the shared draw and the shared f(x)
     started = time.perf_counter()
-    samples = evaluate_shared(config.model, _shared_design(config))
-    for sample, (_, ci_ss, rep_ss) in zip(samples, _subset_seed_streams(config)):
+    streams = iter(_subset_seed_streams(config))
+    # not zip or enumerate: their cached result tuple would keep the previous
+    # sample alive while evaluate_shared builds the next second block
+    for sample in evaluate_shared(config.model, _shared_design(config)):
+        _, ci_ss, rep_ss = next(streams)
         yield sample.subset, sample, ci_ss, rep_ss, started
+        del sample
         started = time.perf_counter()
 
 
@@ -556,6 +560,7 @@ def run(config: RunConfig) -> RunReport:
         if not config.reproducible:
             result.elapsed_s = time.perf_counter() - t0
         results.append(result)
+        del sample  # dropped before the next subset's second block is built
 
     report = RunReport(
         schema=1,

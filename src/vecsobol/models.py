@@ -30,6 +30,10 @@ class VectorModel:
     matrices give identical output matrices. ``kind`` picks the exact oracle
     route (``cli.resolve_oracle``): the closed form in ``matrix`` for 'linear',
     none for an 'external' table, the grid otherwise.
+
+    Designs are held column by column, so eval_fn may receive a
+    Fortran-ordered n-by-p array; one that needs C-ordered rows should call
+    ``np.ascontiguousarray`` on it.
     """
 
     in_dims: int

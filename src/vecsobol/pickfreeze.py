@@ -91,7 +91,8 @@ class SharedDesign:
     (A, A_u) is a standard pick-freeze pair and f(A) is evaluated once for
     all of them. Only the correlation between the groups' estimates differs
     from independent designs. With one group, B is that group's
-    PickFreezeDesign.x_prime, drawn from the same seed.
+    PickFreezeDesign.x_prime, drawn from the same seed. Drawn designs and
+    their second blocks are column-major (Fortran-ordered) n-by-p arrays.
     """
 
     x: np.ndarray  # (n, p)
@@ -265,21 +266,25 @@ def _frozen_mix(
     column order, copied run by run of adjacent columns from one source.
     Complement column complement[i] is x_prime's column columns[i] (by
     default i); x_prime keeps its columns in input order, so a run of
-    adjacent complement columns is a run of adjacent x_prime columns."""
+    adjacent complement columns is a run of adjacent x_prime columns.
+
+    The result is built as a p-by-n array and returned as its transpose,
+    like a drawn sample, so a run is one contiguous block copy when x and
+    x_prime are column-major as ``sample_marginals`` returns them."""
     n, p = x.shape
     column = dict(zip(complement, range(len(complement)) if columns is None else columns))
-    mixed = np.empty((n, p))
+    mixed = np.empty((p, n))
     start = 0
     for stop in range(1, p + 1):
         if stop < p and (stop in column) == (start in column):
             continue
         if start in column:
             first = column[start]
-            mixed[:, start:stop] = x_prime[:, first : first + stop - start]
+            mixed[start:stop] = x_prime.T[first : first + stop - start]
         else:
-            mixed[:, start:stop] = x[:, start:stop]
+            mixed[start:stop] = x.T[start:stop]
         start = stop
-    return mixed
+    return mixed.T
 
 
 def evaluate_pairs(model: VectorModel, design: PickFreezeDesign) -> PickFreezeSample:
@@ -292,7 +297,9 @@ def evaluate_shared(model: VectorModel, design: SharedDesign) -> Iterator[PickFr
     groups' samples in order, which all hold that one Y.
 
     (1 + s) n rows are evaluated for s groups. Only one second block is
-    alive at a time: each is dropped as soon as its outputs are taken.
+    alive at a time: each is dropped as soon as its outputs are taken, and
+    a group's sample is dropped here before the next block is built, so a
+    caller that drops it too holds one group's outputs at a time.
     """
     if model.in_dims != design.x.shape[1]:
         raise ContractError(
@@ -309,6 +316,7 @@ def evaluate_shared(model: VectorModel, design: SharedDesign) -> Iterator[PickFr
             sample = PickFreezeSample(y, y_u, subset)
         del x_u, y_u, inputs
         yield sample
+        del sample  # else it, and its y_u, outlive the next second block's build
 
 
 def _fresh(out: np.ndarray, *held: np.ndarray) -> bool:

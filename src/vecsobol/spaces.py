@@ -3,7 +3,10 @@
 The joint input law is always a product of one-dimensional marginals.
 Sampling is counter-based (Philox) and draws every coordinate from its own
 spawned stream, so a sample matrix is a pure function of (space, n, seed)
-and per-column draws are independent by construction.
+and per-column draws are independent by construction. A sample is held
+column by column: each coordinate's n draws are one contiguous run of
+memory, and the n-by-p matrix handed out is the transpose of that p-by-n
+array (Fortran order), the layout the pick-freeze designs keep.
 
 Because no column shares a stream with another, columns of at least
 _PARALLEL_MIN_DRAWS draws are filled concurrently, on threads started for
@@ -254,16 +257,21 @@ def _available_cpus() -> int:
 def sample_marginals(
     marginals: tuple[Marginal, ...], n: int, seedseq: np.random.SeedSequence
 ) -> np.ndarray:
-    """Sample an n-by-len(marginals) matrix, one spawned stream per column."""
+    """Sample an n-by-len(marginals) matrix, one spawned stream per column.
+
+    Each column is written as one contiguous row of a len(marginals)-by-n
+    array, and the matrix returned is that array's transpose: Fortran
+    ordered, with ``.T`` C-contiguous. The values do not depend on the layout.
+    """
     if n < 1:
         raise ContractError(f"sample size must be >= 1, got {n}")
     if len(marginals) == 0:
         return np.empty((n, 0))
-    cols = np.empty((n, len(marginals)))
+    rows = np.empty((len(marginals), n))
     children = seedseq.spawn(len(marginals))
 
     def fill(j: int) -> None:
-        cols[:, j] = marginals[j].sample(_generator(children[j]), n)
+        rows[j] = marginals[j].sample(_generator(children[j]), n)
 
     threads = min(_available_cpus(), len(marginals)) if n >= _PARALLEL_MIN_DRAWS else 1
     if threads > 1:
@@ -275,7 +283,7 @@ def sample_marginals(
     else:
         for j in range(len(marginals)):
             fill(j)
-    return cols
+    return rows.T
 
 
 def sample_inputs(space: InputSpace, n: int, seed: SeedLike) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from vecsobol import (
     DegenerateModelError,
     DegenerateSampleError,
     InputSpace,
+    PickFreezeSample,
     SubsetIndex,
     VectorModel,
     estimate_index,
@@ -477,6 +479,45 @@ class TestSharedDesign:
             sample = evaluate_pairs(config.model, cli.subset_design(config, i))
             assert rec.estimate == estimate_index(sample)
         assert report.subsets[2].estimate == 1.0  # the full group
+
+    def test_each_estimate_is_its_row_major_subset_design_sample(self):
+        # run() holds its design column-major; on C-ordered copies of each
+        # subset's design the estimate is the same, bit for bit
+        config = parse_config(
+            "model: {name: linear, params: {matrix: [[1, -2, 0.5, 3], [0.25, 1, -1.5, 2], "
+            "[2, 0, 1, -1]]}}\n"
+            f"space: [{{kind: uniform, low: -1, high: 2}}, {{kind: normal, mean: 3, sd: 0.5}}, "
+            f"{COIN}, {{kind: uniform}}]\n"
+            "subsets: [[1], [2, 3], [4]]\nn: 3000\nseed: 12\n"
+        )
+        report = run(config)
+        for i, rec in enumerate(report.subsets):
+            design = cli.subset_design(config, i)
+            y = config.model.evaluate(np.ascontiguousarray(design.x))
+            y_u = config.model.evaluate(np.ascontiguousarray(design.x_u))
+            assert rec.estimate == estimate_index(PickFreezeSample(y, y_u))
+
+    def test_a_run_holds_one_second_block_at_a_time(self):
+        # while a subset is evaluated, memory holds the design (x and the
+        # redrawn columns), the shared output, and this subset's second block
+        # and output; the previous subset's sample is gone
+        n, k, p = 200_000, 4, 6
+        matrix = np.random.default_rng(5).standard_normal((k, p)).round(3).tolist()
+        config = config_from_tree({
+            "model": {"name": "linear", "params": {"matrix": matrix}},
+            "subsets": [[j] for j in range(1, p + 1)] + [[1, 2]],
+            "n": n, "seed": 7, "ci": "delta", "oracle": "auto",
+            "matrix": np.diag([1.0, 2.0, 3.0, 4.0]).tolist(),
+        })
+        config.reproducible = True
+        tracemalloc.start()
+        try:
+            run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        redrawn = p  # the first-order subsets free every input
+        assert peak < 8 * n * (2 * p + redrawn + 2 * k) + 2**20
 
     def test_subset_designs_share_the_base_rows(self):
         config = parse_config("model: sum_prod\nsubsets: [[1], [2]]\nn: 50\nseed: 3\n")

@@ -40,6 +40,40 @@ def test_eval_is_bit_stable():
     assert np.array_equal(model.evaluate(x), model.evaluate(x.copy()))
 
 
+# one instance of every corpus entry, with parameters that make each do real work
+LAYOUT_CORPUS = {
+    "identity_2": {},
+    "linear": {"matrix": [[1.5, -2.0, 0.25, 3.0, 1.0], [0.5, 1.0, -1.0, 2.0, -0.75]]},
+    "sum_prod": {},
+    "u_only": {"dims": 5, "coords": (0, 2, 3, 4)},
+    "constant": {"values": (1.0, -2.0, 3.5), "dims": 4},
+}
+
+
+def _layout_pair(model, n, seed):
+    """One design for the model as C- and Fortran-ordered copies."""
+    x = sample_inputs(model.space(), n, seed)
+    return np.ascontiguousarray(x), np.asfortranarray(x)
+
+
+@pytest.mark.parametrize("n", [7, 50_000])
+def test_outputs_do_not_depend_on_the_input_layout(tmp_path, n):
+    assert set(LAYOUT_CORPUS) == set(corpus_names())
+    models = [get_model(name, **params) for name, params in LAYOUT_CORPUS.items()]
+    sum_prod = get_model("sum_prod")
+    models.append(apply_transform(sum_prod, [[2.0, -1.0], [0.5, 3.0]]))
+    c_rows, f_rows = _layout_pair(sum_prod, n, 11)
+    table = tmp_path / "table.csv"
+    np.savetxt(table, np.hstack([c_rows, sum_prod.evaluate(c_rows)]), fmt="%.17g",
+               delimiter=",", header="x1,x2,y1,y2", comments="")
+    external = load_external_model(str(table))
+    cases = [(model, *_layout_pair(model, n, 11)) for model in models]
+    cases.append((external, c_rows, f_rows))
+    for model, c_x, f_x in cases:
+        assert c_x.flags.c_contiguous and f_x.flags.f_contiguous
+        assert model.evaluate(f_x).tobytes() == model.evaluate(c_x).tobytes(), model.name
+
+
 def test_eval_dimension_contract():
     model = get_model("sum_prod")
     with pytest.raises(ContractError):

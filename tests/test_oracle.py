@@ -459,6 +459,25 @@ class TestMonteCarloOracle:
         assert mc.identity_defect() <= 1e-12  # holds by construction
         assert mc.method == "monte_carlo"
 
+    @pytest.mark.parametrize("model", [
+        linear_model([[1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.5, 2.0], [2.0, 0.0, 1.0, -1.0]],
+                     InputSpace((Uniform(-1, 2), Normal(3, 0.5), Discrete((0.0, 1.0), (0.4, 0.6)),
+                                 Uniform(0, 1)))),
+        get_model("sum_prod"),
+    ], ids=["linear", "sum_prod"])
+    def test_triple_does_not_depend_on_the_draw_layout(self, monkeypatch, model):
+        # draws come column-major; the triple is the one row-major draws give
+        from vecsobol import oracle
+
+        subset = SubsetIndex((0,), model.in_dims)
+        got = covariances_monte_carlo(model, model.space(), subset, 20_000, seed=5)
+        draw = oracle.sample_marginals
+        monkeypatch.setattr(oracle, "sample_marginals",
+                            lambda *args: np.ascontiguousarray(draw(*args)))
+        row_major = covariances_monte_carlo(model, model.space(), subset, 20_000, seed=5)
+        for part in ("total", "subset", "complement", "interaction"):
+            assert getattr(got, part).tobytes() == getattr(row_major, part).tobytes()
+
     def test_seed_disjoint_from_estimator_streams(self):
         from vecsobol import evaluate_pairs, generate_design
 

@@ -392,16 +392,22 @@ class TestSharedDesign:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_second_blocks_match_column_assignment(self, data):
-        p = data.draw(st.integers(1, 6))
+        # in the design's column-major layout and on C-ordered copies alike
+        p = data.draw(st.integers(1, 8))
         groups = st.lists(st.integers(0, p - 1), min_size=1, unique=True)
         subsets = [SubsetIndex(tuple(g), p) for g in data.draw(st.lists(groups, min_size=1, max_size=4))]
-        design = generate_design(InputSpace.uniform(p), subsets, 5, data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(2, 40))
+        design = generate_design(InputSpace.uniform(p), subsets, n, data.draw(st.integers(0, 2**32 - 1)))
         assert design.redrawn == tuple(sorted(set().union(*(u.complement for u in subsets))))
+        assert design.x.T.flags.c_contiguous and design.x_prime.T.flags.c_contiguous
+        c_x, c_prime = np.ascontiguousarray(design.x), np.ascontiguousarray(design.x_prime)
         for u in subsets:
+            columns = [design.redrawn.index(j) for j in u.complement]
             expected = design.x.copy()
-            for j in u.complement:
-                expected[:, j] = design.x_prime[:, design.redrawn.index(j)]
-            assert design.x_u(u).tobytes() == expected.tobytes()
+            expected[:, list(u.complement)] = design.x_prime[:, columns]
+            x_u = design.x_u(u)
+            assert x_u.T.flags.c_contiguous and x_u.tobytes() == expected.tobytes()
+            assert _frozen_mix(c_x, c_prime, u.complement, columns).tobytes() == expected.tobytes()
             view = design.design(u)
             assert view.x is design.x and view.x_u.tobytes() == expected.tobytes()
 
@@ -424,8 +430,8 @@ class TestSharedDesign:
         assert estimate_index(samples[2]) == 1.0
 
     def test_one_second_block_is_alive_at_a_time(self):
-        # while a group is evaluated, memory holds the shared output, the
-        # previous group's output, and this group's second block and output
+        # while a group is evaluated, memory holds the shared output and this
+        # group's second block and output; the previous group's sample is gone
         n, k, p = 200_000, 4, 6
         model = linear_model(np.random.default_rng(5).standard_normal((k, p)))
         design = generate_design(model.space(), [SubsetIndex((j,), p) for j in range(p)], n, 3)
@@ -436,7 +442,7 @@ class TestSharedDesign:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * (3 * k + p) + 2**20
+        assert peak < 8 * n * (2 * k + p) + 2**20
 
     def test_contracts(self):
         with pytest.raises(ContractError, match="at least one subset"):

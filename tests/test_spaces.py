@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecsobol import spaces
 from vecsobol import (
@@ -221,6 +223,27 @@ def test_concurrent_callers_draw_the_serial_designs(monkeypatch, executors):
     assert len(executors) == 8 * 20
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    laws=st.lists(st.sampled_from(MIXED.marginals), min_size=1, max_size=8),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_columns_are_contiguous_rows_of_their_own_streams(laws, n, seed):
+    marginals = tuple(laws)
+    streams = np.random.SeedSequence(seed).spawn(len(marginals))
+    expected = [m.sample(spaces._generator(s), n) for m, s in zip(marginals, streams)]
+    for threshold in (1, n + 1):  # the threaded path, then the serial one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "_PARALLEL_MIN_DRAWS", threshold)
+            mp.setattr(spaces, "_available_cpus", lambda: 3)
+            x = spaces.sample_marginals(marginals, n, np.random.SeedSequence(seed))
+        assert x.shape == (n, len(marginals))
+        assert x.T.flags.c_contiguous
+        for j, column in enumerate(expected):
+            assert x[:, j].tobytes() == column.tobytes()
 
 
 def test_worker_count_falls_back_to_cpu_count(monkeypatch):
