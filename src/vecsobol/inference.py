@@ -13,18 +13,33 @@ statistics T (pickfreeze.pair_table), so both intervals are built on T:
   fixed row chunks in order.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
-against an oracle target. No scipy at runtime: the normal quantile and
-distribution function come from statistics.NormalDist.
+against an oracle target. Each replicate's design, model evaluation and point
+estimate (with its degeneracy check) run on the calling thread, in replicate
+order. With bootstrap intervals, the replicates' resampling runs on a thread
+pool that the study opens and joins, one worker per CPU the process may run
+on, and no pool when there is one: the calling thread keeps at most twice as
+many replicates in flight as there are workers and takes their intervals in
+replicate order, so memory does not grow with the number of replicates. Each
+replicate resamples from its own Philox stream in blocks of a fixed size, so
+the report does not depend on the CPU count. Delta-method studies run on the
+calling thread alone: their cost is the moments pass there.
+
+No scipy at runtime: the normal quantile and distribution function come from
+statistics.NormalDist.
 """
 
 from __future__ import annotations
 
+import contextvars
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
+from . import spaces
 from .errors import ContractError, DegenerateSampleError
 from .models import VectorModel
 from .pickfreeze import (
@@ -178,7 +193,18 @@ def bootstrap_ci(
     _check_b_reps(b_reps)
     _check_level(level)
     value = estimate_index(sample)  # degenerate samples rejected here
+    return _percentile_interval(sample, value, b_reps, level, seed)
 
+
+def _percentile_interval(
+    sample: PickFreezeSample, value: float, b_reps: int, level: float, seed: SeedLike
+) -> IndexEstimate:
+    """The resampling half of bootstrap_ci, for a sample whose estimate is value.
+
+    clt_diagnostic runs it off the calling thread, so it calls no function
+    that bench/spans.py wraps, and it reads the moments that estimating value
+    has already cached on the sample.
+    """
     rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
     boot = _bootstrap_estimates(sample, b_reps, rng)
     alpha = 1.0 - level
@@ -193,6 +219,69 @@ def bootstrap_ci(
         n=sample.n,
         b_reps=b_reps,
     )
+
+
+def _replicate_samples(
+    model: VectorModel,
+    space: InputSpace,
+    subset: SubsetIndex,
+    n_per_rep: int,
+    reps: int,
+    root: np.random.SeedSequence,
+) -> Iterator[tuple[PickFreezeSample, np.random.SeedSequence]]:
+    """Each replicate's sample and interval seed, drawn and evaluated in order.
+
+    Replicate i's stream is root's i-th child, spawned when the study reaches
+    it, and split so that the resampling draws can never alias the design
+    draws.
+    """
+    for _ in range(reps):
+        (child,) = root.spawn(1)
+        design_ss, ci_ss = child.spawn(2)
+        yield evaluate_pairs(model, generate_design(space, subset, n_per_rep, design_ss)), ci_ss
+
+
+def _bootstrap_intervals(
+    samples: Iterator[tuple[PickFreezeSample, np.random.SeedSequence]], b_reps: int, level: float
+) -> Iterator[IndexEstimate]:
+    """The replicates' percentile intervals, in replicate order.
+
+    Each point estimate is computed here, on the calling thread, which also
+    caches the moments the resampling reads. The resampling runs on a pool
+    of one worker per available CPU, with at most twice as many replicates
+    in flight as workers; an error surfaces at the first replicate that
+    raised, as it would on one thread. With one CPU no pool is made.
+    """
+    workers = spaces._available_cpus()
+    if workers == 1:
+        for sample, ci_ss in samples:
+            yield _percentile_interval(sample, estimate_index(sample), b_reps, level, ci_ss)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="vecsobol-bootstrap")
+    in_flight = deque()
+    try:
+        while True:
+            try:
+                sample, ci_ss = next(samples)
+                value = estimate_index(sample)
+            except StopIteration:
+                break
+            except Exception:
+                for earlier in in_flight:  # an earlier replicate's error comes first
+                    earlier.result()
+                raise
+            if len(in_flight) == 2 * workers:
+                yield in_flight.popleft().result()
+            # in the caller's context, so numpy's error state follows the call
+            run = contextvars.copy_context().run
+            args = (sample, value, b_reps, level, ci_ss)
+            in_flight.append(pool.submit(run, _percentile_interval, *args))
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def clt_diagnostic(
@@ -212,6 +301,12 @@ def clt_diagnostic(
     Reports the Kolmogorov-Smirnov distance between the standardized
     estimates and the standard normal, and the fraction of per-replicate
     confidence intervals that contain the oracle target.
+
+    Designs, model evaluations and point estimates run on the calling thread,
+    in replicate order. Bootstrap resampling runs on a thread pool opened for
+    the study and joined before it returns or raises, with at most twice as
+    many replicates in flight as workers; delta intervals are computed on the
+    calling thread. The report does not depend on the number of CPUs.
     """
     if reps < 200:
         raise ContractError(f"replication study needs reps >= 200, got {reps}")
@@ -226,23 +321,18 @@ def clt_diagnostic(
     if ci_method == "bootstrap":
         _check_b_reps(b_reps)
 
-    root = as_seed_sequence(seed)
-    children = root.spawn(reps)
+    samples = _replicate_samples(model, space, subset, n_per_rep, reps, as_seed_sequence(seed))
+    if ci_method == "delta":
+        intervals = (delta_ci(sample, ci_level) for sample, _ in samples)
+    else:
+        intervals = _bootstrap_intervals(samples, b_reps, ci_level)
     estimates = np.empty(reps)
     covered = 0
-    for i, child in enumerate(children):
-        # split each replicate stream so the resampling draws can never
-        # alias the design draws
-        design_ss, ci_ss = child.spawn(2)
-        design = generate_design(space, subset, n_per_rep, design_ss)
-        sample = evaluate_pairs(model, design)
-        if ci_method == "delta":
-            est = delta_ci(sample, ci_level)
-        else:
-            est = bootstrap_ci(sample, b_reps, ci_level, ci_ss)
-        estimates[i] = est.value
-        if est.ci_low <= target <= est.ci_high:
-            covered += 1
+    with closing(intervals):  # joins the pool even if this loop is left early
+        for i, est in enumerate(intervals):
+            estimates[i] = est.value
+            if est.ci_low <= target <= est.ci_high:
+                covered += 1
 
     std = float(np.std(estimates, ddof=1))
     if std == 0.0:

@@ -35,6 +35,7 @@ from .errors import (
     ResourceError,
 )
 from .models import VectorModel
+from .pickfreeze import _frozen_mix
 from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence, sample_marginals
 
 MAX_GRID_NODES = 10_000_000
@@ -497,12 +498,9 @@ def covariances_monte_carlo(
     x = sample_marginals(space.marginals, n, ss_x)
     x2 = sample_marginals(space.marginals, n, ss_x2)
 
-    comp = list(subset.complement)
-    sub = list(subset.indices)
-    x_mix_sub = x.copy()
-    x_mix_sub[:, comp] = x2[:, comp]  # keep subset, redraw complement
-    x_mix_comp = x.copy()
-    x_mix_comp[:, sub] = x2[:, sub]  # keep complement, redraw subset
+    # column-major, as drawn: each run of columns is one contiguous block copy
+    x_mix_sub = _frozen_mix(x, x2, subset.complement, list(subset.complement))  # redraw complement
+    x_mix_comp = _frozen_mix(x, x2, subset.indices, list(subset.indices))  # redraw subset
 
     y = model.evaluate(x)
     y_sub = model.evaluate(x_mix_sub)

@@ -8,12 +8,12 @@ column by column: each coordinate's n draws are one contiguous run of
 memory, and the n-by-p matrix handed out is the transpose of that p-by-n
 array (Fortran order), the layout the pick-freeze designs keep.
 
-Because no column shares a stream with another, columns of at least
-_PARALLEL_MIN_DRAWS draws are filled concurrently, on threads started for
-the call and joined before it returns, up to one per CPU this process may
-run on (numpy releases the GIL while it generates). Every column comes from
-the same stream either way, so results do not depend on the number of
-threads.
+Because no column shares a stream with another, the columns of a sample of
+at least _PARALLEL_MIN_DRAWS draws in all (rows times columns) are filled
+concurrently, on threads started for the call and joined before it returns,
+up to one per CPU this process may run on (numpy releases the GIL while it
+generates). Every column comes from the same stream either way, so results
+do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -238,12 +238,20 @@ class SubsetIndex:
         return tuple(i + 1 for i in self.indices)
 
 
-# Draws per column from which columns are filled concurrently. It is the
-# break-even of the cheapest law with threads started for each call: two
-# uniform columns took a median 3.8 ms serially and 3.4 ms on two threads at
-# 2^17 draws, but 1.9 ms against 2.3 ms at 2^16 (2-vCPU host). A property of
-# the input only, so small designs such as a replication study's stay serial.
-_PARALLEL_MIN_DRAWS = 2**17
+# Draws in all (rows times columns) from which columns are filled
+# concurrently, with threads started for each call. Uniform columns, the
+# cheapest law, on a 2-vCPU host; medians of 300 alternating serial/threaded
+# pairs, threaded second:
+#   2 columns: 2^18 draws 1.73 / 2.04 ms | 3 * 2^17 3.54 / 2.78 | 2^19 5.33 / 3.70
+#   4 columns: 2^18 draws 2.74 / 2.21 ms | 3 * 2^17 4.61 / 3.26 | 2^19 5.95 / 4.11
+#   6 columns: 2^18 draws 3.55 / 2.91 ms | 3 * 2^17 5.41 / 5.09 | 2^19 7.24 / 5.32
+# At 2^17 draws threads won under 10% of 200 pairs for 2, 3 and 6 columns.
+# At 2^18 two columns are about even (threads won 4% and 42% of pairs in two
+# runs) and wider samples gain, so the threshold sits there; two columns
+# start threads at 2^17 rows, as when the threshold counted draws per column.
+# A property of the input only, so small designs such as a replication
+# study's stay serial.
+_PARALLEL_MIN_DRAWS = 2**18
 
 
 def _available_cpus() -> int:
@@ -273,7 +281,8 @@ def sample_marginals(
     def fill(j: int) -> None:
         rows[j] = marginals[j].sample(_generator(children[j]), n)
 
-    threads = min(_available_cpus(), len(marginals)) if n >= _PARALLEL_MIN_DRAWS else 1
+    draws = n * len(marginals)
+    threads = min(_available_cpus(), len(marginals)) if draws >= _PARALLEL_MIN_DRAWS else 1
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -48,9 +48,10 @@ def test_traced_run_records_the_closed_form_oracle():
 
 
 def test_traced_parallel_draws_count_every_design_column(monkeypatch):
-    # at the threshold on two CPUs the design columns are filled on threads;
-    # the tracer still reads n and the marginals off sample_marginals' arguments
-    n = spaces._PARALLEL_MIN_DRAWS
+    # at the threshold of two columns on two CPUs the design columns are filled
+    # on threads; the tracer still reads n and the marginals off
+    # sample_marginals' arguments
+    n = spaces._PARALLEL_MIN_DRAWS // 2
     monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
     report, spans = _traced_run(
         f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nseed: 1\noracle: auto\n"
@@ -65,3 +66,25 @@ def test_traced_parallel_draws_count_every_design_column(monkeypatch):
     # of the two subsets' complements, which is both inputs: 4n
     assert sorted(draws) == designs and len(designs) == 1 and set(draws.values()) == {4 * n}
     assert sum(span["name"] == "oracle.quadrature" for span in spans) == 2
+
+
+def test_traced_bootstrap_study_keeps_its_spans_on_the_calling_thread(monkeypatch):
+    # the replicates' resampling runs on the study's pool and records no span;
+    # every span is recorded on the calling thread and nests in its parent
+    monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+    reps = 200
+    report, spans = _traced_run(
+        "model: sum_prod\nsubsets: [[1]]\nn: 300\nseed: 3\noracle: auto\n"
+        f"ci: {{kind: bootstrap, reps: 200}}\nreplications: {reps}\n"
+    )
+    assert report.subsets[0].replication["reps"] == reps
+    names = [span["name"] for span in spans]
+    assert names.count("inference.bootstrap") == 1 and names.count("inference.replication") == 1
+    (study,) = [span["id"] for span in spans if span["name"] == "inference.replication"]
+    designs = [span for span in spans if span["name"] == "pickfreeze.design"]
+    assert sum(span["parent"] == study for span in designs) == reps
+    by_id = {span["id"]: span for span in spans}
+    for span in spans:
+        if span["parent"] is not None:
+            parent = by_id[span["parent"]]
+            assert parent["start"] <= span["start"] <= span["end"] <= parent["end"]

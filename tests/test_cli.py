@@ -590,24 +590,27 @@ class TestMain:
         reason="needs CPU affinity and at least two CPUs",
     )
     def test_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
-        # n is above the threshold, so the unpinned run fills its columns on
-        # threads; in the second run the shared x' redraws the union of the
-        # subsets' complements, inputs 1-4 of 5
-        n = spaces._PARALLEL_MIN_DRAWS + 1
-        runs = [("sum_prod", "[[1], [2]]"),
-                ("{name: linear, params: {matrix: [[1, 2, 0, -1, 0.5], [0, 1, 3, 1, -2]]}}",
-                 "[[5], [2, 5], [1, 3, 5]]")]
+        # In the first two runs n is above the threshold of two columns, so the
+        # unpinned run fills its columns on threads; in the second run the
+        # shared x' redraws the union of the subsets' complements, inputs 1-4
+        # of 5. The third is a replication study with bootstrap intervals,
+        # whose resampling runs on the study's pool when it is unpinned.
+        n = spaces._PARALLEL_MIN_DRAWS // 2 + 1
+        runs = [f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nci: delta\n",
+                "model: {name: linear, params: {matrix: [[1, 2, 0, -1, 0.5], [0, 1, 3, 1, -2]]}}\n"
+                f"subsets: [[5], [2, 5], [1, 3, 5]]\nn: {n}\nci: delta\n",
+                "model: sum_prod\nsubsets: [[1]]\nn: 100\nci: {kind: bootstrap, reps: 200}\n"
+                "replications: 200\n"]
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         # BLAS sizes its own thread count from the CPUs and may reorder its
-        # sums with it; hold it fixed so only the column draws see the pin
+        # sums with it; hold it fixed so only the package's threads see the pin
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
-        for i, (model, subsets) in enumerate(runs):
+        for i, run in enumerate(runs):
             config = tmp_path / f"run-{i}.yaml"
-            config.write_text(f"model: {model}\nsubsets: {subsets}\nn: {n}\nseed: 13\n"
-                              "oracle: auto\nci: delta\n")
+            config.write_text(run + "seed: 13\noracle: auto\n")
             outs = []
             for pin in (True, False):
                 out = tmp_path / f"pinned-{pin}-{i}.json"

@@ -1,7 +1,10 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from vecsobol import (
     get_model,
     linear_model,
 )
-from vecsobol import inference
+from vecsobol import DegenerateSampleError, inference, spaces
 from vecsobol.inference import _bootstrap_block, _bootstrap_estimates
 from vecsobol.pickfreeze import pair_table
 
@@ -297,6 +300,168 @@ class TestCltDiagnostic:
             clt_diagnostic(model, model.space(), U1, 100, 250, target=float("nan"), seed=1)
         with pytest.raises(ContractError):
             clt_diagnostic(model, model.space(), U1, 100, 250, target=0.5, seed=1, ci_method="x")
+
+
+def _reference_study(model, n_per_rep, reps, target, seed, b_reps):
+    """Estimates and coverage of a bootstrap study as first written: every
+    replicate's design, estimate and resampling in turn, through bootstrap_ci."""
+    estimates, covered = [], 0
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        design_ss, ci_ss = child.spawn(2)
+        sample = evaluate_pairs(model, generate_design(model.space(), U1, n_per_rep, design_ss))
+        est = bootstrap_ci(sample, b_reps, 0.95, ci_ss)
+        estimates.append(est.value)
+        covered += est.ci_low <= target <= est.ci_high
+    return np.array(estimates), covered / reps
+
+
+def _failing_model(replicate, constant=False):
+    """identity_2, but the given replicate's evaluations raise, or return a
+    constant when constant is set. A replicate evaluates twice."""
+    base = get_model("identity_2")
+    calls = []
+
+    def evaluate(x):
+        calls.append(None)
+        if len(calls) in (2 * replicate + 1, 2 * replicate + 2):
+            if constant:
+                return np.ones((x.shape[0], 2))
+            raise RuntimeError(f"model failed in replicate {replicate}")
+        return base.evaluate(x)
+
+    return VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=evaluate,
+                       default_space=base.space())
+
+
+def _study_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("vecsobol-")]
+
+
+class TestBootstrapStudyThreads:
+    """Bootstrap studies resample on a pool of one worker per available CPU."""
+
+    def test_report_does_not_depend_on_the_cpu_count(self, monkeypatch, executors):
+        # up to more workers than cores, switching threads often
+        model = get_model("sum_prod")
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 8):
+                executors.clear()
+                monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
+                reports[cpus] = clt_diagnostic(model, model.space(), U1, 100, 200,
+                                               target=15 / 31, seed=43, ci_method="bootstrap")
+                assert executors == ([] if cpus == 1 else [cpus])
+        finally:
+            sys.setswitchinterval(interval)
+        estimates, coverage = _reference_study(model, 100, 200, 15 / 31, 43, 200)
+        for rep in reports.values():
+            assert rep.estimates.tobytes() == estimates.tobytes()
+            assert rep.coverage == coverage
+            assert (rep.std_empirical, rep.normality_stat) == (
+                reports[1].std_empirical, reports[1].normality_stat)
+
+    @pytest.mark.parametrize("replicate", [0, 9])
+    @pytest.mark.parametrize("constant", [False, True], ids=["raises", "degenerate"])
+    def test_a_failing_replicate_raises_the_serial_error(self, monkeypatch, replicate, constant):
+        errors = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
+            model = _failing_model(replicate, constant)
+            error = DegenerateSampleError if constant else RuntimeError
+            with pytest.raises(error) as info:
+                clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
+                               ci_method="bootstrap")
+            errors[cpus] = str(info.value)
+            assert _study_threads() == []
+        assert errors[1] == errors[2]
+
+    def test_an_earlier_resampling_error_comes_first(self, monkeypatch):
+        # replicate 6's resampling fails while replicate 7's model raises on
+        # this thread: as on one thread, the study raises replicate 6's error
+        resample = inference._percentile_interval
+
+        def failing(sample, value, b_reps, level, seed):
+            if seed.spawn_key[-2] == 6:
+                raise ArithmeticError("resampling failed in replicate 6")
+            return resample(sample, value, b_reps, level, seed)
+
+        monkeypatch.setattr(inference, "_percentile_interval", failing)
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
+            model = _failing_model(7)
+            with pytest.raises(ArithmeticError, match="replicate 6"):
+                clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
+                               ci_method="bootstrap")
+            assert _study_threads() == []
+
+    def test_resampling_runs_under_the_callers_numpy_error_state(self, monkeypatch):
+        resample = inference._percentile_interval
+
+        def dividing(*args):
+            np.float64(1.0) / np.float64(0.0)
+            return resample(*args)
+
+        monkeypatch.setattr(inference, "_percentile_interval", dividing)
+        model = get_model("identity_2")
+        for cpus in (1, 2):
+            monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
+            with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+                clt_diagnostic(model, model.space(), U1, 100, 200, target=0.5, seed=3,
+                               ci_method="bootstrap")
+
+    def test_no_study_thread_outlives_the_study(self, monkeypatch, executors):
+        monkeypatch.setattr(spaces, "_available_cpus", lambda: 4)
+        before = threading.active_count()
+        model = get_model("identity_2")
+        clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=3, ci_method="bootstrap")
+        assert executors == [4]
+        assert threading.active_count() == before and _study_threads() == []
+
+    def test_at_most_twice_as_many_replicates_as_workers_are_in_flight(self, monkeypatch):
+        # resampling is slowed, so without the window this thread would run
+        # ahead of the pool and keep a sample alive for every replicate
+        monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+        resample, estimate = inference._percentile_interval, inference.estimate_index
+        refs, counts = [], []
+
+        def slow(*args):
+            time.sleep(0.002)
+            return resample(*args)
+
+        def counting(sample):
+            refs.append(weakref.ref(sample))
+            counts.append(sum(ref() is not None for ref in refs))
+            return estimate(sample)
+
+        monkeypatch.setattr(inference, "_percentile_interval", slow)
+        monkeypatch.setattr(inference, "estimate_index", counting)
+        model = get_model("identity_2")
+        clt_diagnostic(model, model.space(), U1, 100, 200, target=0.5, seed=3, ci_method="bootstrap")
+        # four in flight, the one being estimated, and one per worker whose
+        # result was taken before the worker let go of its arguments
+        assert len(counts) == 200 and max(counts) <= 4 + 1 + 2
+
+    def test_peak_memory_does_not_grow_with_the_replicates(self, monkeypatch):
+        # A study that held every sample (51 kB of outputs each at 64 outputs)
+        # would grow by 10 MB from 200 to 400 replicates. The peak moves with
+        # how the two workers' resampling blocks happen to overlap, by up to
+        # one block each.
+        monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+        model = linear_model(np.random.default_rng(0).normal(size=(64, 2)))
+        study = dict(model=model, space=model.space(), subset=U1, target=0.5, seed=3,
+                     ci_method="bootstrap")
+        clt_diagnostic(n_per_rep=20, reps=200, **study)  # fills imports and caches untraced
+        peaks = {}
+        for reps in (200, 400):
+            tracemalloc.start()
+            try:
+                clt_diagnostic(n_per_rep=50, reps=reps, **study)
+                _, peaks[reps] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] - peaks[200] < 2 * inference._BOOTSTRAP_BLOCK_BYTES
 
 
 class TestAgainstScipy:

@@ -142,22 +142,6 @@ MIXED = InputSpace(
 )
 
 
-@pytest.fixture
-def executors(monkeypatch):
-    """Record the worker count of every thread pool a draw opens."""
-    import concurrent.futures
-
-    opened = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    return opened
-
-
 def _draw(monkeypatch, executors, space, n, seed, cpus):
     """Sample as if `cpus` CPUs were available; returns (matrix, pool opened)."""
     executors.clear()
@@ -177,14 +161,32 @@ def test_column_draws_do_not_depend_on_the_thread_count(monkeypatch, executors, 
         assert parallel.tobytes() == serial.tobytes()
 
 
-def test_threads_start_at_the_threshold(monkeypatch, executors):
-    threshold = spaces._PARALLEL_MIN_DRAWS
-    for n, parallel_path in ((threshold - 1, False), (threshold, True)):
-        serial, used = _draw(monkeypatch, executors, MIXED, n, 23, cpus=1)
+def _threshold_rows(space):
+    """The fewest rows at which a sample of the space draws on threads."""
+    return -(-spaces._PARALLEL_MIN_DRAWS // space.dims)
+
+
+def _check_threshold(monkeypatch, executors, space):
+    rows = _threshold_rows(space)
+    for n, parallel_path in ((rows - 1, False), (rows, True)):
+        serial, used = _draw(monkeypatch, executors, space, n, 23, cpus=1)
         assert not used
-        parallel, used = _draw(monkeypatch, executors, MIXED, n, 23, cpus=2)
+        parallel, used = _draw(monkeypatch, executors, space, n, 23, cpus=2)
         assert used == parallel_path
         assert parallel.tobytes() == serial.tobytes()
+
+
+def test_threads_start_at_the_threshold(monkeypatch, executors):
+    _check_threshold(monkeypatch, executors, MIXED)
+
+
+@pytest.mark.parametrize("dims", [2, 6])
+def test_the_threshold_counts_every_column(monkeypatch, executors, dims):
+    # two columns start threads at 2^17 rows, as when the threshold counted
+    # draws per column; six columns of 2^16 rows, which threads draw faster, do too
+    space = InputSpace.uniform(dims)
+    _check_threshold(monkeypatch, executors, space)
+    assert _threshold_rows(space) == (2**17 if dims == 2 else 43_691)
 
 
 def test_no_thread_outlives_a_parallel_draw(monkeypatch, executors):
@@ -257,9 +259,9 @@ def test_worker_count_falls_back_to_cpu_count(monkeypatch):
 
 def test_one_cpu_draws_serially_without_a_pool(monkeypatch, executors):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    x = sample_inputs(MIXED, spaces._PARALLEL_MIN_DRAWS, 29)
+    x = sample_inputs(MIXED, _threshold_rows(MIXED), 29)
     assert not executors
-    assert x.shape == (spaces._PARALLEL_MIN_DRAWS, MIXED.dims)
+    assert x.shape == (_threshold_rows(MIXED), MIXED.dims)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
