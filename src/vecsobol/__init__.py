@@ -44,7 +44,6 @@ from .oracle import (
 )
 from .pickfreeze import (
     EmpiricalCovariances,
-    PickFreezeDesign,
     PickFreezeSample,
     SharedDesign,
     empirical_covariances,
@@ -100,7 +99,6 @@ __all__ = [
     "decompose_grid",
     "exact_index",
     # pick-freeze
-    "PickFreezeDesign",
     "PickFreezeSample",
     "SharedDesign",
     "EmpiricalCovariances",

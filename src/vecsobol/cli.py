@@ -29,6 +29,7 @@ from .inference import DELTA_MIN_N, bootstrap_ci, clt_diagnostic, delta_ci
 from .models import VectorModel, apply_transform, get_model, load_external_model
 from .oracle import CovarianceTriple, covariances_quadrature, exact_index, grid_nodes
 from .pickfreeze import (
+    SharedDesign,
     estimate_index,
     estimate_index_general,
     evaluate_pairs,  # unused here, but bench/spans.py wraps the name in this module
@@ -423,21 +424,21 @@ def _subset_seed_streams(config: RunConfig) -> list:
     return [child.spawn(3) for child in root.spawn(len(config.subsets))]
 
 
-def _shared_design(config: RunConfig):
-    """The run's one design for all its subsets (see ``SharedDesign``)."""
+def run_design(config: RunConfig) -> SharedDesign:
+    """The one design run() evaluates for all of config's subsets.
+
+    Its ``x`` is the run's base matrix A, and ``x_u(u)`` the second block
+    of each u in ``subsets``. External-model users tabulate the model at
+    ``design.x`` and ``design.x_u(u)`` of every subset (repeated rows are
+    accepted) and feed the table back via model.external.
+    """
     design_ss = _subset_seed_streams(config)[0][0]
     return generate_design(config.space, config.subsets, config.n, design_ss)
 
 
-def subset_design(config: RunConfig, index: int):
-    """The exact design run() evaluates for config.subsets[index].
-
-    Its ``x`` is the run's shared base matrix, the same for every subset,
-    and its ``x_u`` that subset's second block. External-model users
-    tabulate the model at ``design.x`` and ``design.x_u`` of every subset
-    (repeated rows are accepted) and feed the table back via model.external.
-    """
-    return _shared_design(config).design(config.subsets[index])
+def subset_design(config: RunConfig, index: int) -> SharedDesign:
+    """config.subsets[index]'s one-group view of ``run_design(config)``."""
+    return run_design(config).design(config.subsets[index])
 
 
 def resolve_oracle(
@@ -494,7 +495,7 @@ def _samples(config: RunConfig):
     streams = iter(_subset_seed_streams(config))
     # not zip or enumerate: their cached result tuple would keep the previous
     # sample alive while evaluate_shared builds the next second block
-    for sample in evaluate_shared(config.model, _shared_design(config)):
+    for sample in evaluate_shared(config.model, run_design(config)):
         _, ci_ss, rep_ss = next(streams)
         yield sample.subset, sample, ci_ss, rep_ss, started
         del sample

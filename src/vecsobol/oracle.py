@@ -31,12 +31,13 @@ import numpy as np
 from .errors import (
     ContractError,
     DegenerateModelError,
+    DegenerateSampleError,
     IllPosedIndexError,
     ResourceError,
 )
 from .models import VectorModel
-from .pickfreeze import _frozen_mix
-from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence, sample_marginals
+from .pickfreeze import empirical_covariances, evaluate_shared, generate_design
+from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence
 
 MAX_GRID_NODES = 10_000_000
 MAX_QUADRATURE_DIMS = 4
@@ -65,10 +66,7 @@ def _check_positive_definite(sigma: np.ndarray, what: str) -> None:
     Threshold: smallest eigenvalue must exceed 1e-10 * Tr(sigma)/k.
     """
     if not np.isfinite(sigma).all():
-        raise DegenerateModelError(
-            f"{what}: total output covariance is not finite; "
-            "the model gives non-finite outputs on the input law"
-        )
+        raise _not_finite(what)
     k = sigma.shape[0]
     smallest = float(np.linalg.eigvalsh(sigma)[0])
     floor = 1e-10 * float(np.trace(sigma)) / k
@@ -78,6 +76,13 @@ def _check_positive_definite(sigma: np.ndarray, what: str) -> None:
             f"(smallest eigenvalue {smallest:.3e}, floor {floor:.3e}); "
             "a positive definite output covariance is required"
         )
+
+
+def _not_finite(what: str) -> DegenerateModelError:
+    return DegenerateModelError(
+        f"{what}: total output covariance is not finite; "
+        "the model gives non-finite outputs on the input law"
+    )
 
 
 @dataclass
@@ -479,12 +484,16 @@ def covariances_monte_carlo(
     n: int,
     seed: SeedLike,
 ) -> CovarianceTriple:
-    """Large-sample triple from the paired-redraw covariance identities.
+    """Large-sample triple from the pick-freeze pair covariances.
 
-    Redrawing the complement leaves the subset part shared between the pair,
-    so the cross-covariance of the pair estimates the subset covariance (and
-    symmetrically for the complement). The interaction part is defined by
-    subtraction. Entrywise error is O(1/sqrt(n)).
+    One design holds two pick-freeze pairs over a base matrix A: (A, A_u),
+    which redraws the complement and so shares only the subset part, and
+    (A, A_~u), which redraws the subset. The moments kernel reduces each
+    pair; the first gives the total and the subset covariance, the second
+    the complement covariance, and the interaction is defined by
+    subtraction. For the full group there is no second pair: A_u is A, so
+    the subset covariance is the total and the other two parts are zero.
+    Entrywise error is O(1/sqrt(n)).
     """
     _check_dims(model, space, subset)
     if n < 2:
@@ -494,24 +503,15 @@ def covariances_monte_carlo(
     tagged = np.random.SeedSequence(
         entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (_ORACLE_STREAM_TAG,)
     )
-    ss_x, ss_x2 = tagged.spawn(2)
-    x = sample_marginals(space.marginals, n, ss_x)
-    x2 = sample_marginals(space.marginals, n, ss_x2)
-
-    # column-major, as drawn: each run of columns is one contiguous block copy
-    x_mix_sub = _frozen_mix(x, x2, subset.complement, list(subset.complement))  # redraw complement
-    x_mix_comp = _frozen_mix(x, x2, subset.indices, list(subset.indices))  # redraw subset
-
-    y = model.evaluate(x)
-    y_sub = model.evaluate(x_mix_sub)
-    y_comp = model.evaluate(x_mix_comp)
-
-    yc = y - y.mean(axis=0)
-    sigma = yc.T @ yc / n
-    c_subset = yc.T @ (y_sub - y_sub.mean(axis=0)) / n
-    c_complement = yc.T @ (y_comp - y_comp.mean(axis=0)) / n
-    c_subset = 0.5 * (c_subset + c_subset.T)
-    c_complement = 0.5 * (c_complement + c_complement.T)
+    groups = [subset] if subset.is_full else [subset, SubsetIndex(subset.complement, subset.dims)]
+    design = generate_design(space, groups, n, tagged)
+    # map holds no sample between calls, so one second block is alive at a time
+    try:
+        pair, *rest = map(empirical_covariances, evaluate_shared(model, design))
+    except DegenerateSampleError:  # non-finite or overflowing outputs
+        raise _not_finite("monte carlo oracle") from None
+    sigma, c_subset = pair.total / n, pair.subset / n
+    c_complement = rest[0].subset / n if rest else np.zeros_like(sigma)
     _check_positive_definite(sigma, "monte carlo oracle")
     return CovarianceTriple(
         total=sigma,

@@ -48,40 +48,6 @@ from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence, sample_
 
 
 @dataclass
-class PickFreezeDesign:
-    """Paired input design: a base matrix and a redraw of the complement columns.
-
-    x and x_prime come from disjoint spawned streams of the same seed, so the
-    design is a pure function of (space, subset, n, seed). A CLI run draws
-    a SharedDesign instead; ``SharedDesign.design`` gives each group's view.
-    """
-
-    x: np.ndarray  # (n, p)
-    x_prime: np.ndarray  # (n, p - r), marginals of the complement coordinates
-    subset: SubsetIndex
-
-    def __post_init__(self):
-        if self.x.shape[0] != self.x_prime.shape[0]:
-            raise ContractError("x and x_prime must have the same number of rows")
-        if self.x_prime.shape[1] != len(self.subset.complement):
-            raise ContractError(
-                f"x_prime must have {len(self.subset.complement)} columns, "
-                f"got {self.x_prime.shape[1]}"
-            )
-        self.x.flags.writeable = False
-        self.x_prime.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def x_u(self) -> np.ndarray:
-        """The second block: x with its complement columns taken from x_prime."""
-        return _frozen_mix(self.x, self.x_prime, self.subset.complement)
-
-
-@dataclass
 class SharedDesign:
     """One pick-freeze design for all the groups of a run (Saltelli 2002).
 
@@ -90,8 +56,8 @@ class SharedDesign:
     is A with u's complement columns taken from B, so every group's pair
     (A, A_u) is a standard pick-freeze pair and f(A) is evaluated once for
     all of them. Only the correlation between the groups' estimates differs
-    from independent designs. With one group, B is that group's
-    PickFreezeDesign.x_prime, drawn from the same seed. Drawn designs and
+    from independent designs. A one-group design is a plain pick-freeze
+    design: B is a redraw of that group's complement. Drawn designs and
     their second blocks are column-major (Fortran-ordered) n-by-p arrays.
     """
 
@@ -118,10 +84,11 @@ class SharedDesign:
         """Group u's second block: x with u's complement columns from x_prime."""
         return _frozen_mix(self.x, self.x_prime, subset.complement, self._columns(subset))
 
-    def design(self, subset: SubsetIndex) -> PickFreezeDesign:
-        """Group u's own design: its x is this x and its x_u is ``self.x_u(u)``."""
+    def design(self, subset: SubsetIndex) -> "SharedDesign":
+        """Group u's own one-group design: its x is this x and its x_u(u) is
+        ``self.x_u(u)``."""
         x_prime = self.x_prime[:, self._columns(subset)]
-        return PickFreezeDesign(x=self.x, x_prime=x_prime, subset=subset)
+        return SharedDesign(x=self.x, x_prime=x_prime, subsets=(subset,))
 
     def _columns(self, subset: SubsetIndex) -> list[int]:
         """The columns of x_prime that hold u's complement, in order."""
@@ -228,13 +195,13 @@ class EmpiricalCovariances:
 
 def generate_design(
     space: InputSpace, subset: SubsetIndex | Sequence[SubsetIndex], n: int, seed: SeedLike
-) -> PickFreezeDesign | SharedDesign:
+) -> SharedDesign:
     """Draw the pick-freeze design; deterministic in (space, subset, n, seed).
 
-    Given a run's sequence of subsets in place of one, it draws their
-    SharedDesign: x as for one subset and x_prime over the union of their
-    complements, in column order, from the same split of the seed. One
-    subset's SharedDesign thus holds the bytes of its PickFreezeDesign.
+    x is drawn from the seed's first spawned stream and x_prime, over the
+    union of the groups' complements in column order, from its second. One
+    subset stands for the one-group sequence (subset,), so one subset's
+    design holds the same bytes whichever way it is asked for.
     """
     groups = (subset,) if isinstance(subset, SubsetIndex) else tuple(subset)
     if not groups:
@@ -251,28 +218,23 @@ def generate_design(
     x = sample_marginals(space.marginals, n, ss_x)
     redrawn_marginals = tuple(space.marginals[j] for j in _redrawn(groups))
     x_prime = sample_marginals(redrawn_marginals, n, ss_prime)
-    if isinstance(subset, SubsetIndex):
-        return PickFreezeDesign(x=x, x_prime=x_prime, subset=subset)
     return SharedDesign(x=x, x_prime=x_prime, subsets=groups)
 
 
 def _frozen_mix(
-    x: np.ndarray,
-    x_prime: np.ndarray,
-    complement: tuple[int, ...],
-    columns: Optional[list[int]] = None,
+    x: np.ndarray, x_prime: np.ndarray, complement: tuple[int, ...], columns: list[int]
 ) -> np.ndarray:
     """x with its complement columns taken from x_prime, in the original
     column order, copied run by run of adjacent columns from one source.
-    Complement column complement[i] is x_prime's column columns[i] (by
-    default i); x_prime keeps its columns in input order, so a run of
-    adjacent complement columns is a run of adjacent x_prime columns.
+    Complement column complement[i] is x_prime's column columns[i]; x_prime
+    keeps its columns in input order, so a run of adjacent complement
+    columns is a run of adjacent x_prime columns.
 
     The result is built as a p-by-n array and returned as its transpose,
     like a drawn sample, so a run is one contiguous block copy when x and
     x_prime are column-major as ``sample_marginals`` returns them."""
     n, p = x.shape
-    column = dict(zip(complement, range(len(complement)) if columns is None else columns))
+    column = dict(zip(complement, columns))
     mixed = np.empty((p, n))
     start = 0
     for stop in range(1, p + 1):
@@ -287,9 +249,14 @@ def _frozen_mix(
     return mixed.T
 
 
-def evaluate_pairs(model: VectorModel, design: PickFreezeDesign) -> PickFreezeSample:
-    """Evaluate (Y, Y^u) at the design's blocks x and x_u."""
-    return next(evaluate_shared(model, SharedDesign(design.x, design.x_prime, (design.subset,))))
+def evaluate_pairs(model: VectorModel, design: SharedDesign) -> PickFreezeSample:
+    """Evaluate (Y, Y^u) at a one-group design's blocks x and x_u(u)."""
+    if len(design.subsets) != 1:
+        raise ContractError(
+            f"evaluate_pairs takes a one-group design, got {len(design.subsets)} groups; "
+            "use evaluate_shared"
+        )
+    return next(evaluate_shared(model, design))
 
 
 def evaluate_shared(model: VectorModel, design: SharedDesign) -> Iterator[PickFreezeSample]:

@@ -27,7 +27,7 @@ from vecsobol import (
     load_external_model,
     read_sample_csv,
 )
-from vecsobol import cli, oracle, spaces
+from vecsobol import cli, oracle, pickfreeze, spaces
 from vecsobol.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -494,7 +494,7 @@ class TestSharedDesign:
         for i, rec in enumerate(report.subsets):
             design = cli.subset_design(config, i)
             y = config.model.evaluate(np.ascontiguousarray(design.x))
-            y_u = config.model.evaluate(np.ascontiguousarray(design.x_u))
+            y_u = config.model.evaluate(np.ascontiguousarray(design.x_u(config.subsets[i])))
             assert rec.estimate == estimate_index(PickFreezeSample(y, y_u))
 
     def test_a_run_holds_one_second_block_at_a_time(self):
@@ -521,10 +521,11 @@ class TestSharedDesign:
 
     def test_subset_designs_share_the_base_rows(self):
         config = parse_config("model: sum_prod\nsubsets: [[1], [2]]\nn: 50\nseed: 3\n")
+        u, v = config.subsets
         first, second = (cli.subset_design(config, i) for i in range(2))
         assert np.array_equal(first.x, second.x)
-        assert np.array_equal(first.x_u[:, 0], first.x[:, 0])
-        assert np.array_equal(second.x_u[:, 1], second.x[:, 1])
+        assert np.array_equal(first.x_u(u)[:, 0], first.x[:, 0])
+        assert np.array_equal(second.x_u(v)[:, 1], second.x[:, 1])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_runs())
@@ -535,7 +536,8 @@ class TestSharedDesign:
         config = RunConfig(model, space, subsets, n, seed)
         run(config)
         views = [cli.subset_design(config, i) for i in range(len(subsets))]
-        requested = {tuple(row) for v in views for block in (v.x, v.x_u) for row in block}
+        requested = {tuple(row) for v, u in zip(views, subsets) for block in (v.x, v.x_u(u))
+                     for row in block}
         assert sum(len(b) for b in blocks) == (1 + len(subsets)) * n
         assert {tuple(row) for b in blocks for row in b} == requested
 
@@ -832,10 +834,8 @@ class TestMain:
         assert "grid has 9 nodes, above the cap of 8" in capsys.readouterr().err
 
     def _tabulated_config(self, tmp_path, extra=""):
-        # tabulate every row the run will ask for, then drive it from the table;
-        # both subsets' views hold the shared base rows, so those rows repeat
-        from vecsobol.cli import subset_design
-
+        # tabulate every row the run will ask for, then drive it from the
+        # table: the run's base rows once and each subset's second block
         table = tmp_path / "table.csv"
         config_text = (
             "model: {external: %s}\n"
@@ -845,8 +845,8 @@ class TestMain:
         model = get_model("sum_prod")
         table.write_text("x1,x2,y1,y2\n0,0,0,0\n")  # placeholder so parsing succeeds
         config = parse_config(config_text)
-        designs = [subset_design(config, i) for i in range(len(config.subsets))]
-        xs = np.vstack([block for d in designs for block in (d.x, d.x_u)])
+        design = cli.run_design(config)
+        xs = np.vstack([design.x] + [design.x_u(u) for u in design.subsets])
         assert len(np.unique(xs, axis=0)) == 3 * 400  # (1 + s) n distinct rows
         ys = model.evaluate(xs)
         rows = ["x1,x2,y1,y2"] + [
@@ -857,6 +857,14 @@ class TestMain:
         config = tmp_path / "cfg.yaml"
         config.write_text(config_text)
         return config
+
+    def test_tabulation_draws_the_design_once(self, tmp_path, monkeypatch):
+        calls = []
+        draw = pickfreeze.sample_marginals
+        monkeypatch.setattr(pickfreeze, "sample_marginals",
+                            lambda *args: calls.append(args) or draw(*args))
+        self._tabulated_config(tmp_path)
+        assert len(calls) == 2  # A and B, once each
 
     def test_external_model_run(self, tmp_path):
         config = self._tabulated_config(tmp_path)

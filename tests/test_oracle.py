@@ -87,11 +87,21 @@ class TestCovariancesLinear:
         assert np.max(np.abs(mc.total - triple.total)) < bound
 
     def test_full_set_gives_everything(self):
+        # on every route: the full group's part is the total, bit for bit,
+        # and the complement and interaction parts are exactly zero
         full = SubsetIndex((0, 1), 2)
-        triple = covariances_linear(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones(2), full)
-        assert np.allclose(triple.subset, triple.total)
-        assert np.allclose(triple.complement, 0.0)
-        assert np.allclose(triple.interaction, 0.0)
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        model, sum_prod = linear_model(a), get_model("sum_prod")
+        triples = [
+            covariances_linear(a, np.ones(2), full),
+            covariances_quadrature(model, model.space(), full, 8),
+            covariances_quadrature(sum_prod, sum_prod.space(), full, 64),
+            covariances_monte_carlo(model, model.space(), full, 10_000, seed=1),
+            covariances_monte_carlo(sum_prod, sum_prod.space(), full, 100_000, seed=1),
+        ]
+        for triple in triples:
+            assert triple.subset.tobytes() == triple.total.tobytes(), triple.method
+            assert not triple.complement.any() and not triple.interaction.any(), triple.method
 
     def test_singular_map_rejected(self):
         with pytest.raises(DegenerateModelError):
@@ -467,16 +477,29 @@ class TestMonteCarloOracle:
     ], ids=["linear", "sum_prod"])
     def test_triple_does_not_depend_on_the_draw_layout(self, monkeypatch, model):
         # draws come column-major; the triple is the one row-major draws give
-        from vecsobol import oracle
+        from vecsobol import pickfreeze
 
         subset = SubsetIndex((0,), model.in_dims)
         got = covariances_monte_carlo(model, model.space(), subset, 20_000, seed=5)
-        draw = oracle.sample_marginals
-        monkeypatch.setattr(oracle, "sample_marginals",
+        draw = pickfreeze.sample_marginals
+        monkeypatch.setattr(pickfreeze, "sample_marginals",
                             lambda *args: np.ascontiguousarray(draw(*args)))
         row_major = covariances_monte_carlo(model, model.space(), subset, 20_000, seed=5)
         for part in ("total", "subset", "complement", "interaction"):
             assert getattr(got, part).tobytes() == getattr(row_major, part).tobytes()
+
+    def test_memory_stays_below_fifteen_doubles_per_row(self):
+        # the design (A and B), f(A), and one second block with its output
+        # at a time; sum_prod has two inputs and two outputs
+        model = get_model("sum_prod")
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            covariances_monte_carlo(model, model.space(), U1, n, seed=2024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 15
 
     def test_seed_disjoint_from_estimator_streams(self):
         from vecsobol import evaluate_pairs, generate_design

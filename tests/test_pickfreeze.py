@@ -11,8 +11,8 @@ from vecsobol import (
     DegenerateSampleError,
     IllPosedIndexError,
     InputSpace,
-    PickFreezeDesign,
     PickFreezeSample,
+    SharedDesign,
     SubsetIndex,
     VectorModel,
     delta_variance,
@@ -86,8 +86,8 @@ class TestEvaluatePairs:
         assert np.array_equal(sample.y, sample.y_u)
 
     def test_sum_prod_single_row(self):
-        design = PickFreezeDesign(
-            x=np.array([[0.5, 0.2]]), x_prime=np.array([[0.9]]), subset=U1
+        design = SharedDesign(
+            x=np.array([[0.5, 0.2]]), x_prime=np.array([[0.9]]), subsets=(U1,)
         )
         sample = evaluate_pairs(get_model("sum_prod"), design)
         assert np.allclose(sample.y, [[0.7, 0.10]])
@@ -97,6 +97,12 @@ class TestEvaluatePairs:
         design = generate_design(InputSpace.uniform(2), U1, 10, 1)
         with pytest.raises(ContractError):
             evaluate_pairs(get_model("u_only", dims=3), design)
+
+    def test_a_design_of_two_groups_is_refused(self):
+        # evaluate_pairs yields one sample: it must not drop the second group
+        design = generate_design(InputSpace.uniform(2), [U1, SubsetIndex((1,), 2)], 10, 1)
+        with pytest.raises(ContractError, match="one-group design, got 2 groups"):
+            evaluate_pairs(get_model("sum_prod"), design)
 
 
 class TestEstimator:
@@ -377,15 +383,16 @@ class TestFrozenMix:
         comp = list(subset.complement)
         if comp:
             expected[:, comp] = x_prime
-        got = _frozen_mix(x, x_prime, subset.complement)
+        got = _frozen_mix(x, x_prime, subset.complement, list(range(len(subset.complement))))
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_design_second_block_keeps_the_subset_columns(self):
         subset = SubsetIndex((1, 3), 5)
         design = generate_design(InputSpace.uniform(5), subset, 50, 4)
-        assert np.array_equal(design.x_u[:, [1, 3]], design.x[:, [1, 3]])
-        assert np.array_equal(design.x_u[:, [0, 2, 4]], design.x_prime)
-        assert not np.array_equal(design.x_u[:, [0, 2, 4]], design.x[:, [0, 2, 4]])
+        x_u = design.x_u(subset)
+        assert np.array_equal(x_u[:, [1, 3]], design.x[:, [1, 3]])
+        assert np.array_equal(x_u[:, [0, 2, 4]], design.x_prime)
+        assert not np.array_equal(x_u[:, [0, 2, 4]], design.x[:, [0, 2, 4]])
 
 
 class TestSharedDesign:
@@ -409,12 +416,14 @@ class TestSharedDesign:
             assert x_u.T.flags.c_contiguous and x_u.tobytes() == expected.tobytes()
             assert _frozen_mix(c_x, c_prime, u.complement, columns).tobytes() == expected.tobytes()
             view = design.design(u)
-            assert view.x is design.x and view.x_u.tobytes() == expected.tobytes()
+            assert view.subsets == (u,)
+            assert view.x is design.x and view.x_u(u).tobytes() == expected.tobytes()
 
     def test_one_group_holds_the_bytes_of_its_design(self):
         u = SubsetIndex((1, 3), 5)
         one = generate_design(InputSpace.uniform(5), u, 50, 4)
         shared = generate_design(InputSpace.uniform(5), [u], 50, 4)
+        assert one.subsets == shared.subsets == (u,)
         assert one.x.tobytes() == shared.x.tobytes()
         assert one.x_prime.tobytes() == shared.x_prime.tobytes()
 
