@@ -494,7 +494,7 @@ def _samples(config: RunConfig):
     started = time.perf_counter()
     streams = iter(_subset_seed_streams(config))
     # not zip or enumerate: their cached result tuple would keep the previous
-    # sample alive while evaluate_shared builds the next second block
+    # sample alive while evaluate_shared evaluates the next group's outputs
     for sample in evaluate_shared(config.model, run_design(config)):
         _, ci_ss, rep_ss = next(streams)
         yield sample.subset, sample, ci_ss, rep_ss, started
@@ -561,7 +561,7 @@ def run(config: RunConfig) -> RunReport:
         if not config.reproducible:
             result.elapsed_s = time.perf_counter() - t0
         results.append(result)
-        del sample  # dropped before the next subset's second block is built
+        del sample  # dropped before the next subset's outputs are evaluated
 
     report = RunReport(
         schema=1,

@@ -27,7 +27,11 @@ class VectorModel:
     """Deterministic map R^p -> R^k plus corpus metadata.
 
     evaluate() is vectorized over rows and must be bit-stable: identical input
-    matrices give identical output matrices. ``kind`` picks the exact oracle
+    matrices give identical output matrices. Rows are evaluated
+    independently: a row's outputs depend on that row alone, so evaluate()
+    may be called on any chunk of rows, and the pick-freeze evaluation calls
+    it on fixed chunks of a block rather than on the whole block (see
+    ``pickfreeze.evaluate_shared``). ``kind`` picks the exact oracle
     route (``cli.resolve_oracle``): the closed form in ``matrix`` for 'linear',
     none for an 'external' table, the grid otherwise.
 

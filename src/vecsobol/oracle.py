@@ -505,7 +505,7 @@ def covariances_monte_carlo(
     )
     groups = [subset] if subset.is_full else [subset, SubsetIndex(subset.complement, subset.dims)]
     design = generate_design(space, groups, n, tagged)
-    # map holds no sample between calls, so one second block is alive at a time
+    # map holds no sample between calls, so one f(A_u) is alive at a time
     try:
         pair, *rest = map(empirical_covariances, evaluate_shared(model, design))
     except DegenerateSampleError:  # non-finite or overflowing outputs

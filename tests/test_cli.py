@@ -498,9 +498,9 @@ class TestSharedDesign:
             assert rec.estimate == estimate_index(PickFreezeSample(y, y_u))
 
     def test_a_run_holds_one_second_block_at_a_time(self):
-        # while a subset is evaluated, memory holds the design (x and the
-        # redrawn columns), the shared output, and this subset's second block
-        # and output; the previous subset's sample is gone
+        # while a subset is evaluated, memory holds at most the design (x and
+        # the redrawn columns), the shared output, and this subset's second
+        # block and output; the previous subset's sample is gone
         n, k, p = 200_000, 4, 6
         matrix = np.random.default_rng(5).standard_normal((k, p)).round(3).tolist()
         config = config_from_tree({
@@ -708,6 +708,24 @@ class TestMain:
         assert rc == EXIT_OK
         sub = json.loads(out.read_text())["subsets"][0]
         assert sub["ci_method"] == "bootstrap" and sub["ci_level"] == 0.9
+
+    @pytest.mark.parametrize("text", [
+        BLAS_DELTA_WEIGHTED,
+        f"model: sum_prod\nspace: [{{kind: uniform}}, {COIN}]\nsubsets: [[1], [2]]\nn: 200000\nseed: 5\n"
+        "ci: {kind: bootstrap, reps: 200}\noracle: auto\ntransform: {kind: general_linear, "
+        "matrix: [[1, 2], [-0.5, 3]]}\nmatrix: [[2, 0], [0, 1]]\n",
+    ], ids=["linear_delta_weighted", "transformed_bootstrap"])
+    def test_chunked_report_equals_the_whole_block_report(self, tmp_path, monkeypatch, text):
+        # two full chunks and a one-row tail; the reference evaluates every
+        # block in one model call
+        n = 2 * pickfreeze._EVAL_ROWS + 1
+        config = tmp_path / "run.yaml"
+        config.write_text(text.replace("n: 200000", f"n: {n}"))
+        chunked, whole = tmp_path / "chunked.json", tmp_path / "whole.json"
+        assert main(["--config", str(config), "--output", str(chunked), "--reproducible"]) == EXIT_OK
+        monkeypatch.setattr(pickfreeze, "_EVAL_ROWS", n)
+        assert main(["--config", str(config), "--output", str(whole), "--reproducible"]) == EXIT_OK
+        assert chunked.read_bytes() == whole.read_bytes()
 
     def test_sample_mode_reproducible_reports_are_byte_identical(self, tmp_path):
         config = tmp_path / "run.yaml"

@@ -501,6 +501,19 @@ class TestMonteCarloOracle:
             tracemalloc.stop()
         assert peak < 8 * n * 15
 
+    def test_memory_is_the_chunked_layout(self):
+        # A and B (every column is redrawn), f(A) and one f(A_u), plus one
+        # chunk: no whole second block and no n-row model temporaries
+        model = get_model("sum_prod")
+        n, p, k = 1_000_000, 2, 2
+        tracemalloc.start()
+        try:
+            covariances_monte_carlo(model, model.space(), U1, n, seed=2024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (2 * p + 2 * k) + 2 * 2**20
+
     def test_seed_disjoint_from_estimator_streams(self):
         from vecsobol import evaluate_pairs, generate_design
 

@@ -15,6 +15,7 @@ from vecsobol import (
     SharedDesign,
     SubsetIndex,
     VectorModel,
+    apply_transform,
     delta_variance,
     empirical_covariances,
     estimate_index,
@@ -24,6 +25,7 @@ from vecsobol import (
     generate_design,
     get_model,
     linear_model,
+    load_external_model,
     read_sample_csv,
     write_sample_csv,
 )
@@ -353,9 +355,9 @@ class TestSampleOwnership:
         assert np.array_equal(sample.y, design.x)
         assert not np.may_share_memory(sample.y, design.x)
 
-    def test_evaluate_pairs_keeps_the_model_outputs(self):
-        # the sample takes the model's output arrays: the peak is the two
-        # outputs and the mixed input matrix, with no copy of either output
+    def test_evaluate_pairs_holds_no_copy_of_either_output(self):
+        # the sample takes the two chunked outputs without copying them: the
+        # peak stays below the two outputs and a whole mixed input matrix
         n, k, p = 200_000, 4, 6
         model = linear_model(np.random.default_rng(5).standard_normal((k, p)))
         design = generate_design(model.space(), SubsetIndex((0,), p), n, 3)
@@ -439,8 +441,8 @@ class TestSharedDesign:
         assert estimate_index(samples[2]) == 1.0
 
     def test_one_second_block_is_alive_at_a_time(self):
-        # while a group is evaluated, memory holds the shared output and this
-        # group's second block and output; the previous group's sample is gone
+        # while a group is evaluated, memory holds at most the shared output and
+        # this group's second block and output; the previous group's sample is gone
         n, k, p = 200_000, 4, 6
         model = linear_model(np.random.default_rng(5).standard_normal((k, p)))
         design = generate_design(model.space(), [SubsetIndex((j,), p) for j in range(p)], n, 3)
@@ -463,6 +465,72 @@ class TestSharedDesign:
             next(evaluate_shared(get_model("u_only", dims=3), design))
         with pytest.raises(ContractError, match=r"subset \[2\] frees inputs"):
             design.x_u(SubsetIndex((1,), 2))
+
+
+CHUNK = pickfreeze._EVAL_ROWS
+
+
+def _column_major(rng, n, p):
+    return rng.standard_normal((p, n)).T
+
+
+class TestChunkedEvaluation:
+    """evaluate_shared evaluates in row chunks; the samples are the whole-block evaluation's."""
+
+    MODELS = ("linear", "sum_prod", "transformed", "external", "identity")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_samples_equal_whole_block_evaluation(self, data, tmp_path_factory):
+        kind = data.draw(st.sampled_from(self.MODELS))
+        n = data.draw(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
+        p = 2 if kind in ("sum_prod", "transformed", "external") else data.draw(st.integers(1, 6))
+        groups = st.lists(st.integers(0, p - 1), min_size=1, unique=True)
+        subsets = [SubsetIndex(tuple(g), p) for g in data.draw(st.lists(groups, min_size=1, max_size=3))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        redrawn = set().union(*(u.complement for u in subsets))
+        design = SharedDesign(
+            x=_column_major(rng, n, p), x_prime=_column_major(rng, n, len(redrawn)), subsets=tuple(subsets)
+        )
+        if kind == "linear":
+            model = linear_model(rng.standard_normal((data.draw(st.integers(1, 4)), p)))
+        elif kind == "sum_prod":
+            model = get_model("sum_prod")
+        elif kind == "transformed":
+            model = apply_transform(get_model("sum_prod"), rng.standard_normal((2, 2)))
+        elif kind == "external":
+            x = np.vstack([design.x] + [design.x_u(u) for u in subsets])
+            path = tmp_path_factory.mktemp("table") / "table.csv"
+            table = np.hstack([x, get_model("sum_prod").evaluate(x)])
+            np.savetxt(path, table, fmt="%.17g", delimiter=",", header="x1,x2,y1,y2", comments="")
+            model = load_external_model(str(path))
+        else:
+            model = VectorModel(in_dims=p, out_dims=p, kind="builtin", eval_fn=lambda x: x)
+        y = model.evaluate(design.x)
+        samples = list(evaluate_shared(model, design))
+        assert [s.subset for s in samples] == subsets
+        for u, sample in zip(subsets, samples):
+            y_u = model.evaluate(design.x_u(u))
+            assert sample.y.shape == y.shape and sample.y.tobytes() == y.tobytes()
+            assert sample.y_u.shape == y_u.shape and sample.y_u.tobytes() == y_u.tobytes()
+            if kind == "identity":
+                for out in (sample.y, sample.y_u):
+                    assert not any(np.may_share_memory(out, a) for a in (design.x, design.x_prime))
+
+    def test_no_whole_second_block_is_built(self):
+        # memory holds the shared output, one group's output and one chunk of
+        # inputs and outputs; a whole second block would add 8 * n * p bytes
+        n, k, p = 200_000, 4, 6
+        model = linear_model(np.random.default_rng(5).standard_normal((k, p)))
+        design = generate_design(model.space(), [SubsetIndex((j,), p) for j in range(p)], n, 3)
+        tracemalloc.start()
+        try:
+            for sample in evaluate_shared(model, design):
+                del sample
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 2 * k + 2 * 2**20
 
 
 class TestBlockedKernel:
