@@ -43,10 +43,9 @@ from .oracle import (
     exact_index,
 )
 from .pickfreeze import (
-    EmpiricalCovariances,
+    PairMoments,
     PickFreezeSample,
     SharedDesign,
-    empirical_covariances,
     estimate_index,
     estimate_index_general,
     evaluate_pairs,
@@ -101,13 +100,12 @@ __all__ = [
     # pick-freeze
     "PickFreezeSample",
     "SharedDesign",
-    "EmpiricalCovariances",
+    "PairMoments",
     "generate_design",
     "evaluate_pairs",
     "evaluate_shared",
     "estimate_index",
     "estimate_index_general",
-    "empirical_covariances",
     "write_sample_csv",
     "read_sample_csv",
     # inference

@@ -10,19 +10,20 @@ statistics T (pickfreeze.pair_table), so both intervals are built on T:
 - bootstrap_ci: Efron's multinomial view of pair resampling. A resample of
   pair indices is a vector of counts, and its replicate means are
   counts @ T / n, one matrix product per block of replicates, summed over
-  fixed row chunks in order.
+  fixed row chunks in order. T is filled by the moments kernel's block step.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
 against an oracle target. Each replicate's design, model evaluation and point
 estimate (with its degeneracy check) run on the calling thread, in replicate
 order. With bootstrap intervals, the replicates' resampling runs on a thread
 pool that the study opens and joins, one worker per CPU the process may run
-on, and no pool when there is one: the calling thread keeps at most twice as
-many replicates in flight as there are workers and takes their intervals in
+on (one worker on one CPU): the calling thread keeps at most twice as many
+replicates in flight as there are workers and takes their intervals in
 replicate order, so memory does not grow with the number of replicates. Each
 replicate resamples from its own Philox stream in blocks of a fixed size, so
 the report does not depend on the CPU count. Delta-method studies run on the
-calling thread alone: their cost is the moments pass there.
+calling thread alone, one replicate's sample at a time: their cost is the
+moments pass there.
 
 No scipy at runtime: the normal quantile and distribution function come from
 statistics.NormalDist.
@@ -44,8 +45,8 @@ from .errors import ContractError, DegenerateSampleError
 from .models import VectorModel
 from .pickfreeze import (
     PickFreezeSample,
+    _degeneracy_floor,
     _row_blocks,
-    empirical_covariances,
     estimate_index,
     evaluate_pairs,
     generate_design,
@@ -123,9 +124,8 @@ def delta_variance(sample: PickFreezeSample) -> float:
     if sample.n < DELTA_MIN_N:
         raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {sample.n}")
     value = estimate_index(sample)  # raises DegenerateSampleError when flat
-    denom = float(np.trace(empirical_covariances(sample).total)) / sample.n
-
     mom = sample.moments
+    denom = float(np.trace(mom.total)) / sample.n
     grad = np.empty(sample.out_dims + 2)
     grad[0] = 1.0 - value
     grad[1] = -(1.0 + value)
@@ -159,9 +159,11 @@ def _bootstrap_block(n: int) -> int:
 def _bootstrap_estimates(
     sample: PickFreezeSample, b_reps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Estimator values over pair-index resamples, from counts @ T in blocks."""
+    """Estimator values over pair-index resamples, from counts @ T in blocks;
+    a resample with its denominator at the sample's degeneracy floor raises."""
     table = pair_table(sample)
     n = sample.n
+    floor = _degeneracy_floor(sample) / n  # the floor of a denominator of means
     block = _bootstrap_block(n)
     out = np.empty(b_reps)
     for start in range(0, b_reps, block):
@@ -177,7 +179,11 @@ def _bootstrap_estimates(
             means += counts[:, chunk] @ table[chunk]
         means /= n
         u, v, centering = means[:, 0], means[:, 1], np.sum(means[:, 2:] ** 2, axis=1)
-        out[start : start + rows] = (u - v - centering) / (u + v - centering)
+        denominator = u + v - centering
+        if not (denominator > floor).all():
+            raise DegenerateSampleError("the sample has too few distinct pairs to bootstrap: "
+                                        "a resample's denominator is at the degeneracy floor")
+        out[start : start + rows] = (u - v - centering) / denominator
     return out
 
 
@@ -241,6 +247,13 @@ def _replicate_samples(
         yield evaluate_pairs(model, generate_design(space, subset, n_per_rep, design_ss)), ci_ss
 
 
+def _delta_intervals(samples, level: float) -> Iterator[IndexEstimate]:
+    """Delta intervals on this thread, holding one replicate's sample at a time."""
+    for sample, _ in samples:
+        yield delta_ci(sample, level)
+        del sample  # else it outlives the next replicate's evaluation
+
+
 def _bootstrap_intervals(
     samples: Iterator[tuple[PickFreezeSample, np.random.SeedSequence]], b_reps: int, level: float
 ) -> Iterator[IndexEstimate]:
@@ -250,15 +263,11 @@ def _bootstrap_intervals(
     caches the moments the resampling reads. The resampling runs on a pool
     of one worker per available CPU, with at most twice as many replicates
     in flight as workers; an error surfaces at the first replicate that
-    raised, as it would on one thread. With one CPU no pool is made.
+    raised, as it would on one thread.
     """
-    workers = spaces._available_cpus()
-    if workers == 1:
-        for sample, ci_ss in samples:
-            yield _percentile_interval(sample, estimate_index(sample), b_reps, level, ci_ss)
-        return
     from concurrent.futures import ThreadPoolExecutor
 
+    workers = spaces._available_cpus()
     pool = ThreadPoolExecutor(workers, thread_name_prefix="vecsobol-bootstrap")
     in_flight = deque()
     try:
@@ -323,7 +332,7 @@ def clt_diagnostic(
 
     samples = _replicate_samples(model, space, subset, n_per_rep, reps, as_seed_sequence(seed))
     if ci_method == "delta":
-        intervals = (delta_ci(sample, ci_level) for sample, _ in samples)
+        intervals = _delta_intervals(samples, ci_level)
     else:
         intervals = _bootstrap_intervals(samples, b_reps, ci_level)
     estimates = np.empty(reps)

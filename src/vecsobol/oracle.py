@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
     ResourceError,
 )
 from .models import VectorModel
-from .pickfreeze import empirical_covariances, evaluate_shared, generate_design
+from .pickfreeze import evaluate_shared, generate_design
 from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence
 
 MAX_GRID_NODES = 10_000_000
@@ -507,7 +508,7 @@ def covariances_monte_carlo(
     design = generate_design(space, groups, n, tagged)
     # map holds no sample between calls, so one f(A_u) is alive at a time
     try:
-        pair, *rest = map(empirical_covariances, evaluate_shared(model, design))
+        pair, *rest = map(attrgetter("moments"), evaluate_shared(model, design))
     except DegenerateSampleError:  # non-finite or overflowing outputs
         raise _not_finite("monte carlo oracle") from None
     sigma, c_subset = pair.total / n, pair.subset / n

@@ -17,20 +17,22 @@ the pair mean h = (a + b)/2 and the half difference e = (a - b)/2 of a row,
     subset = sum_i (h_i - hbar)(h_i - hbar)^T - sum_i e_i e_i^T.
 
 The kernel reads a sample in fixed blocks of _BLOCK_ROWS rows: one pass
-for the pilot shift, then one pass that forms s = a + b and d = a - b per
-block and merges the block's centred cross-products of
-W = [|s|^2, |d|^2, s, d] into running totals with Chan's pairwise update.
-PairMoments holds what that pass yields, cached on the immutable sample:
-the two k-by-k Gram blocks, and the mean and covariance of the per-pair
-statistics T_i = [|h_i|^2, |e_i|^2, h_i] (pair_table), whose column means
-U, V and hbar the estimator is a function of. Every estimate is read off
-the Gram blocks, and the delta method in the inference module off the
-covariance of T. Partial sums are added in block order, so the results do
-not depend on the BLAS thread count. Coincident pairs have e = 0 exactly,
-so their two matrices are equal bit for bit; the cross-products come from
-symmetric rank-k updates, so both matrices are exactly symmetric; and the
-weighted estimator Tr(M C_hat)/Tr(M Sigma_hat) reduces to the plain ratio
-at M = identity, bit for bit.
+for the pilot shift, then one pass whose block step forms s = a + b and
+d = a - b and W = [|s|^2, |d|^2, s, d] per block, and which merges the
+block's centred cross-products of W into running totals with Chan's
+pairwise update. PairMoments, cached on the immutable sample, is the one
+interface to a sample's statistics: the plug-in matrices total and subset
+above, and the mean and covariance of the per-pair statistics
+T_i = [|h_i|^2, |e_i|^2, h_i], whose column means U, V and hbar the
+estimator is a function of. Estimates read the plug-in matrices and the
+delta method in the inference module the covariance of T; pair_table fills
+T row by row for the bootstrap through the same block step. Partial sums
+are added in block order, so the results do not depend on the BLAS thread
+count. Coincident pairs have e = 0 exactly, so their two matrices are equal
+bit for bit; the cross-products come from symmetric rank-k updates, so both
+matrices are exactly symmetric; and the weighted estimator
+Tr(M C_hat)/Tr(M Sigma_hat) reduces to the plain ratio at M = identity, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -163,12 +165,15 @@ class PairMoments:
     """Sufficient statistics of a pick-freeze sample, on shifted outputs.
 
     With a = Y - shift and b = Yu - shift, h = (a + b)/2 and e = (a - b)/2
-    per row (see the module docstring). Arrays are read-only.
+    per row (see the module docstring). total and subset are the plug-in
+    matrices, N times the usual covariance estimates: their diagonal sums are
+    exactly the estimator's denominator and numerator, and divided by n they
+    are entrywise covariance estimates. Arrays are read-only.
     """
 
     shift: np.ndarray  # (k,) pilot shift: the first-pass pair mean
-    centered_gram: np.ndarray  # (k, k) sum_i (h_i - hbar)(h_i - hbar)^T
-    diff_gram: np.ndarray  # (k, k) sum_i e_i e_i^T
+    total: np.ndarray  # (k, k) sum_i (h_i - hbar)(h_i - hbar)^T + sum_i e_i e_i^T
+    subset: np.ndarray  # (k, k) sum_i (h_i - hbar)(h_i - hbar)^T - sum_i e_i e_i^T
     table_mean: np.ndarray  # (k + 2,) column means of T = [|h|^2, |e|^2, h]
     table_cov: np.ndarray  # (k + 2, k + 2) covariance of T, divided by n
     scale: float  # max |h| + max |e|, which bounds the shifted magnitudes |a|, |b|
@@ -177,20 +182,6 @@ class PairMoments:
     def mean(self) -> np.ndarray:
         """hbar, the mean of h."""
         return self.table_mean[2:]
-
-
-@dataclass
-class EmpiricalCovariances:
-    """Un-normalized plug-in covariance matrices of a pick-freeze sample.
-
-    total and subset are N times the usual covariance estimates; their
-    diagonal sums are exactly the estimator's denominator and numerator.
-    Divide by n for entrywise covariance estimates.
-    """
-
-    total: np.ndarray  # (k, k)
-    subset: np.ndarray  # (k, k)
-    n: int
 
 
 def generate_design(
@@ -335,50 +326,65 @@ def _row_blocks(n: int):
         yield slice(start, min(start + _BLOCK_ROWS, n))
 
 
+def _pair_blocks(y: np.ndarray, y_u: np.ndarray, shift: np.ndarray):
+    """The block step: yields (rows, W, max s^2, max d^2) per row block, where
+    s = a + b = 2h and d = a - b = 2e on outputs shifted by shift. W, the
+    buffer [|s|^2, |d|^2, s, d] that the next block overwrites, is held
+    transposed so that every step runs along the block's rows."""
+    n, k = y.shape
+    rows0 = min(n, _BLOCK_ROWS)
+    buf = np.empty((2 * k + 2, rows0))
+    tmp = np.empty((k, rows0))
+    shift_col = shift[:, None]
+    for rows in _row_blocks(n):
+        m = rows.stop - rows.start
+        wb, t = buf[:, :m], tmp[:, :m]
+        s, d = wb[2 : k + 2], wb[k + 2 :]
+        yb, yub = y[rows].T, y_u[rows].T
+        # a = y - shift is exact when the shift is close to y, so large
+        # offsets cancel before any product is formed; d needs no shift
+        np.subtract(yb, shift_col, out=s)
+        np.subtract(yub, shift_col, out=t)
+        s += t
+        np.subtract(yb, yub, out=d)
+        np.square(s, out=t)
+        np.add.reduce(t, axis=0, out=wb[0])
+        max_s2 = float(t.max())
+        np.square(d, out=t)
+        np.add.reduce(t, axis=0, out=wb[1])
+        yield rows, wb, max_s2, float(t.max())
+
+
+def _table_factor(k: int) -> np.ndarray:
+    """T = [|h|^2, |e|^2, h] = [|s|^2 / 4, |d|^2 / 4, s / 2] over W's first k + 2 rows."""
+    return np.array([0.25, 0.25] + [0.5] * k)
+
+
 def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
     """Reduce a sample in row blocks into its PairMoments.
 
-    A block is held transposed, as the rows of W = [|s|^2, |d|^2, s, d] with
-    s = a + b = 2h and d = a - b = 2e, so every step runs along the block's
-    rows. W is centred on the block's own means and the blocks' centred
-    cross-products are merged with Chan's pairwise update. The quarter and
+    One pass sums the pilot shift; a second takes each block's W from the
+    block step, centres it on the block's own means and merges the blocks'
+    centred cross-products with Chan's pairwise update. The quarter and
     half factors of h and e are powers of two, applied once at the end.
     """
     n, k = y.shape
-    rows0 = min(n, _BLOCK_ROWS)
     w = 2 * k + 2
-    buf = np.empty((w, rows0))
-    tmp = np.empty((k, rows0))
     total = np.zeros(w)
     m2 = np.zeros((w, w))
     max_s2 = max_d2 = 0.0
     # finite outputs too large to square overflow here; that is checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        ones = np.ones(rows0)
+        ones = np.ones(min(n, _BLOCK_ROWS))
         pilot = np.zeros(k)
         for rows in _row_blocks(n):
             o = ones[: rows.stop - rows.start]
             pilot += o @ y[rows]
             pilot += o @ y_u[rows]
         shift = pilot / (2 * n)
-        shift_col = shift[:, None]
-        for rows in _row_blocks(n):
+        for rows, wb, block_s2, block_d2 in _pair_blocks(y, y_u, shift):
             m = rows.stop - rows.start
-            wb, t = buf[:, :m], tmp[:, :m]
-            s, d = wb[2 : k + 2], wb[k + 2 :]
-            yb, yub = y[rows].T, y_u[rows].T
-            # a = y - shift is exact when the shift is close to y, so large
-            # offsets cancel before any product is formed; d needs no shift
-            np.subtract(yb, shift_col, out=s)
-            np.subtract(yub, shift_col, out=t)
-            s += t
-            np.subtract(yb, yub, out=d)
-            np.square(s, out=t)
-            np.add.reduce(t, axis=0, out=wb[0])
-            max_s2 = max(max_s2, float(t.max()))
-            np.square(d, out=t)
-            np.add.reduce(t, axis=0, out=wb[1])
-            max_d2 = max(max_d2, float(t.max()))
+            max_s2, max_d2 = max(max_s2, block_s2), max(max_d2, block_d2)
             block_sum = wb.sum(axis=1)
             block_mean = block_sum / m
             if rows.start:
@@ -393,9 +399,7 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
         mean_d = mean_w[k + 2 :]
         centered = 0.25 * m2[2 : k + 2, 2 : k + 2]
         diff = 0.25 * (m2[k + 2 :, k + 2 :] + n * np.outer(mean_d, mean_d))
-        # T = [|h|^2, |e|^2, h] = [|s|^2 / 4, |d|^2 / 4, s / 2]
-        factor = np.full(k + 2, 0.5)
-        factor[:2] = 0.25
+        factor = _table_factor(k)
         table_mean = mean_w[: k + 2] * factor
         table_cov = m2[: k + 2, : k + 2] * np.outer(factor, factor) / n
     if not (np.isfinite(m2).all() and np.isfinite(diff).all()):
@@ -403,12 +407,13 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
         if bad.size:  # rows counted from 1, as in the sample file
             raise DegenerateSampleError(f"sample output row {bad[0] + 1} is not finite")
         raise DegenerateSampleError("sample moments overflow: the outputs are too large")
-    for a in (shift, centered, diff, table_mean, table_cov):
+    total, subset = centered + diff, centered - diff
+    for a in (shift, total, subset, table_mean, table_cov):
         a.flags.writeable = False
     return PairMoments(
         shift=shift,
-        centered_gram=centered,
-        diff_gram=diff,
+        total=total,
+        subset=subset,
         table_mean=table_mean,
         table_cov=table_cov,
         scale=0.5 * (float(np.sqrt(max_s2)) + float(np.sqrt(max_d2))),
@@ -420,19 +425,15 @@ def pair_table(sample: PickFreezeSample) -> np.ndarray:
 
     Their column means U, V and hbar give the estimator as
     (U - V - |hbar|^2) / (U + V - |hbar|^2); the moments kernel holds their
-    mean and covariance. Built on demand for the bootstrap and never cached:
-    it is as large as the sample.
+    mean and covariance. Filled block by block through the kernel's block
+    step, on the sample's pilot shift. Built on demand for the bootstrap and
+    never cached: it is as large as the sample.
     """
-    shift = sample.moments.shift
-    s = sample.y - shift
-    d = sample.y_u - shift
-    s += d
-    np.subtract(sample.y, sample.y_u, out=d)
-    quarter = np.full(sample.out_dims, 0.25)
-    table = np.empty((sample.n, sample.out_dims + 2))
-    np.multiply(s, 0.5, out=table[:, 2:])
-    table[:, 0] = np.square(s, out=s) @ quarter
-    table[:, 1] = np.square(d, out=d) @ quarter
+    k = sample.out_dims
+    factor = _table_factor(k)
+    table = np.empty((sample.n, k + 2))
+    for rows, wb, _, _ in _pair_blocks(sample.y, sample.y_u, sample.moments.shift):
+        np.multiply(wb[: k + 2].T, factor, out=table[rows])
     return table
 
 
@@ -444,33 +445,18 @@ def _degeneracy_floor(sample: PickFreezeSample) -> float:
     return 1e-14 * scale * scale * sample.n
 
 
-def empirical_covariances(sample: PickFreezeSample) -> EmpiricalCovariances:
-    """Plug-in matrices whose traces are the estimator's numerator and
-    denominator, read off the sample's cached moments.
-
-    Coincident pairs (y_u identical to y) give total == subset bit for bit,
-    and each matrix is exactly symmetric.
-    """
+def estimate_index(sample: PickFreezeSample) -> float:
+    """The pick-freeze estimate of the identity-weighted index for this subset."""
     if sample.n < 2:
         raise ContractError(f"need at least 2 paired rows, got {sample.n}")
     mom = sample.moments
-    return EmpiricalCovariances(
-        total=mom.centered_gram + mom.diff_gram,
-        subset=mom.centered_gram - mom.diff_gram,
-        n=sample.n,
-    )
-
-
-def estimate_index(sample: PickFreezeSample) -> float:
-    """The pick-freeze estimate of the identity-weighted index for this subset."""
-    emp = empirical_covariances(sample)
-    denominator = float(np.trace(emp.total))
+    denominator = float(np.trace(mom.total))
     if denominator <= _degeneracy_floor(sample):
         raise DegenerateSampleError(
             f"sample denominator {denominator:.3e} is at the degeneracy floor; "
             "the model output appears constant"
         )
-    return float(np.trace(emp.subset)) / denominator
+    return float(np.trace(mom.subset)) / denominator
 
 
 def estimate_index_general(sample: PickFreezeSample, m: np.ndarray) -> float:
@@ -484,14 +470,16 @@ def estimate_index_general(sample: PickFreezeSample, m: np.ndarray) -> float:
         raise ContractError(f"weight matrix must be {k}x{k}, got {m.shape}")
     if not np.isfinite(m).all():
         raise ContractError("weight matrix must be finite")
-    emp = empirical_covariances(sample)
-    denominator = float(np.trace(m @ emp.total))
+    if sample.n < 2:
+        raise ContractError(f"need at least 2 paired rows, got {sample.n}")
+    mom = sample.moments
+    denominator = float(np.trace(m @ mom.total))
     m_scale = float(np.max(np.abs(m)))
     if abs(denominator) <= _degeneracy_floor(sample) * max(m_scale, 1e-300):
         raise IllPosedIndexError(
             f"Tr(M Sigma_hat) = {denominator:.3e} is too close to zero for this weighting"
         )
-    return float(np.trace(m @ emp.subset)) / denominator
+    return float(np.trace(m @ mom.subset)) / denominator
 
 
 # ---------------------------------------------------------------------------

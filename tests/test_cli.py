@@ -596,7 +596,7 @@ class TestMain:
         # unpinned run fills its columns on threads; in the second run the
         # shared x' redraws the union of the subsets' complements, inputs 1-4
         # of 5. The third is a replication study with bootstrap intervals,
-        # whose resampling runs on the study's pool when it is unpinned.
+        # whose resampling runs on the study's pool, of one worker when pinned.
         n = spaces._PARALLEL_MIN_DRAWS // 2 + 1
         runs = [f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nci: delta\n",
                 "model: {name: linear, params: {matrix: [[1, 2, 0, -1, 0.5], [0, 1, 3, 1, -2]]}}\n"
@@ -628,12 +628,16 @@ class TestMain:
                     "from vecsobol.cli import main\n"
                     f"rc = main(['--config', {str(config)!r}, '--output', {str(out)!r}, "
                     "'--reproducible'])\n"
-                    "print('threaded' if opened else 'serial')\n"
+                    "print(max((args[0] for args in opened), default=0))\n"
                     "sys.exit(rc)\n"
                 )
                 proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                      text=True, check=True)
-                assert proc.stdout.split()[-1] == ("serial" if pin else "threaded")
+                workers = int(proc.stdout.split()[-1])  # the largest pool opened
+                if pin:
+                    assert workers == (1 if i == 2 else 0)
+                else:
+                    assert workers >= 2
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
 
@@ -827,6 +831,21 @@ class TestMain:
              "--output", str(out)]
         )
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("source", ["model", "sample"])
+    def test_too_few_distinct_pairs_to_bootstrap_exit_3(self, tmp_path, capsys, source):
+        # three pairs with e = 0: a resample that draws one of them three
+        # times has a zero denominator
+        if source == "model":
+            argv = ["--model", "sum_prod", "--subset", "1,2", "--n", "3"]
+        else:
+            path = tmp_path / "pairs.csv"
+            path.write_text("y_1,y_2,yu_1,yu_2\n1,2,1,2\n3,1,3,1\n0.5,4,0.5,4\n")
+            argv = ["--sample", str(path), "--subset", "1"]
+        rc = main([*argv, "--ci", "bootstrap", "--ci-reps", "200", "--seed", "1",
+                   "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_DEGENERATE
+        assert "too few distinct pairs to bootstrap" in capsys.readouterr().err
 
     def test_singular_discrete_oracle_exits_3(self, tmp_path, capsys):
         # u_only pads its output with a zero column, so no grid gives it a definite covariance

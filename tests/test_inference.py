@@ -22,7 +22,6 @@ from vecsobol import (
     clt_diagnostic,
     delta_ci,
     delta_variance,
-    empirical_covariances,
     estimate_index,
     evaluate_pairs,
     generate_design,
@@ -57,7 +56,7 @@ def _reference_delta_variance(sample):
 def _projection_delta_variance(sample):
     """The delta method as a projection: the variance of pair_table(sample) @ grad."""
     value = estimate_index(sample)
-    denom = float(np.trace(empirical_covariances(sample).total)) / sample.n
+    denom = float(np.trace(sample.moments.total)) / sample.n
     grad = np.concatenate([[1.0 - value, -(1.0 + value)], -2.0 * (1.0 - value) * sample.moments.mean])
     return float(np.var(pair_table(sample) @ (grad / denom)))
 
@@ -199,6 +198,15 @@ class TestBootstrapCi:
         with pytest.raises(ContractError):
             bootstrap_ci(_sample(n=100, seed=1), 100, 0.95, seed=1)
 
+    def test_too_few_distinct_pairs_raise(self):
+        # three coincident pairs: a resample that draws one of them three
+        # times has a zero denominator, and there is no estimate to report
+        y = np.array([[1.0, 2.0], [3.0, 1.0], [0.5, 4.0]])
+        sample = PickFreezeSample(y, y)
+        assert estimate_index(sample) == 1.0
+        with pytest.raises(DegenerateSampleError, match="too few distinct pairs to bootstrap"):
+            bootstrap_ci(sample, 200, 0.95, seed=1)
+
     @pytest.mark.parametrize("n", [2000, 3001])
     def test_block_size_moves_replicates_by_ulps_only(self, monkeypatch, n):
         sample = _sample("sum_prod", n=n, seed=9)
@@ -233,7 +241,28 @@ class TestBootstrapCi:
         assert peak < 64 * 2**20
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCltDiagnostic:
+    def test_delta_study_holds_one_replicate_at_a_time(self):
+        # a study that kept a replicate's sample while evaluating the next
+        # one would peak a whole sample (2 n k floats) above one replicate
+        n = 10_000
+        model = linear_model(np.random.default_rng(0).normal(size=(8, 2)))
+        study = dict(model=model, space=model.space(), subset=U1, target=0.5)
+        clt_diagnostic(n_per_rep=20, reps=200, seed=2, **study)  # fills imports and caches untraced
+        one = _traced_peak(
+            lambda: delta_ci(evaluate_pairs(model, generate_design(model.space(), U1, n, 1))))
+        whole = _traced_peak(lambda: clt_diagnostic(n_per_rep=n, reps=200, seed=1, **study))
+        assert whole < one + 0.5 * (2 * n * 8 * 8)
+
     def test_report_fields_and_normality(self):
         model = get_model("identity_2")
         rep = clt_diagnostic(model, model.space(), U1, 500, 250, target=0.5, seed=31)
@@ -352,7 +381,7 @@ class TestBootstrapStudyThreads:
                 monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
                 reports[cpus] = clt_diagnostic(model, model.space(), U1, 100, 200,
                                                target=15 / 31, seed=43, ci_method="bootstrap")
-                assert executors == ([] if cpus == 1 else [cpus])
+                assert executors == [cpus]
         finally:
             sys.setswitchinterval(interval)
         estimates, coverage = _reference_study(model, 100, 200, 15 / 31, 43, 200)

@@ -17,7 +17,6 @@ from vecsobol import (
     VectorModel,
     apply_transform,
     delta_variance,
-    empirical_covariances,
     estimate_index,
     estimate_index_general,
     evaluate_pairs,
@@ -129,6 +128,13 @@ class TestEstimator:
             sample = _sample("u_only", n=n, seed=5, dims=2, coords=(0,))
             assert estimate_index(sample) == 1.0
 
+    def test_one_pair_is_refused(self):
+        sample = PickFreezeSample(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
+        with pytest.raises(ContractError, match="at least 2 paired rows"):
+            estimate_index(sample)
+        with pytest.raises(ContractError, match="at least 2 paired rows"):
+            estimate_index_general(sample, np.eye(2))
+
     def test_full_subset_is_exactly_one(self):
         full = SubsetIndex((0, 1), 2)
         assert estimate_index(_sample(subset=full, n=1000, seed=5)) == 1.0
@@ -195,25 +201,28 @@ class TestEstimator:
 
 
 class TestEmpiricalCovariances:
+    """The plug-in matrices sample.moments.total and .subset."""
+
     def test_trace_ratio_is_bit_identical(self):
         for seed in range(5):
             sample = _sample("sum_prod", n=777, seed=seed)
-            emp = empirical_covariances(sample)
+            emp = sample.moments
             assert np.trace(emp.subset) / np.trace(emp.total) == estimate_index(sample)
 
     def test_coincident_pairs_give_equal_matrices(self):
         sample = _sample("u_only", n=500, seed=3, dims=2, coords=(0,))
-        emp = empirical_covariances(sample)
+        emp = sample.moments
         assert np.array_equal(emp.subset, emp.total)
 
     def test_matrices_are_symmetric(self):
-        emp = empirical_covariances(_sample("sum_prod", n=999, seed=2))
+        emp = _sample("sum_prod", n=999, seed=2).moments
         assert np.array_equal(emp.total, emp.total.T)
         assert np.array_equal(emp.subset, emp.subset.T)
 
     def test_normalized_cross_matrix_converges(self):
-        emp = empirical_covariances(_sample(n=1_000_000, seed=10))
-        assert np.max(np.abs(emp.subset / emp.n - np.diag([1.0, 0.0]))) < 0.01
+        sample = _sample(n=1_000_000, seed=10)
+        emp = sample.moments
+        assert np.max(np.abs(emp.subset / sample.n - np.diag([1.0, 0.0]))) < 0.01
 
 
 class TestGeneralWeighting:
@@ -308,7 +317,7 @@ class TestTranslationInvariance:
         y = sd * rng.standard_normal((n, k)) + sign * sd * 10.0**log_offset
         sample = PickFreezeSample(y, y)
         assert estimate_index(sample) == 1.0
-        emp = empirical_covariances(sample)
+        emp = sample.moments
         assert np.array_equal(emp.subset, emp.total)
 
 
@@ -322,7 +331,7 @@ class TestSampleCache:
             sample.y[0, 0] = 1.0
         assert sample.moments is sample.moments
         with pytest.raises(ValueError):
-            sample.moments.centered_gram[0, 0] = 1.0
+            sample.moments.total[0, 0] = 1.0
         # the sample holds copies, so changing the source leaves the cache valid
         y[:] = 0.0
         assert estimate_index(sample) == estimate_index(PickFreezeSample(sample.y, sample.y_u))
@@ -550,7 +559,7 @@ class TestBlockedKernel:
         for rows in self.BLOCK_ROWS + (n,):
             monkeypatch.setattr(pickfreeze, "_BLOCK_ROWS", rows)
             fresh = self._fresh(sample)
-            emp = empirical_covariances(fresh)
+            emp = fresh.moments
             results[rows] = (
                 np.array([estimate_index(fresh), estimate_index_general(fresh, m), delta_variance(fresh)]),
                 emp.total,
@@ -571,7 +580,7 @@ class TestBlockedKernel:
             coincident = PickFreezeSample(y, y)
             assert estimate_index(coincident) == 1.0
             assert delta_variance(coincident) == 0.0
-            emp = empirical_covariances(coincident)
+            emp = coincident.moments
             assert np.array_equal(emp.total, emp.subset) and np.array_equal(emp.total, emp.total.T)
             sample = PickFreezeSample(y, y_u)
             assert estimate_index_general(sample, np.eye(3)) == estimate_index(sample)
@@ -592,6 +601,46 @@ class TestBlockedKernel:
             peaks.append(peak)
         assert peaks[1] < 2**20
         assert peaks[1] <= peaks[0] + 1024
+
+
+def _reference_pair_table(sample):
+    """pair_table as first written, with s and d of its own and |s|^2, |d|^2
+    summed by a product with a vector of quarters."""
+    shift = sample.moments.shift
+    s = sample.y - shift
+    d = sample.y_u - shift
+    s += d
+    np.subtract(sample.y, sample.y_u, out=d)
+    quarter = np.full(sample.out_dims, 0.25)
+    table = np.empty((sample.n, sample.out_dims + 2))
+    np.multiply(s, 0.5, out=table[:, 2:])
+    table[:, 0] = np.square(s, out=s) @ quarter
+    table[:, 1] = np.square(d, out=d) @ quarter
+    return table
+
+
+class TestPairTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 4095, 4096, 4097, 9001]),  # around the kernel's block size
+        k=st.integers(1, 6),
+        log_sd=st.floats(-6.0, 6.0),
+        log_offset=st.floats(0.0, 8.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_matches_the_formula_of_its_own(self, seed, n, k, log_sd, log_offset, sign):
+        # the kernel's block step sums |s|^2 and |d|^2 over the outputs in
+        # its own order, so entries may move by ulps, and h keeps its bits
+        rng = np.random.default_rng(seed)
+        sd = 10.0**log_sd
+        y = sd * rng.standard_normal((n, k))
+        y_u = 0.5 * y + sd * rng.standard_normal((n, k))
+        offset = sign * sd * 10.0**log_offset * rng.uniform(0.5, 1.0, size=k)
+        sample = PickFreezeSample(y + offset, y_u + offset)
+        got, ref = pickfreeze.pair_table(sample), _reference_pair_table(sample)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+        assert np.array_equal(got[:, 2:], ref[:, 2:])
 
 
 class TestSampleCsv:
