@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
@@ -692,8 +693,11 @@ def _tree_from_args(args: argparse.Namespace) -> dict:
         tree.pop("model", None)
     if args.matrix:
         try:
-            tree["matrix"] = np.atleast_2d(np.loadtxt(args.matrix)).tolist()
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                # an empty or comments-only file warns that it holds no data
+                warnings.simplefilter("error", UserWarning)
+                tree["matrix"] = np.atleast_2d(np.loadtxt(args.matrix)).tolist()
+        except (OSError, ValueError, UserWarning) as exc:
             raise ConfigurationError(f"matrix: cannot read {args.matrix}: {exc}") from None
     ci_flags = {"kind": args.ci, "level": args.ci_level, "reps": args.ci_reps}
     if any(value is not None for value in ci_flags.values()):

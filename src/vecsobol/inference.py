@@ -17,13 +17,13 @@ against an oracle target. Each replicate's design, model evaluation and point
 estimate (with its degeneracy check) run on the calling thread, in replicate
 order. With bootstrap intervals, the replicates' resampling runs on a thread
 pool that the study opens and joins, one worker per CPU the process may run
-on (one worker on one CPU): the calling thread keeps at most twice as many
-replicates in flight as there are workers and takes their intervals in
-replicate order, so memory does not grow with the number of replicates. Each
-replicate resamples from its own Philox stream in blocks of a fixed size, so
-the report does not depend on the CPU count. Delta-method studies run on the
-calling thread alone, one replicate's sample at a time: their cost is the
-moments pass there.
+on (one worker on one CPU); it is the only pool the package opens. The
+calling thread keeps at most twice as many replicates in flight as there are
+workers and takes their intervals in replicate order, so memory does not
+grow with the number of replicates. Each replicate resamples from its own
+Philox stream in blocks of a fixed size, so the report does not depend on
+the CPU count. Delta-method studies run on the calling thread alone, one
+replicate's sample at a time: their cost is the moments pass there.
 
 No scipy at runtime: the normal quantile and distribution function come from
 statistics.NormalDist.
@@ -32,6 +32,7 @@ statistics.NormalDist.
 from __future__ import annotations
 
 import contextvars
+import os
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import spaces
 from .errors import ContractError, DegenerateSampleError
 from .models import VectorModel
 from .pickfreeze import (
@@ -254,6 +254,14 @@ def _delta_intervals(samples, level: float) -> Iterator[IndexEstimate]:
         del sample  # else it outlives the next replicate's evaluation
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        return os.cpu_count() or 1
+
+
 def _bootstrap_intervals(
     samples: Iterator[tuple[PickFreezeSample, np.random.SeedSequence]], b_reps: int, level: float
 ) -> Iterator[IndexEstimate]:
@@ -267,7 +275,7 @@ def _bootstrap_intervals(
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = spaces._available_cpus()
+    workers = _available_cpus()
     pool = ThreadPoolExecutor(workers, thread_name_prefix="vecsobol-bootstrap")
     in_flight = deque()
     try:

@@ -216,28 +216,16 @@ def _frozen_mix(
     x: np.ndarray, x_prime: np.ndarray, complement: tuple[int, ...], columns: list[int]
 ) -> np.ndarray:
     """x with its complement columns taken from x_prime, in the original
-    column order, copied run by run of adjacent columns from one source.
-    Complement column complement[i] is x_prime's column columns[i]; x_prime
-    keeps its columns in input order, so a run of adjacent complement
-    columns is a run of adjacent x_prime columns.
+    column order: complement column complement[i] is x_prime's column
+    columns[i].
 
-    The result is built as a p-by-n array and returned as its transpose,
-    like a drawn sample, so a run is one contiguous block copy when x and
-    x_prime are column-major as ``sample_marginals`` returns them."""
-    n, p = x.shape
+    The columns are stacked as the rows of a p-by-n array, which is returned
+    as its transpose, like a drawn sample; each is one contiguous copy when x
+    and x_prime are column-major as ``sample_marginals`` returns them."""
     column = dict(zip(complement, columns))
-    mixed = np.empty((p, n))
-    start = 0
-    for stop in range(1, p + 1):
-        if stop < p and (stop in column) == (start in column):
-            continue
-        if start in column:
-            first = column[start]
-            mixed[start:stop] = x_prime.T[first : first + stop - start]
-        else:
-            mixed[start:stop] = x.T[start:stop]
-        start = stop
-    return mixed.T
+    return np.stack(
+        [x_prime[:, column[j]] if j in column else x[:, j] for j in range(x.shape[1])]
+    ).T
 
 
 def evaluate_pairs(model: VectorModel, design: SharedDesign) -> PickFreezeSample:

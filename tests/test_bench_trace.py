@@ -9,7 +9,7 @@ tests run traced CLI analyses and assert the layers and counts they must show.
 import importlib.util
 from pathlib import Path
 
-from vecsobol import spaces
+from vecsobol import inference
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -47,12 +47,9 @@ def test_traced_run_records_the_closed_form_oracle():
     assert expected <= names
 
 
-def test_traced_parallel_draws_count_every_design_column(monkeypatch):
-    # at the threshold of two columns on two CPUs the design columns are filled
-    # on threads; the tracer still reads n and the marginals off
-    # sample_marginals' arguments
-    n = spaces._PARALLEL_MIN_DRAWS // 2
-    monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+def test_traced_draws_count_every_design_column():
+    # the tracer reads n and the marginals off sample_marginals' arguments
+    n = 2**17
     report, spans = _traced_run(
         f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nseed: 1\noracle: auto\n"
     )
@@ -71,7 +68,7 @@ def test_traced_parallel_draws_count_every_design_column(monkeypatch):
 def test_traced_bootstrap_study_keeps_its_spans_on_the_calling_thread(monkeypatch):
     # the replicates' resampling runs on the study's pool and records no span;
     # every span is recorded on the calling thread and nests in its parent
-    monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(inference, "_available_cpus", lambda: 2)
     reps = 200
     report, spans = _traced_run(
         "model: sum_prod\nsubsets: [[1]]\nn: 300\nseed: 3\noracle: auto\n"

@@ -592,12 +592,12 @@ class TestMain:
         reason="needs CPU affinity and at least two CPUs",
     )
     def test_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
-        # In the first two runs n is above the threshold of two columns, so the
-        # unpinned run fills its columns on threads; in the second run the
-        # shared x' redraws the union of the subsets' complements, inputs 1-4
-        # of 5. The third is a replication study with bootstrap intervals,
-        # whose resampling runs on the study's pool, of one worker when pinned.
-        n = spaces._PARALLEL_MIN_DRAWS // 2 + 1
+        # The first two runs draw large designs, which open no pool; in the
+        # second run the shared x' redraws the union of the subsets'
+        # complements, inputs 1-4 of 5. The third is a replication study with
+        # bootstrap intervals, whose resampling runs on the study's pool, of
+        # one worker when pinned.
+        n = 2**17 + 1
         runs = [f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nci: delta\n",
                 "model: {name: linear, params: {matrix: [[1, 2, 0, -1, 0.5], [0, 1, 3, 1, -2]]}}\n"
                 f"subsets: [[5], [2, 5], [1, 3, 5]]\nn: {n}\nci: delta\n",
@@ -634,8 +634,10 @@ class TestMain:
                 proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                      text=True, check=True)
                 workers = int(proc.stdout.split()[-1])  # the largest pool opened
-                if pin:
-                    assert workers == (1 if i == 2 else 0)
+                if i < 2:
+                    assert workers == 0
+                elif pin:
+                    assert workers == 1
                 else:
                     assert workers >= 2
                 outs.append(out.read_bytes())
@@ -684,6 +686,17 @@ class TestMain:
         assert rc == EXIT_OK
         tree = json.loads(out.read_text())
         assert abs(tree["subsets"][0]["estimate_weighted"] - 1 / 3) < 0.01
+
+    @pytest.mark.parametrize("text", ["", "# weights\n\n"], ids=["empty", "comments only"])
+    def test_matrix_file_without_numbers_exits_2_naming_the_file(self, tmp_path, capsys, text):
+        mfile = tmp_path / "m.txt"
+        mfile.write_text(text)
+        rc = main(["--model", "identity_2", "--subset", "1", "--n", "100", "--seed", "4",
+                   "--matrix", str(mfile), "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"configuration error: matrix: cannot read {mfile}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("field, text", MALFORMED, ids=[f for f, _ in MALFORMED])
     def test_malformed_config_exits_2_naming_its_field(self, tmp_path, capsys, field, text):

@@ -28,7 +28,7 @@ from vecsobol import (
     get_model,
     linear_model,
 )
-from vecsobol import DegenerateSampleError, inference, spaces
+from vecsobol import DegenerateSampleError, inference
 from vecsobol.inference import _bootstrap_block, _bootstrap_estimates
 from vecsobol.pickfreeze import pair_table
 
@@ -366,6 +366,15 @@ def _study_threads():
     return [t.name for t in threading.enumerate() if t.name.startswith("vecsobol-")]
 
 
+def test_worker_count_falls_back_to_cpu_count(monkeypatch):
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert inference._available_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert inference._available_cpus() == 1
+
+
 class TestBootstrapStudyThreads:
     """Bootstrap studies resample on a pool of one worker per available CPU."""
 
@@ -378,7 +387,7 @@ class TestBootstrapStudyThreads:
         try:
             for cpus in (1, 2, 8):
                 executors.clear()
-                monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
+                monkeypatch.setattr(inference, "_available_cpus", lambda cpus=cpus: cpus)
                 reports[cpus] = clt_diagnostic(model, model.space(), U1, 100, 200,
                                                target=15 / 31, seed=43, ci_method="bootstrap")
                 assert executors == [cpus]
@@ -396,7 +405,7 @@ class TestBootstrapStudyThreads:
     def test_a_failing_replicate_raises_the_serial_error(self, monkeypatch, replicate, constant):
         errors = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(inference, "_available_cpus", lambda cpus=cpus: cpus)
             model = _failing_model(replicate, constant)
             error = DegenerateSampleError if constant else RuntimeError
             with pytest.raises(error) as info:
@@ -418,7 +427,7 @@ class TestBootstrapStudyThreads:
 
         monkeypatch.setattr(inference, "_percentile_interval", failing)
         for cpus in (1, 2, 4):
-            monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(inference, "_available_cpus", lambda cpus=cpus: cpus)
             model = _failing_model(7)
             with pytest.raises(ArithmeticError, match="replicate 6"):
                 clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
@@ -435,13 +444,13 @@ class TestBootstrapStudyThreads:
         monkeypatch.setattr(inference, "_percentile_interval", dividing)
         model = get_model("identity_2")
         for cpus in (1, 2):
-            monkeypatch.setattr(spaces, "_available_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(inference, "_available_cpus", lambda cpus=cpus: cpus)
             with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
                 clt_diagnostic(model, model.space(), U1, 100, 200, target=0.5, seed=3,
                                ci_method="bootstrap")
 
     def test_no_study_thread_outlives_the_study(self, monkeypatch, executors):
-        monkeypatch.setattr(spaces, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(inference, "_available_cpus", lambda: 4)
         before = threading.active_count()
         model = get_model("identity_2")
         clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=3, ci_method="bootstrap")
@@ -451,7 +460,7 @@ class TestBootstrapStudyThreads:
     def test_at_most_twice_as_many_replicates_as_workers_are_in_flight(self, monkeypatch):
         # resampling is slowed, so without the window this thread would run
         # ahead of the pool and keep a sample alive for every replicate
-        monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(inference, "_available_cpus", lambda: 2)
         resample, estimate = inference._percentile_interval, inference.estimate_index
         refs, counts = [], []
 
@@ -477,7 +486,7 @@ class TestBootstrapStudyThreads:
         # would grow by 10 MB from 200 to 400 replicates. The peak moves with
         # how the two workers' resampling blocks happen to overlap, by up to
         # one block each.
-        monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(inference, "_available_cpus", lambda: 2)
         model = linear_model(np.random.default_rng(0).normal(size=(64, 2)))
         study = dict(model=model, space=model.space(), subset=U1, target=0.5, seed=3,
                      ci_method="bootstrap")

@@ -1,9 +1,5 @@
-import os
-import signal
 import sys
 import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
@@ -142,69 +138,9 @@ MIXED = InputSpace(
 )
 
 
-def _draw(monkeypatch, executors, space, n, seed, cpus):
-    """Sample as if `cpus` CPUs were available; returns (matrix, pool opened)."""
-    executors.clear()
-    monkeypatch.setattr(spaces, "_available_cpus", lambda: cpus)
-    return sample_inputs(space, n, seed), bool(executors)
-
-
-@pytest.mark.parametrize("space", [MIXED, InputSpace.normal(1), InputSpace(MIXED.marginals[2:3])],
-                         ids=["mixed", "p=1 normal", "p=1 discrete"])
-def test_column_draws_do_not_depend_on_the_thread_count(monkeypatch, executors, space):
-    monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 1)
-    serial, used = _draw(monkeypatch, executors, space, 1000, 17, cpus=1)
-    assert not used
-    for cpus in (2, 3):
-        parallel, used = _draw(monkeypatch, executors, space, 1000, 17, cpus)
-        assert used == (space.dims > 1)
-        assert parallel.tobytes() == serial.tobytes()
-
-
-def _threshold_rows(space):
-    """The fewest rows at which a sample of the space draws on threads."""
-    return -(-spaces._PARALLEL_MIN_DRAWS // space.dims)
-
-
-def _check_threshold(monkeypatch, executors, space):
-    rows = _threshold_rows(space)
-    for n, parallel_path in ((rows - 1, False), (rows, True)):
-        serial, used = _draw(monkeypatch, executors, space, n, 23, cpus=1)
-        assert not used
-        parallel, used = _draw(monkeypatch, executors, space, n, 23, cpus=2)
-        assert used == parallel_path
-        assert parallel.tobytes() == serial.tobytes()
-
-
-def test_threads_start_at_the_threshold(monkeypatch, executors):
-    _check_threshold(monkeypatch, executors, MIXED)
-
-
-@pytest.mark.parametrize("dims", [2, 6])
-def test_the_threshold_counts_every_column(monkeypatch, executors, dims):
-    # two columns start threads at 2^17 rows, as when the threshold counted
-    # draws per column; six columns of 2^16 rows, which threads draw faster, do too
-    space = InputSpace.uniform(dims)
-    _check_threshold(monkeypatch, executors, space)
-    assert _threshold_rows(space) == (2**17 if dims == 2 else 43_691)
-
-
-def test_no_thread_outlives_a_parallel_draw(monkeypatch, executors):
-    monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 1)
-    before = threading.active_count()
-    _, used = _draw(monkeypatch, executors, MIXED, 1000, 19, cpus=4)
-    assert used and executors == [4]
-    assert threading.active_count() == before
-    assert not any(t.name.startswith("vecsobol-draw") for t in threading.enumerate())
-
-
-def test_concurrent_callers_draw_the_serial_designs(monkeypatch, executors):
-    # more callers and pool threads than cores, switching threads often
-    monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 1)
-    monkeypatch.setattr(spaces, "_available_cpus", lambda: 1)
+def test_concurrent_callers_draw_the_serial_designs(executors):
+    # more callers than cores, switching threads often
     expected = [sample_inputs(MIXED, 500, seed) for seed in range(8)]
-    assert not executors
-    monkeypatch.setattr(spaces, "_available_cpus", lambda: 4)
     got = [None] * 8
 
     def draw(seed):
@@ -222,9 +158,18 @@ def test_concurrent_callers_draw_the_serial_designs(monkeypatch, executors):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert len(executors) == 8 * 20
+    assert not executors
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+def test_a_draw_starts_no_thread(executors):
+    # a design the size of the bigN_delta benchmark's: six normal columns
+    before = threading.active_count()
+    x = sample_inputs(InputSpace.normal(6), 500_000, 37)
+    assert x.shape == (500_000, 6)
+    assert not executors
+    assert threading.active_count() == before
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -237,62 +182,8 @@ def test_columns_are_contiguous_rows_of_their_own_streams(laws, n, seed):
     marginals = tuple(laws)
     streams = np.random.SeedSequence(seed).spawn(len(marginals))
     expected = [m.sample(spaces._generator(s), n) for m, s in zip(marginals, streams)]
-    for threshold in (1, n + 1):  # the threaded path, then the serial one
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spaces, "_PARALLEL_MIN_DRAWS", threshold)
-            mp.setattr(spaces, "_available_cpus", lambda: 3)
-            x = spaces.sample_marginals(marginals, n, np.random.SeedSequence(seed))
-        assert x.shape == (n, len(marginals))
-        assert x.T.flags.c_contiguous
-        for j, column in enumerate(expected):
-            assert x[:, j].tobytes() == column.tobytes()
-
-
-def test_worker_count_falls_back_to_cpu_count(monkeypatch):
-    # macOS and Windows have no sched_getaffinity
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert spaces._available_cpus() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert spaces._available_cpus() == 1
-
-
-def test_one_cpu_draws_serially_without_a_pool(monkeypatch, executors):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    x = sample_inputs(MIXED, _threshold_rows(MIXED), 29)
-    assert not executors
-    assert x.shape == (_threshold_rows(MIXED), MIXED.dims)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_draws_after_a_parallel_draw(monkeypatch, executors):
-    monkeypatch.setattr(spaces, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(spaces, "_PARALLEL_MIN_DRAWS", 16)
-    expected = sample_inputs(MIXED, 64, 31)
-    assert executors  # the parent drew on the parallel path
-    read_end, write_end = os.pipe()
-    with warnings.catch_warnings():
-        # forking a process that may run threads is the point of this test
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:  # child: it must open threads of its own and finish
-        code = 1
-        try:
-            executors.clear()
-            os.write(write_end, sample_inputs(MIXED, 64, 31).tobytes())
-            code = 0 if executors else 2
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    deadline = time.monotonic() + 30.0
-    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_end)
-            pytest.fail("the forked child hung drawing a design")
-        time.sleep(0.01)
-    with os.fdopen(read_end, "rb") as fh:
-        got = fh.read()
-    assert os.waitstatus_to_exitcode(status[1]) == 0
-    assert got == expected.tobytes()
+    x = spaces.sample_marginals(marginals, n, np.random.SeedSequence(seed))
+    assert x.shape == (n, len(marginals))
+    assert x.T.flags.c_contiguous
+    for j, column in enumerate(expected):
+        assert x[:, j].tobytes() == column.tobytes()
