@@ -417,9 +417,9 @@ def parse_config(text: str) -> RunConfig:
 def _subset_seed_streams(config: RunConfig) -> list:
     """Per-subset (design, ci, replication) seed streams derived from the config seed.
 
-    The run's one shared design is drawn from the first subset's design
-    stream; the other design streams are spawned but unused, so every
-    subset's ci and replication streams stay where they were.
+    The run's one design and its one replication study draw from the first
+    subset's design and replication streams; the other subsets' are spawned
+    but unused, so every subset's ci stream stays where it was.
     """
     root = np.random.SeedSequence(config.seed)
     return [child.spawn(3) for child in root.spawn(len(config.subsets))]
@@ -472,7 +472,7 @@ def _replication_dict(report) -> dict:
 
 
 def _samples(config: RunConfig):
-    """Yield (subset, sample, ci seed, replication seed, start time) per analysed sample.
+    """Yield (subset, sample, ci seed, start time) per analysed sample.
 
     Model mode evaluates one shared design: (1 + s) n model rows for s
     subsets. Sample mode reads its file once; its subset is only a label
@@ -489,7 +489,7 @@ def _samples(config: RunConfig):
         if config.ci.kind == "delta" and sample.n < DELTA_MIN_N:
             raise _fail("sample", f"the delta method needs n >= {DELTA_MIN_N} pairs, got {sample.n}")
         label = config.subsets[0] if config.subsets else None
-        yield label, sample, np.random.SeedSequence(config.seed), None, started
+        yield label, sample, np.random.SeedSequence(config.seed), started
         return
     # the first subset's time includes the shared draw and the shared f(x)
     started = time.perf_counter()
@@ -497,18 +497,21 @@ def _samples(config: RunConfig):
     # not zip or enumerate: their cached result tuple would keep the previous
     # sample alive while evaluate_shared evaluates the next group's outputs
     for sample in evaluate_shared(config.model, run_design(config)):
-        _, ci_ss, rep_ss = next(streams)
-        yield sample.subset, sample, ci_ss, rep_ss, started
+        _, ci_ss, _ = next(streams)
+        yield sample.subset, sample, ci_ss, started
         del sample
         started = time.perf_counter()
 
 
 def run(config: RunConfig) -> RunReport:
-    """Execute the configured analysis; deterministic given the config."""
+    """Execute the configured analysis; deterministic given the config.
+
+    Every subset is analysed before the run's one replication study, if any.
+    """
     started = time.perf_counter()
     model = config.model
     results = []
-    for subset, sample, ci_ss, rep_ss, t0 in _samples(config):
+    for subset, sample, ci_ss, t0 in _samples(config):
         result = SubsetResult(
             subset=[] if subset is None else list(subset.to_one_based()),
             n=sample.n,
@@ -540,29 +543,25 @@ def run(config: RunConfig) -> RunReport:
                 if config.matrix is not None:
                     result.oracle_weighted = exact_index(triple, config.matrix).subset
 
-        if config.replications is not None:
-            if result.oracle_subset is None:
-                raise ConfigurationError(
-                    f"replications: no oracle target available for subset {result.subset}"
-                )
-            rep = clt_diagnostic(
-                model,
-                config.space,
-                subset,
-                n_per_rep=config.n,
-                reps=config.replications,
-                target=result.oracle_subset,
-                seed=rep_ss,
-                ci_level=config.ci.level,
-                ci_method="bootstrap" if config.ci.kind == "bootstrap" else "delta",
-                b_reps=config.ci.reps,
+        if config.replications is not None and result.oracle_subset is None:
+            raise ConfigurationError(
+                f"replications: no oracle target available for subset {result.subset}"
             )
-            result.replication = _replication_dict(rep)
-
         if not config.reproducible:
             result.elapsed_s = time.perf_counter() - t0
         results.append(result)
         del sample  # dropped before the next subset's outputs are evaluated
+
+    if config.replications is not None:
+        reports = clt_diagnostic(
+            model, config.space, config.subsets, config.n, config.replications,
+            target=[result.oracle_subset for result in results],
+            seed=_subset_seed_streams(config)[0][2],  # the first subset's replication stream
+            ci_level=config.ci.level, b_reps=config.ci.reps,
+            ci_method="bootstrap" if config.ci.kind == "bootstrap" else "delta",
+        )
+        for result, rep in zip(results, reports):
+            result.replication = _replication_dict(rep)
 
     report = RunReport(
         schema=1,

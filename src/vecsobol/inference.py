@@ -13,17 +13,18 @@ statistics T (pickfreeze.pair_table), so both intervals are built on T:
   fixed row chunks in order. T is filled by the moments kernel's block step.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
-against an oracle target. Each replicate's design, model evaluation and point
-estimate (with its degeneracy check) run on the calling thread, in replicate
-order. With bootstrap intervals, the replicates' resampling runs on a thread
-pool that the study opens and joins, one worker per CPU the process may run
-on (one worker on one CPU); it is the only pool the package opens. The
-calling thread keeps at most twice as many replicates in flight as there are
-workers and takes their intervals in replicate order, so memory does not
-grow with the number of replicates. Each replicate resamples from its own
-Philox stream in blocks of a fixed size, so the report does not depend on
+of one or more subsets against their oracle targets. Each replicate draws one
+design over all the subsets, as cli.run does, and evaluates it through
+evaluate_shared, (1 + s) N rows for s subsets, on the calling thread, which
+also takes the point estimates, in replicate order. With bootstrap intervals,
+the resampling runs on a thread pool that the study opens and joins, one
+worker per CPU the process may run on (one on one CPU); it is the only pool
+the package opens. The calling thread keeps at most twice as many samples in
+flight as there are workers and takes their intervals in order, so memory
+does not grow with the number of replicates. Each sample resamples from its
+own Philox stream in blocks of a fixed size, so the reports do not depend on
 the CPU count. Delta-method studies run on the calling thread alone, one
-replicate's sample at a time: their cost is the moments pass there.
+replicate's design and one subset's sample at a time.
 
 No scipy at runtime: the normal quantile and distribution function come from
 statistics.NormalDist.
@@ -37,7 +38,7 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +49,8 @@ from .pickfreeze import (
     _degeneracy_floor,
     _row_blocks,
     estimate_index,
-    evaluate_pairs,
+    evaluate_pairs,  # unused here, but bench/spans.py wraps the name in this module
+    evaluate_shared,
     generate_design,
     pair_table,
 )
@@ -230,21 +232,28 @@ def _percentile_interval(
 def _replicate_samples(
     model: VectorModel,
     space: InputSpace,
-    subset: SubsetIndex,
+    subsets: tuple[SubsetIndex, ...],
     n_per_rep: int,
     reps: int,
     root: np.random.SeedSequence,
 ) -> Iterator[tuple[PickFreezeSample, np.random.SeedSequence]]:
-    """Each replicate's sample and interval seed, drawn and evaluated in order.
+    """Each replicate's samples and interval seeds, in order: one design over
+    all the subsets per replicate, as run() draws, evaluated through
+    evaluate_shared one subset's sample at a time.
 
     Replicate i's stream is root's i-th child, spawned when the study reaches
-    it, and split so that the resampling draws can never alias the design
-    draws.
+    it, and split into the design's stream and one interval stream per
+    subset, so the resampling draws never alias the design draws.
     """
     for _ in range(reps):
         (child,) = root.spawn(1)
-        design_ss, ci_ss = child.spawn(2)
-        yield evaluate_pairs(model, generate_design(space, subset, n_per_rep, design_ss)), ci_ss
+        design_ss, *ci_seeds = child.spawn(1 + len(subsets))
+        ci_streams = iter(ci_seeds)
+        # not zip: its cached result tuple would keep the previous sample
+        # alive; the design lives as long as the generator, one replicate
+        for sample in evaluate_shared(model, generate_design(space, subsets, n_per_rep, design_ss)):
+            yield sample, next(ci_streams)
+            del sample
 
 
 def _delta_intervals(samples, level: float) -> Iterator[IndexEstimate]:
@@ -304,32 +313,39 @@ def _bootstrap_intervals(
 def clt_diagnostic(
     model: VectorModel,
     space: InputSpace,
-    subset: SubsetIndex,
+    subset: SubsetIndex | Sequence[SubsetIndex],
     n_per_rep: int,
     reps: int,
-    target: float,
+    target: float | Sequence[float],
     seed: SeedLike,
     ci_level: float = 0.95,
     ci_method: str = "delta",
     b_reps: int = 200,
-) -> ReplicationReport:
+) -> ReplicationReport | list[ReplicationReport]:
     """Replication study: estimate `reps` times with independent derived seeds.
 
     Reports the Kolmogorov-Smirnov distance between the standardized
     estimates and the standard normal, and the fraction of per-replicate
-    confidence intervals that contain the oracle target.
+    confidence intervals that contain the oracle target. Subsets given as a
+    sequence, with a sequence of targets, share one design per replicate, as
+    in run(), and give a list of reports; one subset gives one report.
 
     Designs, model evaluations and point estimates run on the calling thread,
     in replicate order. Bootstrap resampling runs on a thread pool opened for
     the study and joined before it returns or raises, with at most twice as
     many replicates in flight as workers; delta intervals are computed on the
-    calling thread. The report does not depend on the number of CPUs.
+    calling thread. The reports do not depend on the number of CPUs.
     """
+    single = isinstance(subset, SubsetIndex)
+    groups = (subset,) if single else tuple(subset)
+    targets = [float(t) for t in ([target] if single else target)]
     if reps < 200:
         raise ContractError(f"replication study needs reps >= 200, got {reps}")
-    if subset.is_full:  # its estimate is exactly 1 in every replicate
+    if not groups or len(targets) != len(groups):
+        raise ContractError("a replication study needs one target for each of its subsets")
+    if any(group.is_full for group in groups):  # its estimate is exactly 1 in every replicate
         raise ContractError("a replication study needs a proper subset, not the full group")
-    if not np.isfinite(target):
+    if not np.isfinite(targets).all():
         raise ContractError("target must be a finite oracle value")
     if ci_method not in ("delta", "bootstrap"):
         raise ContractError(f"ci_method must be 'delta' or 'bootstrap', got {ci_method!r}")
@@ -337,20 +353,28 @@ def clt_diagnostic(
     _check_level(ci_level)
     if ci_method == "bootstrap":
         _check_b_reps(b_reps)
+    elif n_per_rep < DELTA_MIN_N:
+        raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {n_per_rep}")
 
-    samples = _replicate_samples(model, space, subset, n_per_rep, reps, as_seed_sequence(seed))
+    samples = _replicate_samples(model, space, groups, n_per_rep, reps, as_seed_sequence(seed))
     if ci_method == "delta":
         intervals = _delta_intervals(samples, ci_level)
     else:
         intervals = _bootstrap_intervals(samples, b_reps, ci_level)
-    estimates = np.empty(reps)
-    covered = 0
+    estimates = np.empty((len(groups), reps))
+    covered = [0] * len(groups)
     with closing(intervals):  # joins the pool even if this loop is left early
-        for i, est in enumerate(intervals):
-            estimates[i] = est.value
-            if est.ci_low <= target <= est.ci_high:
-                covered += 1
+        for i, est in enumerate(intervals):  # replicate-major, subsets in order
+            rep, j = divmod(i, len(groups))
+            estimates[j, rep] = est.value
+            covered[j] += est.ci_low <= targets[j] <= est.ci_high
+    reports = [_report(*study, n_per_rep) for study in zip(estimates, covered, targets)]
+    return reports[0] if single else reports
 
+
+def _report(estimates: np.ndarray, covered: int, target: float, n_per_rep: int) -> ReplicationReport:
+    """One subset's normality distance and coverage over its replicate estimates."""
+    reps = len(estimates)
     std = float(np.std(estimates, ddof=1))
     if std == 0.0:
         raise DegenerateSampleError("replicate estimates are all identical; cannot standardize")
@@ -359,12 +383,5 @@ def clt_diagnostic(
     cdf = np.array([NormalDist().cdf(x) for x in standardized])
     steps = np.arange(reps + 1) / reps
     ks = float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
-    return ReplicationReport(
-        n_per_rep=n_per_rep,
-        reps=reps,
-        estimates=estimates,
-        target=float(target),
-        std_empirical=std,
-        normality_stat=ks,
-        coverage=covered / reps,
-    )
+    return ReplicationReport(n_per_rep=n_per_rep, reps=reps, estimates=estimates, target=target,
+                             std_empirical=std, normality_stat=ks, coverage=covered / reps)

@@ -37,7 +37,7 @@ from .errors import (
     ResourceError,
 )
 from .models import VectorModel
-from .pickfreeze import evaluate_shared, generate_design
+from .pickfreeze import _evaluate_chunks, evaluate_shared, generate_design
 from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence
 
 MAX_GRID_NODES = 10_000_000
@@ -243,15 +243,11 @@ def covariances_linear(
 # ---------------------------------------------------------------------------
 
 
-# Grid rows per model call and per Gram step: slabs of the first grid axis are
-# taken together up to this many rows, or one at a time when a slab is larger.
-# A small grid then costs a few calls and a large one holds one slab of
-# temporaries.
+# Grid cells per Gram step: slabs of the first grid axis are taken together up
+# to this many cells, or one at a time when a slab is larger, so no weighted
+# copy of a whole tensor exists. The model is evaluated in the row chunks of
+# pickfreeze._evaluate_chunks.
 _CHUNK_ROWS = 4096
-
-
-def _slabs_per_chunk(slab_shape) -> int:
-    return max(1, _CHUNK_ROWS // math.prod(slab_shape))
 
 
 def _contract(t: np.ndarray, weights: list[np.ndarray], axes) -> np.ndarray:
@@ -274,7 +270,7 @@ def _weighted_gram(a: np.ndarray, b: np.ndarray, weights: list[np.ndarray], axes
     w = [weights[j] for j in axes] or [np.ones(1)]  # no axes: one cell of weight 1
     shape = [len(x) for x in w] + [k]
     a, b = a.reshape(shape), b.reshape(shape)
-    step = _slabs_per_chunk(shape[1:-1])
+    step = max(1, _CHUNK_ROWS // math.prod(shape[1:-1]))
     out = np.zeros((k, k))
     for i in range(0, len(w[0]), step):
         w_chunk = reduce(np.multiply.outer, w[1:], w[0][i : i + step]).reshape(-1, 1)
@@ -373,8 +369,8 @@ def decompose_grid(
     Each marginal gives its rule through ``quadrature(nodes_per_dim)``: a
     discrete one its support, a continuous one (at most MAX_QUADRATURE_DIMS)
     a Gauss rule. The model is evaluated into a tensor of shape sizes + (k,),
-    a chunk of slabs of the first axis at a time through one reused input
-    block, so no full-grid input matrix exists. The parts are weighted
+    in the row chunks of pickfreeze._evaluate_chunks over the C-ordered
+    cells, so no full-grid input matrix exists. The parts are weighted
     contractions of that tensor.
     """
     _check_dims(model, space, subset)
@@ -397,16 +393,16 @@ def decompose_grid(
         )
 
     p, k = model.in_dims, model.out_dims
-    step = _slabs_per_chunk(sizes[1:])
-    block = np.empty((min(step, sizes[0]),) + sizes[1:] + (p,))
-    for j in range(1, p):
-        block[..., j] = nodes[j].reshape([-1 if i == j else 1 for i in range(p)])
-    outputs = np.empty(sizes + (k,))
-    for i in range(0, sizes[0], step):
-        x0 = nodes[0][i : i + step]
-        x = block[: len(x0)]
-        x[..., 0] = x0.reshape((-1,) + (1,) * (p - 1))
-        outputs[i : i + len(x0)] = model.evaluate(x.reshape(-1, p)).reshape(x.shape[:-1] + (k,))
+    # the nodes of the first slab's cells; every slab repeats its other columns
+    slab = np.stack(np.meshgrid(nodes[0][:1], *nodes[1:], indexing="ij"), axis=-1).reshape(-1, p)
+
+    def grid_rows(rows: slice) -> np.ndarray:  # the nodes of C-ordered cells
+        cells = np.arange(rows.start, rows.stop)
+        x = np.take(slab, cells, axis=0, mode="wrap")
+        x[:, 0] = nodes[0][cells // len(slab)]
+        return x
+
+    outputs = _evaluate_chunks(model, math.prod(sizes), grid_rows).reshape(sizes + (k,))
 
     sub, comp = subset.indices, subset.complement
     grid_axes = range(p)

@@ -519,6 +519,26 @@ class TestSharedDesign:
         redrawn = p  # the first-order subsets free every input
         assert peak < 8 * n * (2 * p + redrawn + 2 * k) + 2**20
 
+    def test_a_study_evaluates_one_shared_design_per_replicate(self, monkeypatch):
+        # the run's design and each replicate's are (1 + s) n rows apiece;
+        # a linear model's closed-form oracle evaluates no rows
+        rows = []
+        evaluate = VectorModel.evaluate
+
+        def counting(model, x):
+            rows.append(len(x))
+            return evaluate(model, x)
+
+        monkeypatch.setattr(VectorModel, "evaluate", counting)
+        n, reps, s = 50, 200, 3
+        config = parse_config(
+            "model: {name: linear, params: {matrix: [[1, 2, 0.5], [0, -1, 3]]}}\n"
+            f"subsets: [[1], [2], [1, 3]]\nn: {n}\nseed: 8\noracle: auto\nreplications: {reps}\n"
+        )
+        report = run(config)
+        assert sum(rows) == (1 + s) * n * (1 + reps)
+        assert [sub.replication["reps"] for sub in report.subsets] == [reps] * s
+
     def test_subset_designs_share_the_base_rows(self):
         config = parse_config("model: sum_prod\nsubsets: [[1], [2]]\nn: 50\nseed: 3\n")
         u, v = config.subsets

@@ -24,6 +24,7 @@ from vecsobol import (
     delta_variance,
     estimate_index,
     evaluate_pairs,
+    evaluate_shared,
     generate_design,
     get_model,
     linear_model,
@@ -33,6 +34,7 @@ from vecsobol.inference import _bootstrap_block, _bootstrap_estimates
 from vecsobol.pickfreeze import pair_table
 
 U1 = SubsetIndex((0,), 2)
+U2 = SubsetIndex((1,), 2)
 
 
 def _sample(model_name="identity_2", n=2000, seed=8, **params):
@@ -251,12 +253,15 @@ def _traced_peak(run):
 
 
 class TestCltDiagnostic:
-    def test_delta_study_holds_one_replicate_at_a_time(self):
+    @pytest.mark.parametrize("subsets, targets", [(U1, 0.5), ([U1, U2], [0.5, 0.5])],
+                             ids=["s1", "s2"])
+    def test_delta_study_holds_one_replicate_at_a_time(self, subsets, targets):
         # a study that kept a replicate's sample while evaluating the next
-        # one would peak a whole sample (2 n k floats) above one replicate
+        # one, or the next subset's, would peak a whole sample (2 n k floats)
+        # above one replicate of one subset
         n = 10_000
         model = linear_model(np.random.default_rng(0).normal(size=(8, 2)))
-        study = dict(model=model, space=model.space(), subset=U1, target=0.5)
+        study = dict(model=model, space=model.space(), subset=subsets, target=targets)
         clt_diagnostic(n_per_rep=20, reps=200, seed=2, **study)  # fills imports and caches untraced
         one = _traced_peak(
             lambda: delta_ci(evaluate_pairs(model, generate_design(model.space(), U1, n, 1))))
@@ -292,6 +297,7 @@ class TestCltDiagnostic:
             ({"ci_level": float("nan")}, "confidence level"),
             ({"ci_level": 0.0, "ci_method": "bootstrap"}, "confidence level"),
             ({"ci_method": "bootstrap", "b_reps": 100}, "at least 200 replicates"),
+            ({"n_per_rep": 5}, "delta method needs n >= 10"),
         ],
     )
     def test_bad_interval_settings_fail_before_any_evaluation(self, kwargs, message):
@@ -303,8 +309,9 @@ class TestCltDiagnostic:
             return base.evaluate(x)
 
         model = VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=counting)
+        study = dict(n_per_rep=100, reps=200, target=0.5, seed=1) | kwargs
         with pytest.raises(ContractError, match=message):
-            clt_diagnostic(model, base.space(), U1, 100, 200, target=0.5, seed=1, **kwargs)
+            clt_diagnostic(model, base.space(), U1, **study)
         assert rows == []
 
     def test_full_group_fails_before_any_evaluation(self):
@@ -342,6 +349,58 @@ def _reference_study(model, n_per_rep, reps, target, seed, b_reps):
         estimates.append(est.value)
         covered += est.ci_low <= target <= est.ci_high
     return np.array(estimates), covered / reps
+
+
+def _reference_shared_study(model, subsets, n_per_rep, reps, targets, seed, ci_method):
+    """Estimates and coverages of a study over several subsets, written out:
+    per replicate, one design over all of them evaluated by evaluate_shared,
+    and each subset's interval on its own stream of child.spawn(1 + s)[1:]."""
+    estimates, covered = np.empty((len(subsets), reps)), [0] * len(subsets)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        design_ss, *ci_streams = child.spawn(1 + len(subsets))
+        design = generate_design(model.space(), subsets, n_per_rep, design_ss)
+        for j, (sample, ci_ss) in enumerate(zip(evaluate_shared(model, design), ci_streams)):
+            if ci_method == "delta":
+                est = delta_ci(sample, 0.95)
+            else:
+                est = bootstrap_ci(sample, 200, 0.95, ci_ss)
+            estimates[j, i] = est.value
+            covered[j] += est.ci_low <= targets[j] <= est.ci_high
+    return estimates, [c / reps for c in covered]
+
+
+class TestSharedDesignStudy:
+    """A study of several subsets draws one design over all of them per
+    replicate, as run() does, and reports on each subset."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("ci_method", ["delta", "bootstrap"])
+    def test_reports_match_the_written_out_study(self, monkeypatch, ci_method, cpus):
+        monkeypatch.setattr(inference, "_available_cpus", lambda: cpus)
+        model = get_model("sum_prod")
+        targets = [15 / 31, 15 / 31]
+        reports = clt_diagnostic(model, model.space(), [U1, U2], 100, 200, target=targets,
+                                 seed=43, ci_method=ci_method)
+        estimates, coverages = _reference_shared_study(model, [U1, U2], 100, 200, targets, 43,
+                                                       ci_method)
+        assert len(reports) == 2
+        for rep, expected, coverage, target in zip(reports, estimates, coverages, targets):
+            assert rep.estimates.tobytes() == expected.tobytes()
+            assert rep.coverage == coverage
+            assert (rep.target, rep.reps, rep.n_per_rep) == (target, 200, 100)
+
+    def test_a_one_subset_sequence_is_the_one_subset_study(self):
+        model = get_model("identity_2")
+        (listed,) = clt_diagnostic(model, model.space(), [U1], 100, 200, target=[0.5], seed=9)
+        single = clt_diagnostic(model, model.space(), U1, 100, 200, target=0.5, seed=9)
+        assert listed.estimates.tobytes() == single.estimates.tobytes()
+        assert (listed.coverage, listed.normality_stat) == (single.coverage, single.normality_stat)
+
+    @pytest.mark.parametrize("targets", [[0.5], [0.5, 0.5, 0.5]], ids=["too few", "too many"])
+    def test_one_target_per_subset(self, targets):
+        model = get_model("identity_2")
+        with pytest.raises(ContractError, match="one target for each"):
+            clt_diagnostic(model, model.space(), [U1, U2], 100, 200, target=targets, seed=1)
 
 
 def _failing_model(replicate, constant=False):
