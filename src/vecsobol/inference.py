@@ -338,11 +338,11 @@ def clt_diagnostic(
     """
     single = isinstance(subset, SubsetIndex)
     groups = (subset,) if single else tuple(subset)
-    targets = [float(t) for t in ([target] if single else target)]
     if reps < 200:
         raise ContractError(f"replication study needs reps >= 200, got {reps}")
-    if not groups or len(targets) != len(groups):
+    if not groups or np.ndim(target) != (0 if single else 1) or np.size(target) != len(groups):
         raise ContractError("a replication study needs one target for each of its subsets")
+    targets = [float(t) for t in np.atleast_1d(target)]
     if any(group.is_full for group in groups):  # its estimate is exactly 1 in every replicate
         raise ContractError("a replication study needs a proper subset, not the full group")
     if not np.isfinite(targets).all():

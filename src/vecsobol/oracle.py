@@ -152,7 +152,6 @@ class ExactIndex:
     subset: float
     complement: float
     interaction: float
-    matrix: np.ndarray
 
     def sum_defect(self) -> float:
         return abs(self.subset + self.complement + self.interaction - 1.0)
@@ -184,7 +183,7 @@ def exact_index(cov: CovarianceTriple, m: np.ndarray) -> ExactIndex:
     s_complement = float(np.einsum("ij,ji->", m, cov.complement)) / denom
     s_interaction = float(np.einsum("ij,ji->", m, cov.interaction)) / denom
 
-    out = ExactIndex(s_subset, s_complement, s_interaction, m)
+    out = ExactIndex(s_subset, s_complement, s_interaction)
     if out.sum_defect() > 1e-10:
         raise IllPosedIndexError(
             f"indices sum to 1 with defect {out.sum_defect():.3e}; "

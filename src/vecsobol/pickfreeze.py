@@ -10,19 +10,20 @@ of the diagonal sums of the empirical covariance matrices. Both sums are
 invariant under a common translation of Y and Yu, but the raw sums are not in
 floating point: they cancel catastrophically once the output mean dwarfs its
 spread. So each sample is reduced once, on shifted outputs a = Y - c and
-b = Yu - c, where the pilot shift c is the first-pass pair mean. In terms of
-the pair mean h = (a + b)/2 and the half difference e = (a - b)/2 of a row,
+b = Yu - c, where the pilot shift c, which need only lie near the data, is
+the pair mean of the first block of rows (Chan, Golub & LeVeque 1983). In
+terms of the pair mean h = (a + b)/2 and the half difference e = (a - b)/2
+of a row,
 
     total  = sum_i (h_i - hbar)(h_i - hbar)^T + sum_i e_i e_i^T
     subset = sum_i (h_i - hbar)(h_i - hbar)^T - sum_i e_i e_i^T.
 
-The kernel reads a sample in fixed blocks of _BLOCK_ROWS rows: one pass
-for the pilot shift, then one pass whose block step forms s = a + b and
-d = a - b and W = [|s|^2, |d|^2, s, d] per block, and which merges the
-block's centred cross-products of W into running totals with Chan's
-pairwise update. PairMoments, cached on the immutable sample, is the one
-interface to a sample's statistics: the plug-in matrices total and subset
-above, and the mean and covariance of the per-pair statistics
+The kernel reads a sample once, in fixed blocks of _BLOCK_ROWS rows: its
+block step forms s = a + b, d = a - b and W = [|s|^2, |d|^2, s, d] per
+block, whose centred cross-products are merged into running totals with
+Chan's pairwise update. PairMoments, cached on the immutable sample, is the
+one interface to a sample's statistics: the plug-in matrices total and
+subset above, and the mean and covariance of the per-pair statistics
 T_i = [|h_i|^2, |e_i|^2, h_i], whose column means U, V and hbar the
 estimator is a function of. Estimates read the plug-in matrices and the
 delta method in the inference module the covariance of T; pair_table fills
@@ -171,7 +172,7 @@ class PairMoments:
     are entrywise covariance estimates. Arrays are read-only.
     """
 
-    shift: np.ndarray  # (k,) pilot shift: the first-pass pair mean
+    shift: np.ndarray  # (k,) pilot shift: the pair mean of the first block of rows
     total: np.ndarray  # (k, k) sum_i (h_i - hbar)(h_i - hbar)^T + sum_i e_i e_i^T
     subset: np.ndarray  # (k, k) sum_i (h_i - hbar)(h_i - hbar)^T - sum_i e_i e_i^T
     table_mean: np.ndarray  # (k + 2,) column means of T = [|h|^2, |e|^2, h]
@@ -351,10 +352,11 @@ def _table_factor(k: int) -> np.ndarray:
 def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
     """Reduce a sample in row blocks into its PairMoments.
 
-    One pass sums the pilot shift; a second takes each block's W from the
-    block step, centres it on the block's own means and merges the blocks'
-    centred cross-products with Chan's pairwise update. The quarter and
-    half factors of h and e are powers of two, applied once at the end.
+    The pilot shift is the pair mean of the first block's rows. One pass
+    then takes each block's W from the block step, centres it on the
+    block's own means and merges the blocks' centred cross-products with
+    Chan's pairwise update. The quarter and half factors of h and e are
+    powers of two, applied once at the end.
     """
     n, k = y.shape
     w = 2 * k + 2
@@ -363,13 +365,11 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
     max_s2 = max_d2 = 0.0
     # finite outputs too large to square overflow here; that is checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        ones = np.ones(min(n, _BLOCK_ROWS))
-        pilot = np.zeros(k)
-        for rows in _row_blocks(n):
-            o = ones[: rows.stop - rows.start]
-            pilot += o @ y[rows]
-            pilot += o @ y_u[rows]
-        shift = pilot / (2 * n)
+        first = min(n, _BLOCK_ROWS)
+        ones = np.ones(first)
+        # on C-ordered rows, since a product's bits depend on its operands' layout
+        head, head_u = (np.ascontiguousarray(a[:first]) for a in (y, y_u))
+        shift = (ones @ head + ones @ head_u) / (2 * first)
         for rows, wb, block_s2, block_d2 in _pair_blocks(y, y_u, shift):
             m = rows.stop - rows.start
             max_s2, max_d2 = max(max_s2, block_s2), max(max_d2, block_d2)

@@ -396,11 +396,23 @@ class TestSharedDesignStudy:
         assert listed.estimates.tobytes() == single.estimates.tobytes()
         assert (listed.coverage, listed.normality_stat) == (single.coverage, single.normality_stat)
 
-    @pytest.mark.parametrize("targets", [[0.5], [0.5, 0.5, 0.5]], ids=["too few", "too many"])
-    def test_one_target_per_subset(self, targets):
-        model = get_model("identity_2")
+    @pytest.mark.parametrize(
+        "subsets, targets",
+        [([U1, U2], [0.5]), ([U1, U2], [0.5, 0.5, 0.5]), (U1, [0.5]), ([U1, U2], 0.5)],
+        ids=["too few", "too many", "a list for one subset", "a float for a list"],
+    )
+    def test_one_target_per_subset(self, subsets, targets):
+        base = get_model("identity_2")
+        rows = []
+
+        def counting(x):
+            rows.append(x.shape[0])
+            return base.evaluate(x)
+
+        model = VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=counting)
         with pytest.raises(ContractError, match="one target for each"):
-            clt_diagnostic(model, model.space(), [U1, U2], 100, 200, target=targets, seed=1)
+            clt_diagnostic(model, base.space(), subsets, 100, 200, target=targets, seed=1)
+        assert rows == []
 
 
 def _failing_model(replicate, constant=False):

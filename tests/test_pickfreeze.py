@@ -284,23 +284,39 @@ class TestTranslationInvariance:
     # A common offset of the outputs leaves the index unchanged. The offset
     # outputs are rounded to the offset's ulp (1.5e-8 sd at 1e8 sd), which
     # moves the index by about 1e-8/sqrt(n); the estimator adds nothing.
+    # The shift is the first block's pair mean, so samples of one block and
+    # more are drawn, and rows sorted by the first output put an atypical
+    # block first.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([4000, 4097, 9001]),
         k=st.integers(1, 4),
         log_sd=st.floats(-6.0, 6.0),
         log_offset=st.floats(0.0, 8.0),
         sign=st.sampled_from([-1.0, 1.0]),
+        sort=st.booleans(),
     )
-    def test_offset_drift_is_negligible(self, seed, k, log_sd, log_offset, sign):
+    def test_offset_drift_is_negligible(self, seed, n, k, log_sd, log_offset, sign, sort):
         rng = np.random.default_rng(seed)
-        n, sd = 4000, 10.0**log_sd
+        sd = 10.0**log_sd
         y = sd * rng.standard_normal((n, k))
         y_u = 0.5 * y + np.sqrt(0.75) * sd * rng.standard_normal((n, k))
         offset = sign * sd * 10.0**log_offset * rng.uniform(0.5, 1.0, size=k)
         base = estimate_index(PickFreezeSample(y, y_u))
-        moved = estimate_index(PickFreezeSample(y + offset, y_u + offset))
+        rows = np.argsort(y[:, 0], kind="stable") if sort else slice(None)
+        moved = estimate_index(PickFreezeSample(y[rows] + offset, y_u[rows] + offset))
         assert abs(moved - base) <= 1e-9
+
+    def test_shift_is_fixed_by_the_first_block(self):
+        rng = np.random.default_rng(8)
+        first = rng.standard_normal((2, pickfreeze._BLOCK_ROWS, 3)) + 1e3
+        shifts = []
+        for tail_rows, scale in ((0, 1.0), (5000, 1e4)):
+            tail = scale * rng.standard_normal((2, tail_rows, 3))
+            y, y_u = np.concatenate([first, tail], axis=1)
+            shifts.append(PickFreezeSample(y, y_u).moments.shift)
+        assert shifts[0].tobytes() == shifts[1].tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -584,6 +600,21 @@ class TestBlockedKernel:
             assert np.array_equal(emp.total, emp.subset) and np.array_equal(emp.total, emp.total.T)
             sample = PickFreezeSample(y, y_u)
             assert estimate_index_general(sample, np.eye(3)) == estimate_index(sample)
+
+    def test_moments_do_not_depend_on_the_memory_layout(self):
+        # read_sample_csv gives column views of one table; others hold C- or
+        # Fortran-ordered arrays
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((9001, 6)) + 1e3
+        y, y_u = data[:, :3], data[:, 3:]
+        layouts = [
+            PickFreezeSample._adopt(y, y_u, None),
+            PickFreezeSample(y, y_u),
+            PickFreezeSample._adopt(np.asfortranarray(y), np.asfortranarray(y_u), None),
+        ]
+        ref, *others = [dataclasses.astuple(sample.moments) for sample in layouts]
+        for got in others:
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, ref))
 
     def test_reduction_memory_does_not_grow_with_n(self):
         # the kernel holds a few block buffers; no n-by-k temporary
