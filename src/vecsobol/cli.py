@@ -26,7 +26,8 @@ import yaml
 
 from . import __version__, oracle
 from .errors import ConfigurationError, ContractError, ReportError, VecSobolError
-from .inference import DELTA_MIN_N, bootstrap_ci, clt_diagnostic, delta_ci
+from .inference import (BOOTSTRAP_MIN_REPS, DELTA_MIN_N, REPLICATION_MIN_REPS, bootstrap_ci,
+                        clt_diagnostic, delta_ci)
 from .models import VectorModel, apply_transform, get_model, load_external_model
 from .oracle import CovarianceTriple, covariances_quadrature, exact_index, grid_nodes
 from .pickfreeze import (
@@ -287,7 +288,7 @@ def _parse_ci(node: Any) -> CISpec:
         node = {"kind": node}
     kind = _kind(node, "ci", _CI_KEYS, "ci")
     level = _number(node.get("level"), "ci.level", 0.95, low=0.0, high=1.0, exclusive=True)
-    min_reps = 200 if kind == "bootstrap" else -math.inf
+    min_reps = BOOTSTRAP_MIN_REPS if kind == "bootstrap" else -math.inf
     return CISpec(kind, level, _number(node.get("reps"), "ci.reps", 1000, integer=True, low=min_reps))
 
 
@@ -377,7 +378,8 @@ def config_from_tree(tree: dict) -> RunConfig:
             raise _fail("transform", str(exc)) from None
 
     if tree.get("replications") is not None:
-        config.replications = _number(tree["replications"], "replications", integer=True, low=200)
+        config.replications = _number(tree["replications"], "replications", integer=True,
+                                      low=REPLICATION_MIN_REPS)
         if config.oracle != "auto":
             raise _fail("replications", "a replication study needs oracle: auto for its target")
         full = [list(s.to_one_based()) for s in config.subsets if s.is_full]

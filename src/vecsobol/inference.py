@@ -46,7 +46,6 @@ from .errors import ContractError, DegenerateSampleError
 from .models import VectorModel
 from .pickfreeze import (
     PickFreezeSample,
-    _degeneracy_floor,
     _row_blocks,
     estimate_index,
     evaluate_pairs,  # unused here, but bench/spans.py wraps the name in this module
@@ -70,8 +69,11 @@ from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence
 # ulps, so a budget that followed the cache size would change reports.
 _BOOTSTRAP_BLOCK_BYTES = 2**20
 
-# the fewest pairs the delta method takes
+# the fewest pairs the delta method takes, and the fewest replicates of a
+# bootstrap interval and of a replication study
 DELTA_MIN_N = 10
+BOOTSTRAP_MIN_REPS = 200
+REPLICATION_MIN_REPS = 200
 
 
 @dataclass
@@ -111,8 +113,8 @@ def _check_level(level: float) -> None:
 
 
 def _check_b_reps(b_reps: int) -> None:
-    if b_reps < 200:
-        raise ContractError(f"bootstrap needs at least 200 replicates, got {b_reps}")
+    if b_reps < BOOTSTRAP_MIN_REPS:
+        raise ContractError(f"bootstrap needs at least {BOOTSTRAP_MIN_REPS} replicates, got {b_reps}")
 
 
 def delta_variance(sample: PickFreezeSample) -> float:
@@ -165,7 +167,7 @@ def _bootstrap_estimates(
     a resample with its denominator at the sample's degeneracy floor raises."""
     table = pair_table(sample)
     n = sample.n
-    floor = _degeneracy_floor(sample) / n  # the floor of a denominator of means
+    floor = sample.moments.floor / n  # the floor of a denominator of means
     block = _bootstrap_block(n)
     out = np.empty(b_reps)
     for start in range(0, b_reps, block):
@@ -338,8 +340,8 @@ def clt_diagnostic(
     """
     single = isinstance(subset, SubsetIndex)
     groups = (subset,) if single else tuple(subset)
-    if reps < 200:
-        raise ContractError(f"replication study needs reps >= 200, got {reps}")
+    if reps < REPLICATION_MIN_REPS:
+        raise ContractError(f"replication study needs reps >= {REPLICATION_MIN_REPS}, got {reps}")
     if not groups or np.ndim(target) != (0 if single else 1) or np.size(target) != len(groups):
         raise ContractError("a replication study needs one target for each of its subsets")
     targets = [float(t) for t in np.atleast_1d(target)]

@@ -37,7 +37,7 @@ from .errors import (
     ResourceError,
 )
 from .models import VectorModel
-from .pickfreeze import _evaluate_chunks, evaluate_shared, generate_design
+from .pickfreeze import _BLOCK_ROWS, _evaluate_chunks, evaluate_shared, generate_design
 from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence
 
 MAX_GRID_NODES = 10_000_000
@@ -242,13 +242,6 @@ def covariances_linear(
 # ---------------------------------------------------------------------------
 
 
-# Grid cells per Gram step: slabs of the first grid axis are taken together up
-# to this many cells, or one at a time when a slab is larger, so no weighted
-# copy of a whole tensor exists. The model is evaluated in the row chunks of
-# pickfreeze._evaluate_chunks.
-_CHUNK_ROWS = 4096
-
-
 def _contract(t: np.ndarray, weights: list[np.ndarray], axes) -> np.ndarray:
     """Weighted sum of a grid tensor over the given axes, each kept with length 1."""
     labels = list(range(t.ndim))
@@ -262,14 +255,14 @@ def _weighted_gram(a: np.ndarray, b: np.ndarray, weights: list[np.ndarray], axes
 
     The tensors vary along ``axes`` only (every other grid axis has length 1)
     and w is the product of those axes' rule weights. The sum runs over
-    chunks of slabs of the first axis, so no weighted copy of a whole
-    tensor exists.
+    slabs of the first axis, as many as fit in _BLOCK_ROWS cells, or one
+    at a time when a slab is larger.
     """
     k = a.shape[-1]
     w = [weights[j] for j in axes] or [np.ones(1)]  # no axes: one cell of weight 1
     shape = [len(x) for x in w] + [k]
     a, b = a.reshape(shape), b.reshape(shape)
-    step = max(1, _CHUNK_ROWS // math.prod(shape[1:-1]))
+    step = max(1, _BLOCK_ROWS // math.prod(shape[1:-1]))
     out = np.zeros((k, k))
     for i in range(0, len(w[0]), step):
         w_chunk = reduce(np.multiply.outer, w[1:], w[0][i : i + step]).reshape(-1, 1)

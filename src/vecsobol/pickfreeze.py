@@ -27,13 +27,16 @@ subset above, and the mean and covariance of the per-pair statistics
 T_i = [|h_i|^2, |e_i|^2, h_i], whose column means U, V and hbar the
 estimator is a function of. Estimates read the plug-in matrices and the
 delta method in the inference module the covariance of T; pair_table fills
-T row by row for the bootstrap through the same block step. Partial sums
-are added in block order, so the results do not depend on the BLAS thread
-count. Coincident pairs have e = 0 exactly, so their two matrices are equal
-bit for bit; the cross-products come from symmetric rank-k updates, so both
-matrices are exactly symmetric; and the weighted estimator
-Tr(M C_hat)/Tr(M Sigma_hat) reduces to the plain ratio at M = identity, bit
-for bit.
+T row by row for the bootstrap through the same block step. Coincident
+pairs have e = 0 exactly, so their two matrices are equal bit for bit; the
+cross-products come from symmetric rank-k updates, so both matrices are
+exactly symmetric; and the weighted estimator Tr(M C_hat)/Tr(M Sigma_hat)
+reduces to the plain ratio at M = identity, bit for bit.
+
+A denominator at or below the degeneracy floor PairMoments.floor =
+1e-14 N (max |h| + max |e|)^2 is refused. It scales with N and the squared
+shifted magnitude, so a constant model is rejected while a genuinely
+small-variance one is not, whatever the outputs' offset.
 """
 
 from __future__ import annotations
@@ -135,6 +138,8 @@ class PickFreezeSample:
     def _freeze(self, y: np.ndarray, y_u: np.ndarray) -> None:
         if y.ndim != 2 or y.shape != y_u.shape:
             raise ContractError(f"y and y_u must be equal-shape 2-D matrices, got {y.shape} vs {y_u.shape}")
+        if 0 in y.shape:
+            raise ContractError(f"a sample needs at least one paired row and one output, got {y.shape}")
         y.flags.writeable = False
         y_u.flags.writeable = False
         object.__setattr__(self, "y", y)
@@ -177,7 +182,7 @@ class PairMoments:
     subset: np.ndarray  # (k, k) sum_i (h_i - hbar)(h_i - hbar)^T - sum_i e_i e_i^T
     table_mean: np.ndarray  # (k + 2,) column means of T = [|h|^2, |e|^2, h]
     table_cov: np.ndarray  # (k + 2, k + 2) covariance of T, divided by n
-    scale: float  # max |h| + max |e|, which bounds the shifted magnitudes |a|, |b|
+    floor: float  # the degeneracy floor of Tr(total) (module docstring)
 
     @property
     def mean(self) -> np.ndarray:
@@ -298,13 +303,15 @@ def _evaluate_chunks(
     return out
 
 
-# Rows reduced per step of the moments kernel and of the bootstrap sums. It
-# is a constant, never read from the machine: partial sums are added in block
-# order, and a BLAS product over one block gave the same bits under one and
-# two OpenBLAS threads, where a product over 5e5 rows did not (its rows are
-# split between the threads). For a few outputs the kernel's block buffers
-# (3k + 2 rows of 4096 floats) stay in a core's L2 cache. Kernel time at
-# n=5e5, k=4, one BLAS thread (2-vCPU Xeon, 2 MiB L2 per core), by block:
+# Rows reduced per step of the moments kernel and of the bootstrap sums, and
+# grid cells per step of the grid oracle's weighted Gram sums, so that no
+# weighted copy of a whole grid tensor is made. It is a constant, never read
+# from the machine: partial sums are added in block order, and a BLAS product
+# over one block gave the same bits under one and two OpenBLAS threads, where
+# a product over 5e5 rows did not (its rows are split between the threads).
+# For a few outputs the kernel's block buffers (3k + 2 rows of 4096 floats)
+# stay in a core's L2 cache. Kernel time at n=5e5, k=4, one BLAS thread
+# (2-vCPU Xeon, 2 MiB L2 per core), by block:
 #   1024 56 ms | 2048 47 ms | 4096 42 ms | 8192 38 ms | 16384 41 ms | 65536 53 ms
 _BLOCK_ROWS = 4096
 
@@ -398,13 +405,14 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
     total, subset = centered + diff, centered - diff
     for a in (shift, total, subset, table_mean, table_cov):
         a.flags.writeable = False
+    scale = 0.5 * (float(np.sqrt(max_s2)) + float(np.sqrt(max_d2)))  # max |h| + max |e|
     return PairMoments(
         shift=shift,
         total=total,
         subset=subset,
         table_mean=table_mean,
         table_cov=table_cov,
-        scale=0.5 * (float(np.sqrt(max_s2)) + float(np.sqrt(max_d2))),
+        floor=1e-14 * scale * scale * n,
     )
 
 
@@ -425,21 +433,13 @@ def pair_table(sample: PickFreezeSample) -> np.ndarray:
     return table
 
 
-def _degeneracy_floor(sample: PickFreezeSample) -> float:
-    """Denominator floor: scales with N and the squared shifted magnitude, so
-    a constant model is rejected while a genuinely small-variance one is not,
-    whatever the outputs' offset."""
-    scale = sample.moments.scale
-    return 1e-14 * scale * scale * sample.n
-
-
 def estimate_index(sample: PickFreezeSample) -> float:
     """The pick-freeze estimate of the identity-weighted index for this subset."""
     if sample.n < 2:
         raise ContractError(f"need at least 2 paired rows, got {sample.n}")
     mom = sample.moments
     denominator = float(np.trace(mom.total))
-    if denominator <= _degeneracy_floor(sample):
+    if denominator <= mom.floor:
         raise DegenerateSampleError(
             f"sample denominator {denominator:.3e} is at the degeneracy floor; "
             "the model output appears constant"
@@ -463,7 +463,7 @@ def estimate_index_general(sample: PickFreezeSample, m: np.ndarray) -> float:
     mom = sample.moments
     denominator = float(np.trace(m @ mom.total))
     m_scale = float(np.max(np.abs(m)))
-    if abs(denominator) <= _degeneracy_floor(sample) * max(m_scale, 1e-300):
+    if abs(denominator) <= mom.floor * max(m_scale, 1e-300):
         raise IllPosedIndexError(
             f"Tr(M Sigma_hat) = {denominator:.3e} is too close to zero for this weighting"
         )

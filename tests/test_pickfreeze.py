@@ -135,6 +135,16 @@ class TestEstimator:
         with pytest.raises(ContractError, match="at least 2 paired rows"):
             estimate_index_general(sample, np.eye(2))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (5, 0)])
+    def test_an_empty_sample_is_refused_where_it_is_built(self, shape):
+        # not later, by its moments, as outputs too large to reduce or as a
+        # reduction numpy cannot make
+        empty = np.empty(shape)
+        with pytest.raises(ContractError, match="at least one paired row and one output"):
+            PickFreezeSample(empty, empty)
+        with pytest.raises(ContractError, match="at least one paired row and one output"):
+            PickFreezeSample._adopt(empty.copy(), empty.copy(), U1)
+
     def test_full_subset_is_exactly_one(self):
         full = SubsetIndex((0, 1), 2)
         assert estimate_index(_sample(subset=full, n=1000, seed=5)) == 1.0

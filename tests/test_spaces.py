@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecsobol import spaces
+from vecsobol.pickfreeze import _EVAL_ROWS
 from vecsobol import (
     ConfigurationError,
     ContractError,
@@ -187,3 +188,19 @@ def test_columns_are_contiguous_rows_of_their_own_streams(laws, n, seed):
     assert x.T.flags.c_contiguous
     for j, column in enumerate(expected):
         assert x[:, j].tobytes() == column.tobytes()
+
+
+@pytest.mark.parametrize(
+    "law", [Uniform(-2.0, 3.0), Normal(1.5, 2.0), Discrete((-1.0, 0.0, 2.0), (0.2, 0.5, 0.3))]
+)
+def test_a_column_drawn_in_evaluation_chunks_equals_the_whole_draw(law):
+    # a column's stream continues across calls, so a run that draws its design
+    # one evaluation chunk at a time draws today's design
+    n = 3 * _EVAL_ROWS + 5
+    child = np.random.SeedSequence(11).spawn(1)[0]
+    whole = law.sample(spaces._generator(child), n)
+    gen = spaces._generator(child)
+    bounds = [*range(0, n, _EVAL_ROWS), n]
+    assert bounds[-1] - bounds[-2] == 5  # a short tail
+    chunked = np.concatenate([law.sample(gen, b - a) for a, b in zip(bounds, bounds[1:])])
+    assert chunked.tobytes() == whole.tobytes()
