@@ -24,12 +24,16 @@ from typing import Any, Optional
 import numpy as np
 import yaml
 
-from . import __version__, oracle
+from . import __version__
 from .errors import ConfigurationError, ContractError, ReportError, VecSobolError
 from .inference import (BOOTSTRAP_MIN_REPS, DELTA_MIN_N, REPLICATION_MIN_REPS, bootstrap_ci,
                         clt_diagnostic, delta_ci)
 from .models import VectorModel, apply_transform, get_model, load_external_model
-from .oracle import CovarianceTriple, covariances_quadrature, exact_index, grid_nodes
+from .oracle import (
+    covariances_quadrature,  # unused here, but bench/spans.py wraps the name in this module
+    exact_index,
+    exact_route,
+)
 from .pickfreeze import (
     SharedDesign,
     estimate_index,
@@ -444,23 +448,6 @@ def subset_design(config: RunConfig, index: int) -> SharedDesign:
     return run_design(config).design(config.subsets[index])
 
 
-def resolve_oracle(
-    model: VectorModel, space: InputSpace, subset: SubsetIndex
-) -> Optional[CovarianceTriple]:
-    """Pick the exact route the model's kind admits: the closed form for a
-    linear model, None for a table, which answers only its own rows, else the
-    grid oracle over the space's discrete supports and Gauss rules, sized by
-    ``grid_nodes`` (None when that admits no grid)."""
-    if model.kind == "linear":
-        # looked up on the module at call time, so the tracer's wrapper there
-        # (bench/spans.py) sees every call
-        return oracle.covariances_linear(model.matrix, space.variances(), subset)
-    if model.kind == "external":
-        return None
-    nodes = grid_nodes(space)
-    return None if nodes is None else covariances_quadrature(model, space, subset, nodes)
-
-
 def _replication_dict(report) -> dict:
     return {
         "n_per_rep": report.n_per_rep,
@@ -508,10 +495,16 @@ def _samples(config: RunConfig):
 def run(config: RunConfig) -> RunReport:
     """Execute the configured analysis; deterministic given the config.
 
-    Every subset is analysed before the run's one replication study, if any.
+    The exact route is picked once, before anything is drawn, so a study with
+    no oracle target is refused before the model is evaluated. Every subset
+    is analysed before the run's one replication study, if any.
     """
     started = time.perf_counter()
     model = config.model
+    route = exact_route(model, config.space) if config.oracle == "auto" else None
+    if config.replications is not None and route is None:
+        raise _fail("replications", "no oracle target: no exact oracle applies to this model "
+                    "and input space")
     results = []
     for subset, sample, ci_ss, t0 in _samples(config):
         result = SubsetResult(
@@ -533,22 +526,17 @@ def run(config: RunConfig) -> RunReport:
             result.ci_level = est.ci_level
             result.ci_method = est.method
 
-        if config.oracle == "auto":
-            triple = resolve_oracle(model, config.space, subset)
-            if triple is not None:
-                idx = exact_index(triple, np.eye(model.out_dims))
-                result.oracle_method = triple.method
-                result.oracle_subset = idx.subset
-                result.oracle_complement = idx.complement
-                result.oracle_interaction = idx.interaction
-                result.oracle_sum_residual = idx.sum_defect()
-                if config.matrix is not None:
-                    result.oracle_weighted = exact_index(triple, config.matrix).subset
+        if route is not None:
+            triple = route(subset)
+            idx = exact_index(triple, np.eye(model.out_dims))
+            result.oracle_method = triple.method
+            result.oracle_subset = idx.subset
+            result.oracle_complement = idx.complement
+            result.oracle_interaction = idx.interaction
+            result.oracle_sum_residual = idx.sum_defect()
+            if config.matrix is not None:
+                result.oracle_weighted = exact_index(triple, config.matrix).subset
 
-        if config.replications is not None and result.oracle_subset is None:
-            raise ConfigurationError(
-                f"replications: no oracle target available for subset {result.subset}"
-            )
         if not config.reproducible:
             result.elapsed_s = time.perf_counter() - t0
         results.append(result)

@@ -2,8 +2,8 @@
 
 A model is a deterministic map from p inputs to k outputs, evaluated row-wise
 on n-by-p matrices. Corpus entries carry a default input space. A model's
-``kind`` tells the CLI's ``oracle: auto`` mode which exact route applies; this
-module knows nothing of the oracles.
+``kind`` tells ``oracle.exact_route`` which exact route applies; this module
+knows nothing of the oracles.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ class VectorModel:
     may be called on any chunk of rows, and the pick-freeze evaluation calls
     it on fixed chunks of a block rather than on the whole block (see
     ``pickfreeze.evaluate_shared``). ``kind`` picks the exact oracle
-    route (``cli.resolve_oracle``): the closed form in ``matrix`` for 'linear',
-    none for an 'external' table, the grid otherwise.
+    route (``oracle.exact_route``): the closed form in ``matrix`` for 'linear',
+    none for an 'external' table, the grid otherwise. A model has at least
+    one input and one output.
 
     Designs are held column by column, so eval_fn may receive a
     Fortran-ordered n-by-p array; one that needs C-ordered rows should call
@@ -48,6 +49,13 @@ class VectorModel:
     matrix: Optional[np.ndarray] = None  # set iff kind == 'linear'
     default_space: Optional[InputSpace] = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.in_dims < 1 or self.out_dims < 1:
+            raise ContractError(
+                f"a model needs at least one input and one output, got {self.in_dims} -> "
+                f"{self.out_dims}"
+            )
 
     def evaluate(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)

@@ -14,9 +14,10 @@ Three oracle routes produce the covariance triple: a closed form for linear
 models, one tensor-grid route for any product of discrete and continuous
 inputs (exact weighted enumeration of discrete supports, tensorized Gauss
 quadrature for up to 4 smooth continuous inputs), and a large-sample Monte
-Carlo route for library callers. On a product grid the decomposition identity
-holds exactly, so the grid route's residual is rounding, not an estimate of
-quadrature error.
+Carlo route for library callers. ``exact_route`` alone picks between the
+first two, from the model's kind and its input space. On a product grid the
+decomposition identity holds exactly, so the grid route's residual is
+rounding, not an estimate of quadrature error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .errors import (
     ResourceError,
 )
 from .models import VectorModel
-from .pickfreeze import _BLOCK_ROWS, _evaluate_chunks, evaluate_shared, generate_design
+from .pickfreeze import (_BLOCK_ROWS, _evaluate_chunks, _weight_matrix, evaluate_shared,
+                         generate_design)
 from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence
 
 MAX_GRID_NODES = 10_000_000
@@ -163,17 +165,12 @@ def exact_index(cov: CovarianceTriple, m: np.ndarray) -> ExactIndex:
     Raises IllPosedIndexError when |Tr(M total)| <= 1e-12 max|M| Tr|total|,
     a floor relative to the scale of both (Tr|total| sums the diagonal's
     magnitudes), so the indices, which no homothety of the outputs or of M
-    changes, are accepted or refused alike at every scale. Enforces that the
+    changes, are accepted or refused alike at every scale; M is scaled by a
+    power of two first, so no finite M overflows a trace. Enforces that the
     three indices sum to 1 within 1e-10 (they do whenever the triple
     satisfies the decomposition identity and the denominator is well posed).
     """
-    m = np.asarray(m, dtype=float)
-    k = cov.out_dims
-    if m.shape != (k, k):
-        raise ContractError(f"weight matrix must be {k}x{k}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ContractError("weight matrix must be finite")
-
+    m = _weight_matrix(m, cov.out_dims)
     denom = float(np.einsum("ij,ji->", m, cov.total))
     if abs(denom) <= 1e-12 * np.max(np.abs(m)) * np.sum(np.abs(np.diag(cov.total))):
         raise IllPosedIndexError(
@@ -455,6 +452,25 @@ def covariances_quadrature(
     dec = decompose_grid(model, space, subset, nodes_per_dim)
     _check_positive_definite(dec.total_cov, f"{dec.method} oracle")
     return dec.covariance_triple()
+
+
+def exact_route(
+    model: VectorModel, space: InputSpace
+) -> Optional[Callable[[SubsetIndex], CovarianceTriple]]:
+    """The exact oracle the model's kind and its input space admit, as a
+    function of the subset: the closed form in ``model.matrix`` for a linear
+    model, else the grid oracle sized once by ``grid_nodes``. None for an
+    external table, which answers only its own rows, or a space with no grid.
+
+    The routes call the oracles through this module's globals at call time,
+    so a wrapper put there (bench/spans.py) sees every call.
+    """
+    if model.kind == "linear":
+        return lambda subset: covariances_linear(model.matrix, space.variances(), subset)
+    nodes = None if model.kind == "external" else grid_nodes(space)
+    if nodes is None:
+        return None
+    return lambda subset: covariances_quadrature(model, space, subset, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ small-variance one is not, whatever the outputs' offset.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
@@ -447,23 +448,30 @@ def estimate_index(sample: PickFreezeSample) -> float:
     return float(np.trace(mom.subset)) / denominator
 
 
+def _weight_matrix(m: np.ndarray, k: int) -> np.ndarray:
+    """A finite k-by-k weight matrix M, scaled by the power of two that puts
+    max |M| in [0.5, 1). Scaling by a power of two is exact and no trace
+    ratio depends on M's scale, so no index moves by a bit, while no finite
+    M overflows or underflows the traces it weights."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (k, k):
+        raise ContractError(f"weight matrix must be {k}x{k}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ContractError("weight matrix must be finite")
+    return np.ldexp(m, -math.frexp(float(np.max(np.abs(m))))[1])
+
+
 def estimate_index_general(sample: PickFreezeSample, m: np.ndarray) -> float:
     """Plug-in weighted estimate Tr(M C_hat)/Tr(M Sigma_hat).
 
     With the identity weighting this returns exactly estimate_index(sample).
     """
-    m = np.asarray(m, dtype=float)
-    k = sample.out_dims
-    if m.shape != (k, k):
-        raise ContractError(f"weight matrix must be {k}x{k}, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ContractError("weight matrix must be finite")
+    m = _weight_matrix(m, sample.out_dims)
     if sample.n < 2:
         raise ContractError(f"need at least 2 paired rows, got {sample.n}")
     mom = sample.moments
     denominator = float(np.trace(m @ mom.total))
-    m_scale = float(np.max(np.abs(m)))
-    if abs(denominator) <= mom.floor * max(m_scale, 1e-300):
+    if abs(denominator) <= mom.floor * float(np.max(np.abs(m))):
         raise IllPosedIndexError(
             f"Tr(M Sigma_hat) = {denominator:.3e} is too close to zero for this weighting"
         )

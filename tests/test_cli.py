@@ -149,6 +149,19 @@ TOO_SMALL = [
     ("n", "model: sum_prod\nsubsets: [[1]]\nn: 5\noracle: auto\nreplications: 200\n"),
 ]
 
+# (what the one-line error must say, config text; None is a --config path with
+# no file, PAIRS a valid sample file, TABLE a valid external table)
+CONFIG_FAULTS = [
+    ("configuration is empty", ""),
+    ("configuration must be a mapping", "- model: sum_prod\n"),
+    ("config: cannot read", None),
+    ("model.name", "model: {name: 3}\nsubsets: [[1]]\n"),
+    ("model.external: cannot read file", "model: {external: no-such-table.csv}\nsubsets: [[1]]\n"),
+    ("space: missing", "model: {external: TABLE}\nsubsets: [[1]]\n"),
+    ("matrix entries must be finite", MINIMAL + "matrix: [[.inf, 0], [0, 1]]\n"),
+    ("exactly one subset label", "sample: PAIRS\nsubsets: [[1], [2]]\n"),
+]
+
 # a valid tree per mode; the property below replaces one field of it
 VALID_TREES = {
     "model": {
@@ -383,7 +396,7 @@ class TestRun:
         model = VectorModel(in_dims=2, out_dims=2, kind="linear", eval_fn=lambda x: x @ a.T,
                             matrix=a)
         space = InputSpace.uniform(2)
-        triple = cli.resolve_oracle(model, space, SubsetIndex((0,), 2))
+        triple = oracle.exact_route(model, space)(SubsetIndex((0,), 2))
         expected = oracle.covariances_linear(a, space.variances(), SubsetIndex((0,), 2))
         assert triple.method == "closed_form"
         assert np.array_equal(triple.subset, expected.subset)
@@ -400,7 +413,7 @@ class TestRun:
         model = VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=_eval)
         space, subset = InputSpace.uniform(2), SubsetIndex((0,), 2)
         with pytest.raises(DegenerateModelError, match="total output covariance is not finite"):
-            cli.resolve_oracle(model, space, subset)
+            oracle.exact_route(model, space)(subset)
         with pytest.raises(DegenerateSampleError, match=r"output row \d+ is not finite"):
             run(RunConfig(model, space, [subset], 200, 2, oracle="auto"))
 
@@ -410,6 +423,39 @@ class TestRun:
         assert rec.oracle_method == "quadrature"
         # uniform x1, fair-coin x2: Tr C_1 = 5/48 and Tr Sigma = 21/48
         assert rec.oracle_subset == pytest.approx(5 / 21, abs=1e-12)
+
+    def test_the_grid_is_sized_once_per_run(self, monkeypatch):
+        calls = []
+        sizing = oracle.grid_nodes
+        monkeypatch.setattr(oracle, "grid_nodes", lambda space: calls.append(space) or sizing(space))
+        config = parse_config("model: sum_prod\nsubsets: [[1], [2], [1, 2]]\nn: 200\nseed: 2\n"
+                              "oracle: auto\n")
+        assert [rec.oracle_method for rec in run(config).subsets] == ["quadrature"] * 3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", [
+        "{external: TABLE}\nspace: [{kind: uniform}, {kind: uniform}]",
+        "{name: u_only, params: {dims: 5}}",
+    ], ids=["external", "u_only-5"])
+    def test_a_study_with_no_oracle_target_is_refused_before_any_draw(self, tmp_path, capsys,
+                                                                       monkeypatch, model):
+        # an external table answers only its own rows, and 5 continuous
+        # inputs admit no grid: either is known before the design is drawn
+        rows, draws = [], []
+        evaluate, sample = VectorModel.evaluate, pickfreeze.sample_marginals
+        monkeypatch.setattr(VectorModel, "evaluate",
+                            lambda self, x: rows.append(len(x)) or evaluate(self, x))
+        monkeypatch.setattr(pickfreeze, "sample_marginals",
+                            lambda *args: draws.append(args) or sample(*args))
+        table = tmp_path / "table.csv"
+        table.write_text("".join(INPUT_FILES["table"][:2]))
+        config = tmp_path / "run.yaml"
+        config.write_text(f"model: {model.replace('TABLE', str(table))}\nsubsets: [[1]]\n"
+                          "n: 100\nseed: 1\noracle: auto\nreplications: 200\n")
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: replications: no oracle target")
+        assert rows == [] and draws == []
 
     def test_sample_only_mode(self, tmp_path):
         model = get_model("sum_prod")
@@ -736,6 +782,32 @@ class TestMain:
         rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+    @pytest.mark.parametrize("message, text", CONFIG_FAULTS, ids=[m for m, _ in CONFIG_FAULTS])
+    def test_config_fault_exits_2_with_one_line(self, tmp_path, capsys, message, text):
+        config = tmp_path / "run.yaml"
+        if text is not None:
+            table = tmp_path / "table.csv"
+            table.write_text("".join(INPUT_FILES["table"][:2]))
+            text = text.replace("TABLE", str(table))
+            config.write_text(text.replace("PAIRS", str(_pairs_csv(tmp_path))))
+        rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("configuration error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", ["1e308", "1e-320"])
+    def test_extreme_finite_weights_are_estimated(self, tmp_path, capsys, scale):
+        # the ratio does not depend on M's scale, so neither may the run
+        config = tmp_path / "run.yaml"
+        config.write_text(f"model: sum_prod\nsubsets: [[1]]\nn: 1000\nseed: 1\n"
+                          f"matrix: [[{scale}, 0], [0, {scale}]]\n")
+        out = tmp_path / "r.json"
+        assert main(["--config", str(config), "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        sub = json.loads(out.read_text())["subsets"][0]
+        assert abs(sub["estimate_weighted"] - sub["estimate"]) <= np.spacing(sub["estimate"])
 
     def test_ci_flags_update_the_configured_interval(self, tmp_path):
         config = tmp_path / "run.yaml"

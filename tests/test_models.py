@@ -10,6 +10,7 @@ import vecsobol.models
 from vecsobol import (
     ConfigurationError,
     ContractError,
+    VectorModel,
     apply_transform,
     corpus_names,
     get_model,
@@ -78,6 +79,17 @@ def test_eval_dimension_contract():
     model = get_model("sum_prod")
     with pytest.raises(ContractError):
         model.evaluate(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: VectorModel(in_dims=0, out_dims=2, kind="builtin", eval_fn=lambda x: x),
+    lambda: VectorModel(in_dims=2, out_dims=0, kind="builtin", eval_fn=lambda x: x),
+    lambda: linear_model(np.zeros((0, 2))),
+], ids=["no-inputs", "no-outputs", "linear-no-outputs"])
+def test_a_model_needs_an_input_and_an_output(make):
+    # refused where the model is made, not when its first sample is built
+    with pytest.raises(ContractError, match="at least one input and one output"):
+        make()
 
 
 def test_corpus_contents():

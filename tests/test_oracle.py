@@ -449,6 +449,15 @@ class TestExactIndex:
             with pytest.raises(IllPosedIndexError):
                 exact_index(triple.left_compose(lam * np.eye(2)), antisymmetric)
 
+    def test_weight_scale_moves_no_bit(self):
+        # the oracle shares the estimator's weight helper: no finite M over- or
+        # underflows, and 2^1020 M and 2^-1000 M give M's indices bit for bit
+        model = get_model("sum_prod")
+        triple = covariances_quadrature(model, model.space(), U1, 8).left_compose(1e4 * np.eye(2))
+        m = np.array([[1.0, 0.3], [0.3, 2.0]])
+        for power in (1020, -1000):
+            assert exact_index(triple, np.ldexp(m, power)) == exact_index(triple, m)
+
     def test_ill_posed_guard(self):
         with pytest.raises(IllPosedIndexError):
             exact_index(_proof_triple(), np.array([[0.0, 1.0], [-1.0, 0.0]]))  # antisymmetric

@@ -259,6 +259,18 @@ class TestGeneralWeighting:
         with pytest.raises(IllPosedIndexError):
             estimate_index_general(sample, np.zeros((2, 2)))
 
+    def test_weight_scale_moves_no_bit(self):
+        # M is scaled by a power of two before any trace, so no finite M over-
+        # or underflows and the estimate at 2^1020 M or 2^-1000 M is M's
+        sample = _sample("sum_prod", n=1000, seed=5)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a = rng.normal(size=(2, 2))
+            m = a @ a.T + np.eye(2)
+            value = estimate_index_general(sample, m)
+            for power in (1020, -1000):
+                assert estimate_index_general(sample, np.ldexp(m, power)) == value
+
 
 class TestSampleInvariances:
     def test_isometry_invariance(self):
