@@ -13,18 +13,18 @@ statistics T (pickfreeze.pair_table), so both intervals are built on T:
   fixed row chunks in order. T is filled by the moments kernel's block step.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
-of one or more subsets against their oracle targets. Each replicate draws one
-design over all the subsets, as cli.run does, and evaluates it through
-evaluate_shared, (1 + s) N rows for s subsets, on the calling thread, which
-also takes the point estimates, in replicate order. With bootstrap intervals,
-the resampling runs on a thread pool that the study opens and joins, one
-worker per CPU the process may run on (one on one CPU); it is the only pool
-the package opens. The calling thread keeps at most twice as many samples in
-flight as there are workers and takes their intervals in order, so memory
-does not grow with the number of replicates. Each sample resamples from its
-own Philox stream in blocks of a fixed size, so the reports do not depend on
-the CPU count. Delta-method studies run on the calling thread alone, one
-replicate's design and one subset's sample at a time.
+of one or more subsets against their oracle targets, on the calling thread
+and in replicate order. Each replicate draws one design over all the subsets,
+as cli.run does, and evaluates it through evaluate_shared, (1 + s) N rows for
+s subsets, holding one subset's sample at a time. A bootstrap study resamples
+every replicate with one pattern of counts, drawn from a tagged child of the
+study seed and never from a design stream. A replicate's pairs are i.i.d.
+and the pattern is drawn independently of them, so each replicate still gets
+a valid percentile interval (Efron & Tibshirani 1993); the reuse is the
+common-random-numbers device of simulation (Glasserman & Yao 1992). The study
+holds the pattern while it fits _PATTERN_BYTES and redraws the same blocks
+for each replicate beyond it, so the reports depend on neither the budget
+nor the CPU count. The package opens no thread pool.
 
 No scipy at runtime: the normal quantile and distribution function come from
 statistics.NormalDist.
@@ -32,13 +32,9 @@ statistics.NormalDist.
 
 from __future__ import annotations
 
-import contextvars
-import os
-from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +64,18 @@ from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence
 # for any block size, but the blocking of counts @ T moves replicate means by
 # ulps, so a budget that followed the cache size would change reports.
 _BOOTSTRAP_BLOCK_BYTES = 2**20
+
+# Bytes a bootstrap replication study may hold of its resampling pattern, the
+# B count vectors as floats (8 B n bytes). A pattern that fits is drawn once
+# and read by every replicate; a larger one is redrawn, block by block, for
+# each replicate from its seed, which gives the same blocks, so the budget
+# never moves a report. 16 MiB holds B = 200 up to n = 10,485 pairs.
+_PATTERN_BYTES = 2**24
+
+# the pattern is drawn from a tagged child of the study seed, as the oracle's
+# streams are, so it never aliases a replicate's stream; the tag is wider
+# than 32 bits, so it is no replicate's index
+_PATTERN_STREAM_TAG = 0x626F6F747374726170  # b"bootstrap"
 
 # the fewest pairs the delta method takes, and the fewest replicates of a
 # bootstrap interval and of a replication study
@@ -160,25 +168,33 @@ def _bootstrap_block(n: int) -> int:
     return max(1, _BOOTSTRAP_BLOCK_BYTES // (24 * n))
 
 
-def _bootstrap_estimates(
-    sample: PickFreezeSample, b_reps: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Estimator values over pair-index resamples, from counts @ T in blocks;
-    a resample with its denominator at the sample's degeneracy floor raises."""
-    table = pair_table(sample)
-    n = sample.n
-    floor = sample.moments.floor / n  # the floor of a denominator of means
+def _count_blocks(n: int, b_reps: int, seed: SeedLike) -> Iterator[np.ndarray]:
+    """b_reps resamples of n pair indices from seed's Philox stream, as counts
+    in blocks of _bootstrap_block(n) replicates, held as the floats that
+    counts @ T reads."""
+    rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
     block = _bootstrap_block(n)
-    out = np.empty(b_reps)
     for start in range(0, b_reps, block):
         rows = min(block, b_reps - start)
         idx = rng.integers(0, n, size=(rows, n))
         idx += n * np.arange(rows)[:, None]  # row r counts into bins r*n .. r*n + n - 1
         counts = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
         del idx
+        yield counts.astype(float)
+
+
+def _bootstrap_estimates(sample: PickFreezeSample, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Estimator values over the resamples that the blocks of counts give,
+    from counts @ T; a resample with its denominator at the sample's
+    degeneracy floor raises."""
+    table = pair_table(sample)
+    n = sample.n
+    floor = sample.moments.floor / n  # the floor of a denominator of means
+    out = []
+    for counts in blocks:
         # summed over fixed row chunks in order: one product over all n rows
         # would be split across BLAS threads at large n
-        means = np.zeros((rows, table.shape[1]))
+        means = np.zeros((counts.shape[0], table.shape[1]))
         for chunk in _row_blocks(n):
             means += counts[:, chunk] @ table[chunk]
         means /= n
@@ -187,8 +203,8 @@ def _bootstrap_estimates(
         if not (denominator > floor).all():
             raise DegenerateSampleError("the sample has too few distinct pairs to bootstrap: "
                                         "a resample's denominator is at the degeneracy floor")
-        out[start : start + rows] = (u - v - centering) / denominator
-    return out
+        out.append((u - v - centering) / denominator)
+    return np.concatenate(out)
 
 
 def bootstrap_ci(
@@ -203,20 +219,21 @@ def bootstrap_ci(
     _check_b_reps(b_reps)
     _check_level(level)
     value = estimate_index(sample)  # degenerate samples rejected here
-    return _percentile_interval(sample, value, b_reps, level, seed)
+    return _percentile_interval(sample, value, _count_blocks(sample.n, b_reps, seed), level)
 
 
 def _percentile_interval(
-    sample: PickFreezeSample, value: float, b_reps: int, level: float, seed: SeedLike
+    sample: PickFreezeSample, value: float, blocks: Iterable[np.ndarray], level: float
 ) -> IndexEstimate:
-    """The resampling half of bootstrap_ci, for a sample whose estimate is value.
+    """The resampling half of bootstrap_ci, for a sample whose estimate is
+    value, over the resamples that the blocks of counts give.
 
-    clt_diagnostic runs it off the calling thread, so it calls no function
-    that bench/spans.py wraps, and it reads the moments that estimating value
-    has already cached on the sample.
+    clt_diagnostic calls it for every replicate with the study's one pattern.
+    It calls no function that bench/spans.py wraps, so a traced study's
+    resampling is the study's own time, and it reads the moments that
+    estimating value has already cached on the sample.
     """
-    rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
-    boot = _bootstrap_estimates(sample, b_reps, rng)
+    boot = _bootstrap_estimates(sample, blocks)
     alpha = 1.0 - level
     lo, hi = np.quantile(boot, [alpha / 2.0, 1.0 - alpha / 2.0])
     return IndexEstimate(
@@ -227,7 +244,7 @@ def _percentile_interval(
         ci_level=level,
         method="bootstrap",
         n=sample.n,
-        b_reps=b_reps,
+        b_reps=len(boot),
     )
 
 
@@ -238,78 +255,46 @@ def _replicate_samples(
     n_per_rep: int,
     reps: int,
     root: np.random.SeedSequence,
-) -> Iterator[tuple[PickFreezeSample, np.random.SeedSequence]]:
-    """Each replicate's samples and interval seeds, in order: one design over
-    all the subsets per replicate, as run() draws, evaluated through
-    evaluate_shared one subset's sample at a time.
+) -> Iterator[PickFreezeSample]:
+    """Each replicate's samples, in order: one design over all the subsets per
+    replicate, as run() draws, evaluated through evaluate_shared one subset's
+    sample at a time.
 
-    Replicate i's stream is root's i-th child, spawned when the study reaches
-    it, and split into the design's stream and one interval stream per
-    subset, so the resampling draws never alias the design draws.
+    Replicate i's design stream is the first child of root's i-th child,
+    spawned when the study reaches it.
     """
     for _ in range(reps):
         (child,) = root.spawn(1)
-        design_ss, *ci_seeds = child.spawn(1 + len(subsets))
-        ci_streams = iter(ci_seeds)
-        # not zip: its cached result tuple would keep the previous sample
-        # alive; the design lives as long as the generator, one replicate
-        for sample in evaluate_shared(model, generate_design(space, subsets, n_per_rep, design_ss)):
-            yield sample, next(ci_streams)
-            del sample
+        (design_ss,) = child.spawn(1)
+        # the design lives as long as evaluate_shared, one replicate
+        yield from evaluate_shared(model, generate_design(space, subsets, n_per_rep, design_ss))
 
 
-def _delta_intervals(samples, level: float) -> Iterator[IndexEstimate]:
-    """Delta intervals on this thread, holding one replicate's sample at a time."""
-    for sample, _ in samples:
+def _delta_intervals(samples: Iterator[PickFreezeSample], level: float) -> Iterator[IndexEstimate]:
+    """Delta intervals, holding one replicate's sample at a time."""
+    for sample in samples:
         yield delta_ci(sample, level)
         del sample  # else it outlives the next replicate's evaluation
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on macOS or Windows
-        return os.cpu_count() or 1
-
-
 def _bootstrap_intervals(
-    samples: Iterator[tuple[PickFreezeSample, np.random.SeedSequence]], b_reps: int, level: float
+    samples: Iterator[PickFreezeSample],
+    n: int,
+    b_reps: int,
+    level: float,
+    root: np.random.SeedSequence,
 ) -> Iterator[IndexEstimate]:
-    """The replicates' percentile intervals, in replicate order.
-
-    Each point estimate is computed here, on the calling thread, which also
-    caches the moments the resampling reads. The resampling runs on a pool
-    of one worker per available CPU, with at most twice as many replicates
-    in flight as workers; an error surfaces at the first replicate that
-    raised, as it would on one thread.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = _available_cpus()
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="vecsobol-bootstrap")
-    in_flight = deque()
-    try:
-        while True:
-            try:
-                sample, ci_ss = next(samples)
-                value = estimate_index(sample)
-            except StopIteration:
-                break
-            except Exception:
-                for earlier in in_flight:  # an earlier replicate's error comes first
-                    earlier.result()
-                raise
-            if len(in_flight) == 2 * workers:
-                yield in_flight.popleft().result()
-            # in the caller's context, so numpy's error state follows the call
-            run = contextvars.copy_context().run
-            args = (sample, value, b_reps, level, ci_ss)
-            in_flight.append(pool.submit(run, _percentile_interval, *args))
-        while in_flight:
-            yield in_flight.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    """Percentile intervals, every replicate resampled with the one pattern of
+    b_reps count vectors drawn from root's child tagged _PATTERN_STREAM_TAG:
+    held while it fits _PATTERN_BYTES, else redrawn for each replicate, which
+    gives the same blocks. Holds one replicate's sample at a time."""
+    tag = (*root.spawn_key, _PATTERN_STREAM_TAG)
+    pattern_ss = np.random.SeedSequence(root.entropy, spawn_key=tag)
+    held = list(_count_blocks(n, b_reps, pattern_ss)) if 8 * b_reps * n <= _PATTERN_BYTES else None
+    for sample in samples:
+        blocks = _count_blocks(n, b_reps, pattern_ss) if held is None else held
+        yield _percentile_interval(sample, estimate_index(sample), blocks, level)
+        del sample  # else it outlives the next replicate's evaluation
 
 
 def clt_diagnostic(
@@ -332,11 +317,11 @@ def clt_diagnostic(
     sequence, with a sequence of targets, share one design per replicate, as
     in run(), and give a list of reports; one subset gives one report.
 
-    Designs, model evaluations and point estimates run on the calling thread,
-    in replicate order. Bootstrap resampling runs on a thread pool opened for
-    the study and joined before it returns or raises, with at most twice as
-    many replicates in flight as workers; delta intervals are computed on the
-    calling thread. The reports do not depend on the number of CPUs.
+    The study runs on the calling thread, in replicate order. Bootstrap
+    intervals resample every replicate and subset with one pattern of counts,
+    drawn from the child of the seed tagged _PATTERN_STREAM_TAG, so the
+    replicates' designs, and the estimates, are those of a delta study on the
+    same seed.
     """
     single = isinstance(subset, SubsetIndex)
     groups = (subset,) if single else tuple(subset)
@@ -358,18 +343,18 @@ def clt_diagnostic(
     elif n_per_rep < DELTA_MIN_N:
         raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {n_per_rep}")
 
-    samples = _replicate_samples(model, space, groups, n_per_rep, reps, as_seed_sequence(seed))
+    root = as_seed_sequence(seed)
+    samples = _replicate_samples(model, space, groups, n_per_rep, reps, root)
     if ci_method == "delta":
         intervals = _delta_intervals(samples, ci_level)
     else:
-        intervals = _bootstrap_intervals(samples, b_reps, ci_level)
+        intervals = _bootstrap_intervals(samples, n_per_rep, b_reps, ci_level, root)
     estimates = np.empty((len(groups), reps))
     covered = [0] * len(groups)
-    with closing(intervals):  # joins the pool even if this loop is left early
-        for i, est in enumerate(intervals):  # replicate-major, subsets in order
-            rep, j = divmod(i, len(groups))
-            estimates[j, rep] = est.value
-            covered[j] += est.ci_low <= targets[j] <= est.ci_high
+    for i, est in enumerate(intervals):  # replicate-major, subsets in order
+        rep, j = divmod(i, len(groups))
+        estimates[j, rep] = est.value
+        covered[j] += est.ci_low <= targets[j] <= est.ci_high
     reports = [_report(*study, n_per_rep) for study in zip(estimates, covered, targets)]
     return reports[0] if single else reports
 

@@ -376,10 +376,7 @@ def decompose_grid(
     nodes = [np.asarray(r[0], dtype=float) for r in rules]
     weights = [np.asarray(r[1], dtype=float) for r in rules]
     sizes = tuple(len(x) for x in nodes)
-    if math.prod(sizes) > MAX_GRID_NODES:
-        raise ResourceError(
-            f"grid has {math.prod(sizes)} nodes, above the cap of {MAX_GRID_NODES}"
-        )
+    _check_grid_size(math.prod(sizes))
 
     p, k = model.in_dims, model.out_dims
     # the nodes of the first slab's cells; every slab repeats its other columns
@@ -420,19 +417,29 @@ def decompose_grid(
     )
 
 
+def _check_grid_size(nodes: int) -> None:
+    if nodes > MAX_GRID_NODES:
+        raise ResourceError(f"grid has {nodes} nodes, above the cap of {MAX_GRID_NODES}")
+
+
+def _grid_size(space: InputSpace, nodes_per_dim: int) -> int:
+    """Nodes of the space's tensor grid: nodes_per_dim per continuous input
+    times the discrete inputs' support cells."""
+    support = math.prod(len(m.points) for m in space.marginals if m.is_discrete)
+    return nodes_per_dim ** _continuous_dims(space) * support
+
+
 def grid_nodes(space: InputSpace) -> Optional[int]:
     """Gauss nodes per continuous input for the grid oracle on this space.
 
-    The most, up to DEFAULT_QUADRATURE_NODES, whose grid (times the discrete
-    inputs' support cells) fits MAX_GRID_NODES; 1 when none does, so the grid
-    oracle reports the cap; None above MAX_QUADRATURE_DIMS continuous inputs.
+    The most, up to DEFAULT_QUADRATURE_NODES, whose grid fits
+    MAX_GRID_NODES; 1 when none does, a grid that exact_route refuses; None
+    above MAX_QUADRATURE_DIMS continuous inputs.
     """
-    continuous = _continuous_dims(space)
-    if continuous > MAX_QUADRATURE_DIMS:
+    if _continuous_dims(space) > MAX_QUADRATURE_DIMS:
         return None
-    support = math.prod(len(m.points) for m in space.marginals if m.is_discrete)
     nodes = range(DEFAULT_QUADRATURE_NODES, 0, -1)
-    return next((n for n in nodes if n**continuous * support <= MAX_GRID_NODES), 1)
+    return next((n for n in nodes if _grid_size(space, n) <= MAX_GRID_NODES), 1)
 
 
 def covariances_quadrature(
@@ -461,6 +468,8 @@ def exact_route(
     function of the subset: the closed form in ``model.matrix`` for a linear
     model, else the grid oracle sized once by ``grid_nodes``. None for an
     external table, which answers only its own rows, or a space with no grid.
+    A grid over MAX_GRID_NODES raises ResourceError here, before a run draws
+    or evaluates anything.
 
     The routes call the oracles through this module's globals at call time,
     so a wrapper put there (bench/spans.py) sees every call.
@@ -470,6 +479,7 @@ def exact_route(
     nodes = None if model.kind == "external" else grid_nodes(space)
     if nodes is None:
         return None
+    _check_grid_size(_grid_size(space, nodes))
     return lambda subset: covariances_quadrature(model, space, subset, nodes)
 
 

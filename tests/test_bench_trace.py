@@ -9,8 +9,6 @@ tests run traced CLI analyses and assert the layers and counts they must show.
 import importlib.util
 from pathlib import Path
 
-from vecsobol import inference
-
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -65,10 +63,9 @@ def test_traced_draws_count_every_design_column():
     assert sum(span["name"] == "oracle.quadrature" for span in spans) == 2
 
 
-def test_traced_bootstrap_study_keeps_its_spans_on_the_calling_thread(monkeypatch):
-    # the replicates' resampling runs on the study's pool and records no span;
-    # every span is recorded on the calling thread and nests in its parent
-    monkeypatch.setattr(inference, "_available_cpus", lambda: 2)
+def test_traced_bootstrap_study_keeps_its_spans_on_the_calling_thread():
+    # the replicates' resampling calls no wrapped function and records no
+    # span; every span is recorded on the calling thread and nests in its parent
     reps = 200
     report, spans = _traced_run(
         "model: sum_prod\nsubsets: [[1]]\nn: 300\nseed: 3\noracle: auto\n"

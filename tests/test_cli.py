@@ -658,11 +658,10 @@ class TestMain:
         reason="needs CPU affinity and at least two CPUs",
     )
     def test_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
-        # The first two runs draw large designs, which open no pool; in the
-        # second run the shared x' redraws the union of the subsets'
-        # complements, inputs 1-4 of 5. The third is a replication study with
-        # bootstrap intervals, whose resampling runs on the study's pool, of
-        # one worker when pinned.
+        # The first two runs draw large designs; in the second run the shared
+        # x' redraws the union of the subsets' complements, inputs 1-4 of 5.
+        # The third is a replication study with bootstrap intervals. None
+        # opens a thread pool.
         n = 2**17 + 1
         runs = [f"model: sum_prod\nsubsets: [[1], [2]]\nn: {n}\nci: delta\n",
                 "model: {name: linear, params: {matrix: [[1, 2, 0, -1, 0.5], [0, 1, 3, 1, -2]]}}\n"
@@ -700,12 +699,7 @@ class TestMain:
                 proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                      text=True, check=True)
                 workers = int(proc.stdout.split()[-1])  # the largest pool opened
-                if i < 2:
-                    assert workers == 0
-                elif pin:
-                    assert workers == 1
-                else:
-                    assert workers >= 2
+                assert workers == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
 
@@ -964,7 +958,11 @@ class TestMain:
         assert "total output covariance is singular" in capsys.readouterr().err
 
     def test_over_cap_discrete_grid_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the route is refused where it is sized, before the design is evaluated
         monkeypatch.setattr(oracle, "MAX_GRID_NODES", 8)
+        rows, evaluate = [], VectorModel.evaluate
+        monkeypatch.setattr(VectorModel, "evaluate",
+                            lambda self, x: rows.append(len(x)) or evaluate(self, x))
         three = "{kind: discrete, points: [0, 1, 2], probs: [0.25, 0.5, 0.25]}"
         config = tmp_path / "run.yaml"
         config.write_text(
@@ -974,6 +972,7 @@ class TestMain:
         rc = main(["--config", str(config), "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_DEGENERATE
         assert "grid has 9 nodes, above the cap of 8" in capsys.readouterr().err
+        assert rows == []
 
     def _tabulated_config(self, tmp_path, extra=""):
         # tabulate every row the run will ask for, then drive it from the

@@ -1,10 +1,7 @@
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +27,7 @@ from vecsobol import (
     linear_model,
 )
 from vecsobol import DegenerateSampleError, inference
-from vecsobol.inference import _bootstrap_block, _bootstrap_estimates
+from vecsobol.inference import _bootstrap_block, _bootstrap_estimates, _count_blocks
 from vecsobol.pickfreeze import pair_table
 
 U1 = SubsetIndex((0,), 2)
@@ -63,21 +60,28 @@ def _projection_delta_variance(sample):
     return float(np.var(pair_table(sample) @ (grad / denom)))
 
 
-def _reference_bootstrap(sample, b_reps, rng, block):
+def _index_blocks(n, b_reps, seed):
+    """b_reps resamples of n pair indices from seed's Philox stream, in blocks
+    of _bootstrap_block(n) resamples."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    block = _bootstrap_block(n)
+    return [rng.integers(0, n, size=(min(block, b_reps - start), n))
+            for start in range(0, b_reps, block)]
+
+
+def _reference_bootstrap(sample, index_blocks):
     """The bootstrap as first written: gather the resampled pairs, then reduce
-    each replicate with einsum. Draws indices in the same blocks."""
+    each replicate with einsum."""
     y, y_u, n = sample.y, sample.y_u, sample.n
-    out = np.empty(b_reps)
-    for start in range(0, b_reps, block):
-        rows = min(block, b_reps - start)
-        idx = rng.integers(0, n, size=(rows, n))
+    out = []
+    for idx in index_blocks:
         ry, ryu = y[idx], y_u[idx]
         m = (ry + ryu).sum(axis=1) / (2.0 * n)
         centering = n * (m * m).sum(axis=1)
         num = np.einsum("bnk,bnk->b", ry, ryu) - centering
         den = 0.5 * (np.einsum("bnk,bnk->b", ry, ry) + np.einsum("bnk,bnk->b", ryu, ryu))
-        out[start : start + rows] = num / (den - centering)
-    return out
+        out.append(num / (den - centering))
+    return np.concatenate(out)
 
 
 def _samples_for_reference():
@@ -117,10 +121,8 @@ class TestAgainstReferenceAlgebra:
     def test_bootstrap_replicates_match_gather_form(self):
         for sample in _samples_for_reference():
             b_reps = 2 * _bootstrap_block(sample.n) + 7  # three blocks, the last partial
-            got = _bootstrap_estimates(sample, b_reps, np.random.Generator(np.random.Philox(17)))
-            ref = _reference_bootstrap(
-                sample, b_reps, np.random.Generator(np.random.Philox(17)), _bootstrap_block(sample.n)
-            )
+            got = _bootstrap_estimates(sample, _count_blocks(sample.n, b_reps, 17))
+            ref = _reference_bootstrap(sample, _index_blocks(sample.n, b_reps, 17))
             assert np.max(np.abs(got - ref)) <= 1e-12
 
 
@@ -216,7 +218,7 @@ class TestBootstrapCi:
         reps = {}
         for block in (1, 7, _bootstrap_block(n), b_reps):
             monkeypatch.setattr(inference, "_bootstrap_block", lambda n, block=block: block)
-            reps[block] = _bootstrap_estimates(sample, b_reps, np.random.Generator(np.random.Philox(5)))
+            reps[block] = _bootstrap_estimates(sample, _count_blocks(n, b_reps, 5))
         for got in reps.values():
             assert np.max(np.abs(got - reps[1]) / np.abs(reps[1])) <= 1e-13
 
@@ -338,34 +340,34 @@ class TestCltDiagnostic:
             clt_diagnostic(model, model.space(), U1, 100, 250, target=0.5, seed=1, ci_method="x")
 
 
-def _reference_study(model, n_per_rep, reps, target, seed, b_reps):
-    """Estimates and coverage of a bootstrap study as first written: every
-    replicate's design, estimate and resampling in turn, through bootstrap_ci."""
-    estimates, covered = [], 0
-    for child in np.random.SeedSequence(seed).spawn(reps):
-        design_ss, ci_ss = child.spawn(2)
-        sample = evaluate_pairs(model, generate_design(model.space(), U1, n_per_rep, design_ss))
-        est = bootstrap_ci(sample, b_reps, 0.95, ci_ss)
-        estimates.append(est.value)
-        covered += est.ci_low <= target <= est.ci_high
-    return np.array(estimates), covered / reps
+def _pattern(seed, n, b_reps):
+    """A bootstrap study's resampling pattern, drawn as documented: index
+    blocks from the Philox stream of the study seed's child tagged
+    inference._PATTERN_STREAM_TAG."""
+    root = np.random.SeedSequence(seed)
+    tagged = np.random.SeedSequence(root.entropy, spawn_key=(inference._PATTERN_STREAM_TAG,))
+    return _index_blocks(n, b_reps, tagged)
 
 
 def _reference_shared_study(model, subsets, n_per_rep, reps, targets, seed, ci_method):
-    """Estimates and coverages of a study over several subsets, written out:
-    per replicate, one design over all of them evaluated by evaluate_shared,
-    and each subset's interval on its own stream of child.spawn(1 + s)[1:]."""
+    """Estimates and coverages of a study over one or more subsets, written
+    out: per replicate, one design over all of them from child.spawn(1)[0]
+    evaluated by evaluate_shared; a bootstrap interval resamples every
+    replicate, in gather form, with the study's one pattern."""
+    pattern = _pattern(seed, n_per_rep, 200) if ci_method == "bootstrap" else None
     estimates, covered = np.empty((len(subsets), reps)), [0] * len(subsets)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
-        design_ss, *ci_streams = child.spawn(1 + len(subsets))
+        (design_ss,) = child.spawn(1)
         design = generate_design(model.space(), subsets, n_per_rep, design_ss)
-        for j, (sample, ci_ss) in enumerate(zip(evaluate_shared(model, design), ci_streams)):
+        for j, sample in enumerate(evaluate_shared(model, design)):
             if ci_method == "delta":
                 est = delta_ci(sample, 0.95)
+                value, low, high = est.value, est.ci_low, est.ci_high
             else:
-                est = bootstrap_ci(sample, 200, 0.95, ci_ss)
-            estimates[j, i] = est.value
-            covered[j] += est.ci_low <= targets[j] <= est.ci_high
+                value = estimate_index(sample)
+                low, high = np.quantile(_reference_bootstrap(sample, pattern), [0.025, 0.975])
+            estimates[j, i] = value
+            covered[j] += low <= targets[j] <= high
     return estimates, [c / reps for c in covered]
 
 
@@ -373,21 +375,48 @@ class TestSharedDesignStudy:
     """A study of several subsets draws one design over all of them per
     replicate, as run() does, and reports on each subset."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("ci_method", ["delta", "bootstrap"])
-    def test_reports_match_the_written_out_study(self, monkeypatch, ci_method, cpus):
-        monkeypatch.setattr(inference, "_available_cpus", lambda: cpus)
+    def test_reports_match_the_written_out_study(self, ci_method, s):
         model = get_model("sum_prod")
-        targets = [15 / 31, 15 / 31]
-        reports = clt_diagnostic(model, model.space(), [U1, U2], 100, 200, target=targets,
+        subsets, targets = [U1, U2][:s], [15 / 31, 15 / 31][:s]
+        reports = clt_diagnostic(model, model.space(), subsets, 100, 200, target=targets,
                                  seed=43, ci_method=ci_method)
-        estimates, coverages = _reference_shared_study(model, [U1, U2], 100, 200, targets, 43,
+        estimates, coverages = _reference_shared_study(model, subsets, 100, 200, targets, 43,
                                                        ci_method)
-        assert len(reports) == 2
+        assert len(reports) == s
         for rep, expected, coverage, target in zip(reports, estimates, coverages, targets):
             assert rep.estimates.tobytes() == expected.tobytes()
             assert rep.coverage == coverage
             assert (rep.target, rep.reps, rep.n_per_rep) == (target, 200, 100)
+
+    def test_a_held_pattern_and_a_redrawn_one_give_identical_reports(self, monkeypatch):
+        # with no budget every replicate and subset redraws the pattern
+        model = get_model("sum_prod")
+        draws, count_blocks = [], inference._count_blocks
+        monkeypatch.setattr(inference, "_count_blocks",
+                            lambda *args: draws.append(args) or count_blocks(*args))
+        study = dict(model=model, space=model.space(), subset=[U1, U2], n_per_rep=100, reps=200,
+                     target=[15 / 31, 15 / 31], seed=43, ci_method="bootstrap")
+        held = clt_diagnostic(**study)
+        assert len(draws) == 1
+        monkeypatch.setattr(inference, "_PATTERN_BYTES", 0)
+        redrawn = clt_diagnostic(**study)
+        assert len(draws) == 1 + 2 * 200
+        for a, b in zip(held, redrawn):
+            assert a.estimates.tobytes() == b.estimates.tobytes()
+            assert (a.coverage, a.normality_stat, a.std_empirical) == (
+                b.coverage, b.normality_stat, b.std_empirical)
+
+    def test_the_pattern_never_aliases_a_design(self):
+        # a bootstrap study evaluates the designs of a delta study on its seed
+        model = get_model("sum_prod")
+        study = dict(model=model, space=model.space(), subset=[U1, U2], n_per_rep=100, reps=200,
+                     target=[15 / 31, 15 / 31], seed=43)
+        delta = clt_diagnostic(ci_method="delta", **study)
+        boot = clt_diagnostic(ci_method="bootstrap", **study)
+        for a, b in zip(delta, boot):
+            assert a.estimates.tobytes() == b.estimates.tobytes()
 
     def test_a_one_subset_sequence_is_the_one_subset_study(self):
         model = get_model("identity_2")
@@ -433,77 +462,35 @@ def _failing_model(replicate, constant=False):
                        default_space=base.space())
 
 
-def _study_threads():
-    return [t.name for t in threading.enumerate() if t.name.startswith("vecsobol-")]
-
-
-def test_worker_count_falls_back_to_cpu_count(monkeypatch):
-    # macOS and Windows have no sched_getaffinity
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert inference._available_cpus() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert inference._available_cpus() == 1
-
-
 class TestBootstrapStudyThreads:
-    """Bootstrap studies resample on a pool of one worker per available CPU."""
-
-    def test_report_does_not_depend_on_the_cpu_count(self, monkeypatch, executors):
-        # up to more workers than cores, switching threads often
-        model = get_model("sum_prod")
-        reports = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for cpus in (1, 2, 8):
-                executors.clear()
-                monkeypatch.setattr(inference, "_available_cpus", lambda cpus=cpus: cpus)
-                reports[cpus] = clt_diagnostic(model, model.space(), U1, 100, 200,
-                                               target=15 / 31, seed=43, ci_method="bootstrap")
-                assert executors == [cpus]
-        finally:
-            sys.setswitchinterval(interval)
-        estimates, coverage = _reference_study(model, 100, 200, 15 / 31, 43, 200)
-        for rep in reports.values():
-            assert rep.estimates.tobytes() == estimates.tobytes()
-            assert rep.coverage == coverage
-            assert (rep.std_empirical, rep.normality_stat) == (
-                reports[1].std_empirical, reports[1].normality_stat)
+    """A bootstrap study resamples on the calling thread, in replicate order."""
 
     @pytest.mark.parametrize("replicate", [0, 9])
     @pytest.mark.parametrize("constant", [False, True], ids=["raises", "degenerate"])
-    def test_a_failing_replicate_raises_the_serial_error(self, monkeypatch, replicate, constant):
-        errors = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(inference, "_available_cpus", lambda cpus=cpus: cpus)
-            model = _failing_model(replicate, constant)
-            error = DegenerateSampleError if constant else RuntimeError
-            with pytest.raises(error) as info:
-                clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
-                               ci_method="bootstrap")
-            errors[cpus] = str(info.value)
-            assert _study_threads() == []
-        assert errors[1] == errors[2]
+    def test_a_failing_replicate_raises_the_serial_error(self, replicate, constant):
+        model = _failing_model(replicate, constant)
+        error, message = ((DegenerateSampleError, "constant") if constant
+                          else (RuntimeError, f"replicate {replicate}$"))
+        with pytest.raises(error, match=message):
+            clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
+                           ci_method="bootstrap")
 
     def test_an_earlier_resampling_error_comes_first(self, monkeypatch):
-        # replicate 6's resampling fails while replicate 7's model raises on
-        # this thread: as on one thread, the study raises replicate 6's error
-        resample = inference._percentile_interval
+        # replicate 6's resampling fails and replicate 7's model raises: the
+        # study raises replicate 6's error
+        resample, calls = inference._percentile_interval, []
 
-        def failing(sample, value, b_reps, level, seed):
-            if seed.spawn_key[-2] == 6:
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 7:
                 raise ArithmeticError("resampling failed in replicate 6")
-            return resample(sample, value, b_reps, level, seed)
+            return resample(*args)
 
         monkeypatch.setattr(inference, "_percentile_interval", failing)
-        for cpus in (1, 2, 4):
-            monkeypatch.setattr(inference, "_available_cpus", lambda cpus=cpus: cpus)
-            model = _failing_model(7)
-            with pytest.raises(ArithmeticError, match="replicate 6"):
-                clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
-                               ci_method="bootstrap")
-            assert _study_threads() == []
+        model = _failing_model(7)
+        with pytest.raises(ArithmeticError, match="replicate 6"):
+            clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
+                           ci_method="bootstrap")
 
     def test_resampling_runs_under_the_callers_numpy_error_state(self, monkeypatch):
         resample = inference._percentile_interval
@@ -514,50 +501,13 @@ class TestBootstrapStudyThreads:
 
         monkeypatch.setattr(inference, "_percentile_interval", dividing)
         model = get_model("identity_2")
-        for cpus in (1, 2):
-            monkeypatch.setattr(inference, "_available_cpus", lambda cpus=cpus: cpus)
-            with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-                clt_diagnostic(model, model.space(), U1, 100, 200, target=0.5, seed=3,
-                               ci_method="bootstrap")
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            clt_diagnostic(model, model.space(), U1, 100, 200, target=0.5, seed=3,
+                           ci_method="bootstrap")
 
-    def test_no_study_thread_outlives_the_study(self, monkeypatch, executors):
-        monkeypatch.setattr(inference, "_available_cpus", lambda: 4)
-        before = threading.active_count()
-        model = get_model("identity_2")
-        clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=3, ci_method="bootstrap")
-        assert executors == [4]
-        assert threading.active_count() == before and _study_threads() == []
-
-    def test_at_most_twice_as_many_replicates_as_workers_are_in_flight(self, monkeypatch):
-        # resampling is slowed, so without the window this thread would run
-        # ahead of the pool and keep a sample alive for every replicate
-        monkeypatch.setattr(inference, "_available_cpus", lambda: 2)
-        resample, estimate = inference._percentile_interval, inference.estimate_index
-        refs, counts = [], []
-
-        def slow(*args):
-            time.sleep(0.002)
-            return resample(*args)
-
-        def counting(sample):
-            refs.append(weakref.ref(sample))
-            counts.append(sum(ref() is not None for ref in refs))
-            return estimate(sample)
-
-        monkeypatch.setattr(inference, "_percentile_interval", slow)
-        monkeypatch.setattr(inference, "estimate_index", counting)
-        model = get_model("identity_2")
-        clt_diagnostic(model, model.space(), U1, 100, 200, target=0.5, seed=3, ci_method="bootstrap")
-        # four in flight, the one being estimated, and one per worker whose
-        # result was taken before the worker let go of its arguments
-        assert len(counts) == 200 and max(counts) <= 4 + 1 + 2
-
-    def test_peak_memory_does_not_grow_with_the_replicates(self, monkeypatch):
+    def test_peak_memory_does_not_grow_with_the_replicates(self):
         # A study that held every sample (51 kB of outputs each at 64 outputs)
-        # would grow by 10 MB from 200 to 400 replicates. The peak moves with
-        # how the two workers' resampling blocks happen to overlap, by up to
-        # one block each.
-        monkeypatch.setattr(inference, "_available_cpus", lambda: 2)
+        # would grow by 10 MB from 200 to 400 replicates.
         model = linear_model(np.random.default_rng(0).normal(size=(64, 2)))
         study = dict(model=model, space=model.space(), subset=U1, target=0.5, seed=3,
                      ci_method="bootstrap")
@@ -612,8 +562,10 @@ def test_import_leaves_scipy_stats_unloaded():
         "sample = vecsobol.evaluate_pairs(model, vecsobol.generate_design(model.space(), u, 500, 1))\n"
         "vecsobol.delta_ci(sample, 0.9)\n"
         "vecsobol.clt_diagnostic(model, model.space(), u, 50, 200, target=0.5, seed=2)\n"
-        "print('scipy' in sys.modules)\n"
+        "vecsobol.clt_diagnostic(model, model.space(), u, 50, 200, target=0.5, seed=2,\n"
+        "                        ci_method='bootstrap')\n"
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    # import starts no thread and builds no pool: the column pool is made on first use
-    assert out.stdout.split() == ["True", "False", "False", "False"]
+    # neither import nor a study starts a thread pool: the package opens none
+    assert out.stdout.split() == ["True", "False", "False", "False", "False"]
