@@ -43,7 +43,7 @@ from .pickfreeze import (
     generate_design,
     read_sample_csv,
 )
-from .spaces import Discrete, InputSpace, Normal, SubsetIndex, Uniform
+from .spaces import Discrete, InputSpace, Normal, SubsetIndex, Uniform, stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -420,17 +420,6 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _subset_seed_streams(config: RunConfig) -> list:
-    """Per-subset (design, ci, replication) seed streams derived from the config seed.
-
-    The run's one design and its one replication study draw from the first
-    subset's design and replication streams; the other subsets' are spawned
-    but unused, so every subset's ci stream stays where it was.
-    """
-    root = np.random.SeedSequence(config.seed)
-    return [child.spawn(3) for child in root.spawn(len(config.subsets))]
-
-
 def run_design(config: RunConfig) -> SharedDesign:
     """The one design run() evaluates for all of config's subsets.
 
@@ -438,9 +427,12 @@ def run_design(config: RunConfig) -> SharedDesign:
     of each u in ``subsets``. External-model users tabulate the model at
     ``design.x`` and ``design.x_u(u)`` of every subset (repeated rows are
     accepted) and feed the table back via model.external.
+
+    The run's seed streams are children of the config seed by spawn key
+    (spaces.stream): the design is drawn from (0, 0), subset i's bootstrap
+    from (i, 1) and the replication study from (0, 2).
     """
-    design_ss = _subset_seed_streams(config)[0][0]
-    return generate_design(config.space, config.subsets, config.n, design_ss)
+    return generate_design(config.space, config.subsets, config.n, stream(config.seed, 0, 0))
 
 
 def subset_design(config: RunConfig, index: int) -> SharedDesign:
@@ -478,16 +470,15 @@ def _samples(config: RunConfig):
         if config.ci.kind == "delta" and sample.n < DELTA_MIN_N:
             raise _fail("sample", f"the delta method needs n >= {DELTA_MIN_N} pairs, got {sample.n}")
         label = config.subsets[0] if config.subsets else None
-        yield label, sample, np.random.SeedSequence(config.seed), started
+        yield label, sample, config.seed, started
         return
     # the first subset's time includes the shared draw and the shared f(x)
     started = time.perf_counter()
-    streams = iter(_subset_seed_streams(config))
+    ci_streams = (stream(config.seed, i, 1) for i in range(len(config.subsets)))
     # not zip or enumerate: their cached result tuple would keep the previous
     # sample alive while evaluate_shared evaluates the next group's outputs
     for sample in evaluate_shared(config.model, run_design(config)):
-        _, ci_ss, _ = next(streams)
-        yield sample.subset, sample, ci_ss, started
+        yield sample.subset, sample, next(ci_streams), started
         del sample
         started = time.perf_counter()
 
@@ -546,7 +537,7 @@ def run(config: RunConfig) -> RunReport:
         reports = clt_diagnostic(
             model, config.space, config.subsets, config.n, config.replications,
             target=[result.oracle_subset for result in results],
-            seed=_subset_seed_streams(config)[0][2],  # the first subset's replication stream
+            seed=stream(config.seed, 0, 2),
             ci_level=config.ci.level, b_reps=config.ci.reps,
             ci_method="bootstrap" if config.ci.kind == "bootstrap" else "delta",
         )

@@ -16,15 +16,17 @@ clt_diagnostic runs a replication study (normality distance, CI coverage)
 of one or more subsets against their oracle targets, on the calling thread
 and in replicate order. Each replicate draws one design over all the subsets,
 as cli.run does, and evaluates it through evaluate_shared, (1 + s) N rows for
-s subsets, holding one subset's sample at a time. A bootstrap study resamples
-every replicate with one pattern of counts, drawn from a tagged child of the
-study seed and never from a design stream. A replicate's pairs are i.i.d.
-and the pattern is drawn independently of them, so each replicate still gets
-a valid percentile interval (Efron & Tibshirani 1993); the reuse is the
-common-random-numbers device of simulation (Glasserman & Yao 1992). The study
-holds the pattern while it fits _PATTERN_BYTES and redraws the same blocks
-for each replicate beyond it, so the reports depend on neither the budget
-nor the CPU count. The package opens no thread pool.
+s subsets, holding one subset's sample at a time. Seed streams are children
+of the study seed addressed by spawn key (spaces.stream): replicate i's design
+is drawn from key (i, 0). A bootstrap study resamples every replicate with one
+pattern of counts, drawn from key (_PATTERN_STREAM_TAG,) and never from a
+design stream. A replicate's pairs are i.i.d. and the pattern is drawn
+independently of them, so each replicate still gets a valid percentile
+interval (Efron & Tibshirani 1993); the reuse is the common-random-numbers
+device of simulation (Glasserman & Yao 1992). The study holds the pattern
+while it fits _PATTERN_BYTES and redraws the same blocks for each replicate
+beyond it, so the reports depend on neither the budget nor the CPU count.
+The package opens no thread pool.
 
 No scipy at runtime: the normal quantile and distribution function come from
 statistics.NormalDist.
@@ -49,7 +51,7 @@ from .pickfreeze import (
     generate_design,
     pair_table,
 )
-from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence
+from .spaces import InputSpace, SeedLike, SubsetIndex, _generator, stream
 
 # Bytes a block of bootstrap replicates may hold. A replicate's n index draws,
 # their counts and the counts cast to floats take at most 24 n bytes, so a
@@ -72,9 +74,9 @@ _BOOTSTRAP_BLOCK_BYTES = 2**20
 # never moves a report. 16 MiB holds B = 200 up to n = 10,485 pairs.
 _PATTERN_BYTES = 2**24
 
-# the pattern is drawn from a tagged child of the study seed, as the oracle's
-# streams are, so it never aliases a replicate's stream; the tag is wider
-# than 32 bits, so it is no replicate's index
+# the pattern is drawn from stream(seed, _PATTERN_STREAM_TAG), which never
+# aliases a replicate's stream: numpy hashes the tag as its three 32-bit words,
+# the second of them not 0, so it is no replicate's key (i, 0, ...)
 _PATTERN_STREAM_TAG = 0x626F6F747374726170  # b"bootstrap"
 
 # the fewest pairs the delta method takes, and the fewest replicates of a
@@ -172,7 +174,7 @@ def _count_blocks(n: int, b_reps: int, seed: SeedLike) -> Iterator[np.ndarray]:
     """b_reps resamples of n pair indices from seed's Philox stream, as counts
     in blocks of _bootstrap_block(n) replicates, held as the floats that
     counts @ T reads."""
-    rng = np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
+    rng = _generator(seed)
     block = _bootstrap_block(n)
     for start in range(0, b_reps, block):
         rows = min(block, b_reps - start)
@@ -254,20 +256,18 @@ def _replicate_samples(
     subsets: tuple[SubsetIndex, ...],
     n_per_rep: int,
     reps: int,
-    root: np.random.SeedSequence,
+    seed: SeedLike,
 ) -> Iterator[PickFreezeSample]:
     """Each replicate's samples, in order: one design over all the subsets per
     replicate, as run() draws, evaluated through evaluate_shared one subset's
     sample at a time.
 
-    Replicate i's design stream is the first child of root's i-th child,
-    spawned when the study reaches it.
+    Replicate i's design is drawn from stream(seed, i, 0).
     """
-    for _ in range(reps):
-        (child,) = root.spawn(1)
-        (design_ss,) = child.spawn(1)
+    for i in range(reps):
+        design = generate_design(space, subsets, n_per_rep, stream(seed, i, 0))
         # the design lives as long as evaluate_shared, one replicate
-        yield from evaluate_shared(model, generate_design(space, subsets, n_per_rep, design_ss))
+        yield from evaluate_shared(model, design)
 
 
 def _delta_intervals(samples: Iterator[PickFreezeSample], level: float) -> Iterator[IndexEstimate]:
@@ -282,14 +282,13 @@ def _bootstrap_intervals(
     n: int,
     b_reps: int,
     level: float,
-    root: np.random.SeedSequence,
+    seed: SeedLike,
 ) -> Iterator[IndexEstimate]:
     """Percentile intervals, every replicate resampled with the one pattern of
-    b_reps count vectors drawn from root's child tagged _PATTERN_STREAM_TAG:
-    held while it fits _PATTERN_BYTES, else redrawn for each replicate, which
+    b_reps count vectors drawn from stream(seed, _PATTERN_STREAM_TAG): held
+    while it fits _PATTERN_BYTES, else redrawn for each replicate, which
     gives the same blocks. Holds one replicate's sample at a time."""
-    tag = (*root.spawn_key, _PATTERN_STREAM_TAG)
-    pattern_ss = np.random.SeedSequence(root.entropy, spawn_key=tag)
+    pattern_ss = stream(seed, _PATTERN_STREAM_TAG)
     held = list(_count_blocks(n, b_reps, pattern_ss)) if 8 * b_reps * n <= _PATTERN_BYTES else None
     for sample in samples:
         blocks = _count_blocks(n, b_reps, pattern_ss) if held is None else held
@@ -319,9 +318,9 @@ def clt_diagnostic(
 
     The study runs on the calling thread, in replicate order. Bootstrap
     intervals resample every replicate and subset with one pattern of counts,
-    drawn from the child of the seed tagged _PATTERN_STREAM_TAG, so the
-    replicates' designs, and the estimates, are those of a delta study on the
-    same seed.
+    drawn from stream(seed, _PATTERN_STREAM_TAG), so the replicates' designs,
+    replicate i's from stream(seed, i, 0), and the estimates are those of a
+    delta study on the same seed.
     """
     single = isinstance(subset, SubsetIndex)
     groups = (subset,) if single else tuple(subset)
@@ -343,12 +342,11 @@ def clt_diagnostic(
     elif n_per_rep < DELTA_MIN_N:
         raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {n_per_rep}")
 
-    root = as_seed_sequence(seed)
-    samples = _replicate_samples(model, space, groups, n_per_rep, reps, root)
+    samples = _replicate_samples(model, space, groups, n_per_rep, reps, seed)
     if ci_method == "delta":
         intervals = _delta_intervals(samples, ci_level)
     else:
-        intervals = _bootstrap_intervals(samples, n_per_rep, b_reps, ci_level, root)
+        intervals = _bootstrap_intervals(samples, n_per_rep, b_reps, ci_level, seed)
     estimates = np.empty((len(groups), reps))
     covered = [0] * len(groups)
     for i, est in enumerate(intervals):  # replicate-major, subsets in order

@@ -40,7 +40,7 @@ from .errors import (
 from .models import VectorModel
 from .pickfreeze import (_BLOCK_ROWS, _evaluate_chunks, _weight_matrix, evaluate_shared,
                          generate_design)
-from .spaces import InputSpace, SubsetIndex, SeedLike, as_seed_sequence
+from .spaces import InputSpace, SubsetIndex, SeedLike, stream
 
 MAX_GRID_NODES = 10_000_000
 MAX_QUADRATURE_DIMS = 4
@@ -487,8 +487,8 @@ def exact_route(
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
 
-# oracle streams hang off a tagged child of the user seed so that reusing one
-# numeric seed for oracle and estimator still yields disjoint streams
+# the oracle's design is the seed's child stream(seed, _ORACLE_STREAM_TAG), so
+# reusing one numeric seed for oracle and estimator still yields disjoint streams
 _ORACLE_STREAM_TAG = 0x6F7261636C65
 
 
@@ -514,12 +514,8 @@ def covariances_monte_carlo(
     if n < 2:
         raise ContractError("monte carlo oracle needs n >= 2")
 
-    root = as_seed_sequence(seed)
-    tagged = np.random.SeedSequence(
-        entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (_ORACLE_STREAM_TAG,)
-    )
     groups = [subset] if subset.is_full else [subset, SubsetIndex(subset.complement, subset.dims)]
-    design = generate_design(space, groups, n, tagged)
+    design = generate_design(space, groups, n, stream(seed, _ORACLE_STREAM_TAG))
     # map holds no sample between calls, so one f(A_u) is alive at a time
     try:
         pair, *rest = map(attrgetter("moments"), evaluate_shared(model, design))

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DegenerateSampleError, IllPosedIndexError
 from .models import VectorModel, read_numeric_csv
-from .spaces import InputSpace, SeedLike, SubsetIndex, as_seed_sequence, sample_marginals
+from .spaces import InputSpace, SeedLike, SubsetIndex, sample_marginals, stream
 
 
 @dataclass
@@ -196,8 +196,8 @@ def generate_design(
 ) -> SharedDesign:
     """Draw the pick-freeze design; deterministic in (space, subset, n, seed).
 
-    x is drawn from the seed's first spawned stream and x_prime, over the
-    union of the groups' complements in column order, from its second. One
+    x is drawn from stream(seed, 0) and x_prime, over the union of the
+    groups' complements in column order, from stream(seed, 1). One
     subset stands for the one-group sequence (subset,), so one subset's
     design holds the same bytes whichever way it is asked for.
     """
@@ -211,11 +211,9 @@ def generate_design(
             )
     if n < 2:
         raise ContractError(f"pick-freeze needs n >= 2, got {n}")
-    root = as_seed_sequence(seed)
-    ss_x, ss_prime = root.spawn(2)
-    x = sample_marginals(space.marginals, n, ss_x)
+    x = sample_marginals(space.marginals, n, stream(seed, 0))
     redrawn_marginals = tuple(space.marginals[j] for j in _redrawn(groups))
-    x_prime = sample_marginals(redrawn_marginals, n, ss_prime)
+    x_prime = sample_marginals(redrawn_marginals, n, stream(seed, 1))
     return SharedDesign(x=x, x_prime=x_prime, subsets=groups)
 
 

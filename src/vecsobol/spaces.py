@@ -1,9 +1,12 @@
 """Input spaces: independent marginals, coordinate subsets, and seeded sampling.
 
 The joint input law is always a product of one-dimensional marginals.
-Sampling is counter-based (Philox) and draws every coordinate from its own
-spawned stream, so a sample matrix is a pure function of (space, n, seed)
-and per-column draws are independent by construction. A sample is held
+Sampling is counter-based (Philox). Every seed stream of the package is a
+child of the caller's seed addressed by its spawn key (stream): column j of
+a sample is drawn from stream(seed, j), so a sample matrix is a pure
+function of (space, n, seed) and per-column draws are independent by
+construction. A SeedSequence passed in is read and never spawned from, so
+two calls with one sequence give the same draws. A sample is held
 column by column: each coordinate's n draws are one contiguous run of
 memory, and the n-by-p matrix handed out is the transpose of that p-by-n
 array (Fortran order), the layout the pick-freeze designs keep. Columns
@@ -24,16 +27,27 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
-    """Normalize an integer seed or an already-spawned SeedSequence."""
+    """Normalize a non-negative integer seed or a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
     if isinstance(seed, (int, np.integer)):
+        if seed < 0:
+            raise ContractError(f"seed must be a non-negative integer, got {seed}")
         return np.random.SeedSequence(int(seed))
     raise ContractError(f"seed must be an int or SeedSequence, got {type(seed).__name__}")
 
 
-def _generator(seedseq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seedseq))
+def stream(seed: SeedLike, *key: int) -> np.random.SeedSequence:
+    """The child of seed at spawn key path key: the sequence that successive
+    spawn() calls reach from a fresh copy of seed, without spawning from it."""
+    root = as_seed_sequence(seed)
+    return np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + key, pool_size=root.pool_size
+    )
+
+
+def _generator(seed: SeedLike) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
 
 
 # a rule is an eigenvalue problem (1.4 ms at 64 Legendre nodes), asked for per input and subset
@@ -201,6 +215,8 @@ class SubsetIndex:
     dims: int
 
     def __post_init__(self):
+        if not all(float(i).is_integer() for i in self.indices):
+            raise ContractError(f"subset coordinates must be integers, got {tuple(self.indices)}")
         idx = tuple(sorted(int(i) for i in self.indices))
         if len(idx) == 0:
             raise ContractError("subset must be non-empty")
@@ -212,7 +228,7 @@ class SubsetIndex:
 
     @classmethod
     def from_one_based(cls, indices: Iterable[int], dims: int) -> "SubsetIndex":
-        return cls(tuple(int(i) - 1 for i in indices), dims)
+        return cls(tuple(i - 1 for i in indices), dims)
 
     @property
     def size(self) -> int:
@@ -231,10 +247,8 @@ class SubsetIndex:
         return tuple(i + 1 for i in self.indices)
 
 
-def sample_marginals(
-    marginals: tuple[Marginal, ...], n: int, seedseq: np.random.SeedSequence
-) -> np.ndarray:
-    """Sample an n-by-len(marginals) matrix, one spawned stream per column.
+def sample_marginals(marginals: tuple[Marginal, ...], n: int, seed: SeedLike) -> np.ndarray:
+    """Sample an n-by-len(marginals) matrix, column j from stream(seed, j).
 
     Each column is written as one contiguous row of a len(marginals)-by-n
     array, and the matrix returned is that array's transpose: Fortran
@@ -245,11 +259,11 @@ def sample_marginals(
     if len(marginals) == 0:
         return np.empty((n, 0))
     rows = np.empty((len(marginals), n))
-    for row, marginal, child in zip(rows, marginals, seedseq.spawn(len(marginals))):
-        row[:] = marginal.sample(_generator(child), n)
+    for j, (row, marginal) in enumerate(zip(rows, marginals)):
+        row[:] = marginal.sample(_generator(stream(seed, j)), n)
     return rows.T
 
 
 def sample_inputs(space: InputSpace, n: int, seed: SeedLike) -> np.ndarray:
     """Draw n i.i.d. input rows from the space; pure function of (space, n, seed)."""
-    return sample_marginals(space.marginals, n, as_seed_sequence(seed))
+    return sample_marginals(space.marginals, n, seed)

@@ -510,7 +510,7 @@ class TestSharedDesign:
     def test_one_subset_run_is_its_generate_design_sample(self):
         model = get_model("sum_prod")
         config = parse_config("model: sum_prod\nsubsets: [[2]]\nn: 3000\nseed: 21\n")
-        design_ss = cli._subset_seed_streams(config)[0][0]
+        design_ss = np.random.SeedSequence(21).spawn(1)[0].spawn(1)[0]
         design = generate_design(config.space, config.subsets[0], config.n, design_ss)
         expected = estimate_index(evaluate_pairs(model, design))
         assert run(config).subsets[0].estimate == expected

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecsobol import spaces
+from vecsobol.inference import _PATTERN_STREAM_TAG
+from vecsobol.oracle import _ORACLE_STREAM_TAG
 from vecsobol.pickfreeze import _EVAL_ROWS
 from vecsobol import (
     ConfigurationError,
@@ -16,6 +18,12 @@ from vecsobol import (
     Normal,
     SubsetIndex,
     Uniform,
+    bootstrap_ci,
+    clt_diagnostic,
+    covariances_monte_carlo,
+    evaluate_pairs,
+    generate_design,
+    get_model,
     sample_inputs,
 )
 
@@ -130,8 +138,92 @@ def test_subset_index_contracts():
         SubsetIndex((2,), 2)
     with pytest.raises(ContractError):
         SubsetIndex((-1,), 2)
+    for indices in [(0.7,), (0, 1.5), (float("nan"),)]:  # int() would truncate or raise
+        with pytest.raises(ContractError, match="integers"):
+            SubsetIndex(indices, 2)
+    with pytest.raises(ContractError, match="integers"):
+        SubsetIndex.from_one_based([1.5], 2)
+    assert SubsetIndex((np.int64(1), 0.0), 2).indices == (0, 1)
     full = SubsetIndex((0, 1), 2)
     assert full.is_full
+
+
+@pytest.mark.parametrize("seed", [-1, -3, np.int64(-2)])
+def test_a_negative_seed_is_a_contract_error_naming_it(seed):
+    with pytest.raises(ContractError, match=f"got {int(seed)}$"):
+        generate_design(InputSpace.uniform(2), SubsetIndex((0,), 2), 10, seed)
+    with pytest.raises(ContractError, match=f"got {int(seed)}$"):
+        sample_inputs(InputSpace.uniform(2), 10, seed)
+
+
+def _words(tag):
+    """tag's 32-bit words, least significant first: numpy hashes a spawn key
+    entry wider than 32 bits as these words, each a key entry of its own."""
+    words = [tag & 0xFFFFFFFF]
+    while tag >> 32:
+        tag >>= 32
+        words.append(tag & 0xFFFFFFFF)
+    return words
+
+
+def _spawned(root, key):
+    """The child at key, reached by spawn() from a fresh copy of each node,
+    word by word: a small index by spawning its elder siblings first, a
+    larger one from a copy that has already spawned that many children."""
+    node = root
+    for i in (word for tag in key for word in _words(tag)):
+        skipped = 0 if i < 64 else i
+        fresh = np.random.SeedSequence(node.entropy, spawn_key=node.spawn_key,
+                                       pool_size=node.pool_size, n_children_spawned=skipped)
+        node = fresh.spawn(i + 1 - skipped)[-1]
+    return node
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    entropy=st.integers(0, 2**128),
+    pool_size=st.sampled_from([4, 8]),
+    key=st.lists(
+        st.one_of(st.integers(0, 70), st.integers(2**32, 2**80),
+                  st.sampled_from([_PATTERN_STREAM_TAG, _ORACLE_STREAM_TAG])),
+        max_size=4,
+    ),
+)
+def test_stream_is_the_child_that_successive_spawns_reach(entropy, pool_size, key):
+    root = np.random.SeedSequence(entropy, pool_size=pool_size)
+    child = spaces.stream(root, *key)
+    assert child.spawn_key == tuple(key)
+    assert root.n_children_spawned == 0
+    expected = _spawned(np.random.SeedSequence(entropy, pool_size=pool_size), key)
+    assert child.generate_state(8).tobytes() == expected.generate_state(8).tobytes()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    entropy=st.integers(0, 2**64),
+    spawn_key=st.lists(st.integers(0, 5), max_size=2),
+    spawned=st.integers(0, 3),
+    ci_method=st.sampled_from(["delta", "bootstrap"]),
+)
+def test_a_seed_sequence_gives_the_same_bytes_twice_and_is_not_spawned_from(
+    entropy, spawn_key, spawned, ci_method
+):
+    seed = np.random.SeedSequence(entropy, spawn_key=spawn_key, n_children_spawned=spawned)
+    model = get_model("sum_prod")
+    space, u = model.space(), SubsetIndex((0,), 2)
+    sample = evaluate_pairs(model, generate_design(space, u, 50, 3))
+
+    def outputs():
+        design = generate_design(space, [u, SubsetIndex((1,), 2)], 40, seed)
+        triple = covariances_monte_carlo(model, space, u, 200, seed)
+        boot = bootstrap_ci(sample, 200, 0.9, seed)
+        study = clt_diagnostic(model, space, u, 12, 200, 0.5, seed, ci_method=ci_method)
+        return [sample_inputs(MIXED, 30, seed).tobytes(), design.x.tobytes(),
+                design.x_prime.tobytes(), triple.total.tobytes(), triple.subset.tobytes(),
+                repr((boot.ci_low, boot.ci_high)), study.estimates.tobytes()]
+
+    assert outputs() == outputs()
+    assert seed.n_children_spawned == spawned
 
 
 MIXED = InputSpace(
