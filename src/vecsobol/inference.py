@@ -13,19 +13,22 @@ statistics T (pickfreeze.pair_table), so both intervals are built on T:
   fixed row chunks in order. T is filled by the moments kernel's block step.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
-of one or more subsets against their oracle targets, on the calling thread
-and in replicate order. Each replicate draws one design over all the subsets,
-as cli.run does, and evaluates it through evaluate_shared, (1 + s) N rows for
-s subsets, holding one subset's sample at a time. Seed streams are children
-of the study seed addressed by spawn key (spaces.stream): replicate i's design
-is drawn from key (i, 0). A bootstrap study resamples every replicate with one
-pattern of counts, drawn from key (_PATTERN_STREAM_TAG,) and never from a
-design stream. A replicate's pairs are i.i.d. and the pattern is drawn
-independently of them, so each replicate still gets a valid percentile
-interval (Efron & Tibshirani 1993); the reuse is the common-random-numbers
-device of simulation (Glasserman & Yao 1992). The study holds the pattern
-while it fits _PATTERN_BYTES and redraws the same blocks for each replicate
-beyond it, so the reports depend on neither the budget nor the CPU count.
+of one or more subsets against their oracle targets as one loop on the
+calling thread, in replicate order. Each replicate draws one design over all
+the subsets, as cli.run does, and evaluates it through evaluate_shared,
+(1 + s) N rows for s subsets. The loop drops each sample before the next
+subset is evaluated and each design before the next replicate's is drawn,
+so it holds one design and one sample at a time. Seed streams are children
+of the study seed addressed by spawn key (spaces.stream): replicate i's
+design is drawn from key (i, 0). A bootstrap study resamples every
+replicate with one pattern of counts, drawn from key (_PATTERN_STREAM_TAG,)
+and never from a design stream. A replicate's pairs are i.i.d. and the
+pattern is drawn independently of them, so each replicate still gets a
+valid percentile interval (Efron & Tibshirani 1993); the reuse is the
+common-random-numbers device of simulation (Glasserman & Yao 1992). The
+study holds the pattern while it fits _PATTERN_BYTES and redraws the same
+blocks for each replicate beyond it, so the reports depend on neither the
+budget nor the CPU count.
 The package opens no thread pool.
 
 No scipy at runtime: the normal quantile and distribution function come from
@@ -250,52 +253,6 @@ def _percentile_interval(
     )
 
 
-def _replicate_samples(
-    model: VectorModel,
-    space: InputSpace,
-    subsets: tuple[SubsetIndex, ...],
-    n_per_rep: int,
-    reps: int,
-    seed: SeedLike,
-) -> Iterator[PickFreezeSample]:
-    """Each replicate's samples, in order: one design over all the subsets per
-    replicate, as run() draws, evaluated through evaluate_shared one subset's
-    sample at a time.
-
-    Replicate i's design is drawn from stream(seed, i, 0).
-    """
-    for i in range(reps):
-        design = generate_design(space, subsets, n_per_rep, stream(seed, i, 0))
-        # the design lives as long as evaluate_shared, one replicate
-        yield from evaluate_shared(model, design)
-
-
-def _delta_intervals(samples: Iterator[PickFreezeSample], level: float) -> Iterator[IndexEstimate]:
-    """Delta intervals, holding one replicate's sample at a time."""
-    for sample in samples:
-        yield delta_ci(sample, level)
-        del sample  # else it outlives the next replicate's evaluation
-
-
-def _bootstrap_intervals(
-    samples: Iterator[PickFreezeSample],
-    n: int,
-    b_reps: int,
-    level: float,
-    seed: SeedLike,
-) -> Iterator[IndexEstimate]:
-    """Percentile intervals, every replicate resampled with the one pattern of
-    b_reps count vectors drawn from stream(seed, _PATTERN_STREAM_TAG): held
-    while it fits _PATTERN_BYTES, else redrawn for each replicate, which
-    gives the same blocks. Holds one replicate's sample at a time."""
-    pattern_ss = stream(seed, _PATTERN_STREAM_TAG)
-    held = list(_count_blocks(n, b_reps, pattern_ss)) if 8 * b_reps * n <= _PATTERN_BYTES else None
-    for sample in samples:
-        blocks = _count_blocks(n, b_reps, pattern_ss) if held is None else held
-        yield _percentile_interval(sample, estimate_index(sample), blocks, level)
-        del sample  # else it outlives the next replicate's evaluation
-
-
 def clt_diagnostic(
     model: VectorModel,
     space: InputSpace,
@@ -316,9 +273,11 @@ def clt_diagnostic(
     sequence, with a sequence of targets, share one design per replicate, as
     in run(), and give a list of reports; one subset gives one report.
 
-    The study runs on the calling thread, in replicate order. Bootstrap
-    intervals resample every replicate and subset with one pattern of counts,
-    drawn from stream(seed, _PATTERN_STREAM_TAG), so the replicates' designs,
+    The study is one loop on the calling thread, in replicate order. It drops
+    each sample before the next subset is evaluated and each design before
+    the next replicate's is drawn. Bootstrap intervals resample every
+    replicate and subset with one pattern of counts, drawn from
+    stream(seed, _PATTERN_STREAM_TAG), so the replicates' designs,
     replicate i's from stream(seed, i, 0), and the estimates are those of a
     delta study on the same seed.
     """
@@ -342,17 +301,27 @@ def clt_diagnostic(
     elif n_per_rep < DELTA_MIN_N:
         raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {n_per_rep}")
 
-    samples = _replicate_samples(model, space, groups, n_per_rep, reps, seed)
-    if ci_method == "delta":
-        intervals = _delta_intervals(samples, ci_level)
-    else:
-        intervals = _bootstrap_intervals(samples, n_per_rep, b_reps, ci_level, seed)
+    pattern_ss = stream(seed, _PATTERN_STREAM_TAG)
+    fits = ci_method == "bootstrap" and 8 * b_reps * n_per_rep <= _PATTERN_BYTES
+    held = list(_count_blocks(n_per_rep, b_reps, pattern_ss)) if fits else None
     estimates = np.empty((len(groups), reps))
     covered = [0] * len(groups)
-    for i, est in enumerate(intervals):  # replicate-major, subsets in order
-        rep, j = divmod(i, len(groups))
-        estimates[j, rep] = est.value
-        covered[j] += est.ci_low <= targets[j] <= est.ci_high
+    for rep in range(reps):
+        # only evaluate_shared holds the design, so it goes before the next is drawn
+        design = generate_design(space, groups, n_per_rep, stream(seed, rep, 0))
+        samples = evaluate_shared(model, design)
+        del design
+        j = 0  # counted by hand: enumerate's cached tuple would hold the previous sample
+        for sample in samples:
+            if ci_method == "delta":
+                est = delta_ci(sample, ci_level)
+            else:
+                blocks = _count_blocks(n_per_rep, b_reps, pattern_ss) if held is None else held
+                est = _percentile_interval(sample, estimate_index(sample), blocks, ci_level)
+            del sample  # else it outlives the next subset's evaluation
+            estimates[j, rep] = est.value
+            covered[j] += est.ci_low <= targets[j] <= est.ci_high
+            j += 1
     reports = [_report(*study, n_per_rep) for study in zip(estimates, covered, targets)]
     return reports[0] if single else reports
 

@@ -15,6 +15,7 @@ are drawn in turn on the calling thread.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
@@ -27,10 +28,10 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
-    """Normalize a non-negative integer seed or a SeedSequence."""
+    """Normalize a non-negative integer seed or a SeedSequence; a bool is no seed."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         if seed < 0:
             raise ContractError(f"seed must be a non-negative integer, got {seed}")
         return np.random.SeedSequence(int(seed))
@@ -139,6 +140,8 @@ class Discrete:
         if len(self.points) != len(self.probs):
             raise ConfigurationError("discrete points and probs must have equal length")
         p = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(p)):  # NaN passes both checks below
+            raise ConfigurationError("discrete probabilities must be finite")
         if np.any(p < 0):
             raise ConfigurationError("discrete probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -203,6 +206,16 @@ class InputSpace:
         return cls(tuple(Normal(mean, sd) for _ in range(dims)))
 
 
+def _coordinates(indices: Iterable) -> tuple:
+    """indices as a tuple, each checked to be an integral real number: an
+    integral float or numpy integer passes, a bool or a string does not."""
+    indices = tuple(indices)
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, numbers.Real) or not float(i).is_integer():
+            raise ContractError(f"subset coordinates must be integers, got {indices}")
+    return indices
+
+
 @dataclass(frozen=True)
 class SubsetIndex:
     """A non-empty group of input coordinates, stored 0-based and sorted.
@@ -215,9 +228,7 @@ class SubsetIndex:
     dims: int
 
     def __post_init__(self):
-        if not all(float(i).is_integer() for i in self.indices):
-            raise ContractError(f"subset coordinates must be integers, got {tuple(self.indices)}")
-        idx = tuple(sorted(int(i) for i in self.indices))
+        idx = tuple(sorted(int(i) for i in _coordinates(self.indices)))
         if len(idx) == 0:
             raise ContractError("subset must be non-empty")
         if len(set(idx)) != len(idx):
@@ -228,7 +239,7 @@ class SubsetIndex:
 
     @classmethod
     def from_one_based(cls, indices: Iterable[int], dims: int) -> "SubsetIndex":
-        return cls(tuple(i - 1 for i in indices), dims)
+        return cls(tuple(i - 1 for i in _coordinates(indices)), dims)
 
     @property
     def size(self) -> int:

@@ -32,6 +32,8 @@ from vecsobol.pickfreeze import pair_table
 
 U1 = SubsetIndex((0,), 2)
 U2 = SubsetIndex((1,), 2)
+W1 = SubsetIndex((0,), 64)  # subsets of a wide input
+W2 = SubsetIndex((1,), 64)
 
 
 def _sample(model_name="identity_2", n=2000, seed=8, **params):
@@ -254,21 +256,44 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+def _one_shared_replicate(model, subsets, n):
+    """One replicate of a delta study of subsets: one design over them,
+    evaluated through evaluate_shared, each sample dropped after its interval."""
+    for sample in evaluate_shared(model, generate_design(model.space(), subsets, n, 1)):
+        delta_ci(sample)
+        del sample
+
+
 class TestCltDiagnostic:
-    @pytest.mark.parametrize("subsets, targets", [(U1, 0.5), ([U1, U2], [0.5, 0.5])],
-                             ids=["s1", "s2"])
-    def test_delta_study_holds_one_replicate_at_a_time(self, subsets, targets):
+    @pytest.mark.parametrize(
+        "shape, subsets, targets",
+        [((8, 2), U1, 0.5), ((8, 2), [U1, U2], [0.5, 0.5]),
+         ((1, 64), W1, 0.5), ((1, 64), [W1, W2], [0.5, 0.5])],
+        ids=["s1", "s2", "wide_s1", "wide_s2"],
+    )
+    def test_delta_study_holds_one_replicate_at_a_time(self, shape, subsets, targets):
         # a study that kept a replicate's sample while evaluating the next
         # one, or the next subset's, would peak a whole sample (2 n k floats)
-        # above one replicate of one subset
-        n = 10_000
-        model = linear_model(np.random.default_rng(0).normal(size=(8, 2)))
+        # above one replicate of one subset; one that kept a replicate's
+        # design while drawing the next would peak a design, n (p + redrawn)
+        # floats, above one replicate of the same subsets, which a wide
+        # input with one output shows
+        model = linear_model(np.random.default_rng(0).normal(size=shape))
         study = dict(model=model, space=model.space(), subset=subsets, target=targets)
         clt_diagnostic(n_per_rep=20, reps=200, seed=2, **study)  # fills imports and caches untraced
-        one = _traced_peak(
-            lambda: delta_ci(evaluate_pairs(model, generate_design(model.space(), U1, n, 1))))
+        if shape[0] == 1:  # wide
+            n = 2000
+            design = generate_design(model.space(), subsets, n, 1)
+            slack = 0.25 * (design.x.nbytes + design.x_prime.nbytes)  # n (p + redrawn) floats
+            del design
+            one = _traced_peak(lambda: _one_shared_replicate(model, subsets, n))
+        else:
+            n = 10_000
+            slack = 0.5 * (2 * n * 8 * 8)
+            one = _traced_peak(
+                lambda: delta_ci(evaluate_pairs(model, generate_design(model.space(), U1, n, 1))))
         whole = _traced_peak(lambda: clt_diagnostic(n_per_rep=n, reps=200, seed=1, **study))
-        assert whole < one + 0.5 * (2 * n * 8 * 8)
+        assert whole < one + slack
 
     def test_report_fields_and_normality(self):
         model = get_model("identity_2")

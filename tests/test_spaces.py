@@ -83,6 +83,9 @@ def test_marginal_validation():
         Discrete((0.0, 1.0), (0.5, 0.6))
     with pytest.raises(ConfigurationError):
         Discrete((0.0,), (-1.0,))
+    for probs in [(float("nan"), 1.0), (float("nan"), float("nan"))]:  # NaN passes < 0 and the sum check
+        with pytest.raises(ConfigurationError, match="finite"):
+            Discrete((0.0, 1.0), probs)
 
 
 def test_marginal_variances():
@@ -143,6 +146,12 @@ def test_subset_index_contracts():
             SubsetIndex(indices, 2)
     with pytest.raises(ContractError, match="integers"):
         SubsetIndex.from_one_based([1.5], 2)
+    for indices in [("1",), (True,), (np.bool_(True),)]:  # a string or a bool is no coordinate
+        with pytest.raises(ContractError, match="integers"):
+            SubsetIndex(indices, 2)
+        with pytest.raises(ContractError, match="integers"):
+            SubsetIndex.from_one_based(indices, 2)
+    assert SubsetIndex.from_one_based([np.int64(2), 1.0], 2).indices == (0, 1)
     assert SubsetIndex((np.int64(1), 0.0), 2).indices == (0, 1)
     full = SubsetIndex((0, 1), 2)
     assert full.is_full
@@ -153,6 +162,14 @@ def test_a_negative_seed_is_a_contract_error_naming_it(seed):
     with pytest.raises(ContractError, match=f"got {int(seed)}$"):
         generate_design(InputSpace.uniform(2), SubsetIndex((0,), 2), 10, seed)
     with pytest.raises(ContractError, match=f"got {int(seed)}$"):
+        sample_inputs(InputSpace.uniform(2), 10, seed)
+
+
+@pytest.mark.parametrize("seed", [True, False, np.bool_(True)])
+def test_a_boolean_seed_is_a_contract_error(seed):
+    with pytest.raises(ContractError, match="got bool$"):
+        generate_design(InputSpace.uniform(2), SubsetIndex((0,), 2), 10, seed)
+    with pytest.raises(ContractError, match="got bool$"):
         sample_inputs(InputSpace.uniform(2), 10, seed)
 
 
