@@ -25,10 +25,13 @@ replicate with one pattern of counts, drawn from key (_PATTERN_STREAM_TAG,)
 and never from a design stream. A replicate's pairs are i.i.d. and the
 pattern is drawn independently of them, so each replicate still gets a
 valid percentile interval (Efron & Tibshirani 1993); the reuse is the
-common-random-numbers device of simulation (Glasserman & Yao 1992). The
-study holds the pattern while it fits _PATTERN_BYTES and redraws the same
-blocks for each replicate beyond it, so the reports depend on neither the
-budget nor the CPU count.
+common-random-numbers device of simulation (Glasserman & Yao 1992). Since
+the counts are shared, the study resamples its samples in batches: each
+sample's T goes into the next slot of one (N, r, k+2) array, and a full
+batch is resampled by one counts @ [T_1 ... T_r] product per block of
+counts (_resample). The study holds the pattern while it fits
+_PATTERN_BYTES and redraws the same blocks for each batch beyond it, so the
+reports depend on neither the budget nor the CPU count.
 The package opens no thread pool.
 
 No scipy at runtime: the normal quantile and distribution function come from
@@ -37,6 +40,7 @@ statistics.NormalDist.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Iterator, Optional, Sequence
@@ -56,25 +60,33 @@ from .pickfreeze import (
 )
 from .spaces import InputSpace, SeedLike, SubsetIndex, _generator, stream
 
-# Bytes a block of bootstrap replicates may hold. A replicate's n index draws,
-# their counts and the counts cast to floats take at most 24 n bytes, so a
-# block takes as many replicates as fit, and at least one: peak memory grows
-# with n only and not with the number of replicates. The budget keeps a block
-# inside a core's L2 cache, where the scattered bincount increments and
-# counts @ T run. clt_diagnostic at n=2000, 200 reps, B=200, one BLAS thread
-# (2 MiB L2 per core), seconds over three runs by budget:
+# Bytes a block of bootstrap replicates, and a replication study's batch of
+# pair tables, may hold. A replicate's n index draws, their counts and the
+# counts cast to floats take at most 24 n bytes, and a pair table 8 n (k + 2)
+# bytes, so a block or a batch takes as many as fit, and at least one: peak
+# memory grows with n and k only and not with the number of replicates. The
+# budget keeps a block inside a core's L2 cache, where the scattered bincount
+# increments and counts @ T run. clt_diagnostic at n=2000, 200 reps, B=200,
+# one table per product, one BLAS thread (2 MiB L2 per core), seconds over
+# three runs by budget:
 #   16 MiB 2.36-2.47 | 4 MiB 1.47-1.57 | 2 MiB 1.53-1.56
 #    1 MiB 1.42-1.53 | 0.5 MiB 1.43-1.61 | 0.25 MiB 1.74-1.79
+# At that n and k = 2 a batch holds 16 tables: a block's product took 11.4 us
+# a table for the 16, against 16.6 us for a table alone, and the study, which
+# also pays its per-product and quantile calls once per batch, went from
+# 209-220 ms to 131-140 ms (median of 9 calls). At k >= 64 a batch is one
+# table, already a wide product.
 # It is a constant, not read from the machine: the index stream is the same
-# for any block size, but the blocking of counts @ T moves replicate means by
-# ulps, so a budget that followed the cache size would change reports.
+# for any block size, but the blocking of counts @ T, and the batching of the
+# tables, move replicate means by ulps, so a budget that followed the cache
+# size would change reports.
 _BOOTSTRAP_BLOCK_BYTES = 2**20
 
 # Bytes a bootstrap replication study may hold of its resampling pattern, the
 # B count vectors as floats (8 B n bytes). A pattern that fits is drawn once
-# and read by every replicate; a larger one is redrawn, block by block, for
-# each replicate from its seed, which gives the same blocks, so the budget
-# never moves a report. 16 MiB holds B = 200 up to n = 10,485 pairs.
+# and read by every batch of replicates; a larger one is redrawn, block by
+# block, for each batch from its seed, which gives the same blocks, so the
+# budget never moves a report. 16 MiB holds B = 200 up to n = 10,485 pairs.
 _PATTERN_BYTES = 2**24
 
 # the pattern is drawn from stream(seed, _PATTERN_STREAM_TAG), which never
@@ -125,9 +137,19 @@ def _check_level(level: float) -> None:
         raise ContractError(f"confidence level must be in (0, 1), got {level}")
 
 
-def _check_b_reps(b_reps: int) -> None:
+def _count(value, name: str) -> int:
+    """value as an int, checked to be an integral real number: an integral
+    float or numpy integer passes, a bool or a string does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_b_reps(b_reps) -> int:
+    b_reps = _count(b_reps, "b_reps")
     if b_reps < BOOTSTRAP_MIN_REPS:
         raise ContractError(f"bootstrap needs at least {BOOTSTRAP_MIN_REPS} replicates, got {b_reps}")
+    return b_reps
 
 
 def delta_variance(sample: PickFreezeSample) -> float:
@@ -188,28 +210,37 @@ def _count_blocks(n: int, b_reps: int, seed: SeedLike) -> Iterator[np.ndarray]:
         yield counts.astype(float)
 
 
-def _bootstrap_estimates(sample: PickFreezeSample, blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """Estimator values over the resamples that the blocks of counts give,
-    from counts @ T; a resample with its denominator at the sample's
-    degeneracy floor raises."""
-    table = pair_table(sample)
-    n = sample.n
-    floor = sample.moments.floor / n  # the floor of a denominator of means
+def _resample(tables: np.ndarray, floors: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Estimator values of r samples over the resamples that the blocks of
+    counts give, as a (b_reps, r) matrix: tables stacks the samples' pair
+    tables as an (n, r, k + 2) array, and floors holds their degeneracy
+    floors. One counts @ [T_1 ... T_r] product per block of counts serves
+    all r; a resample with a denominator at its sample's floor raises."""
+    n, r, w = tables.shape
+    wide = tables.reshape(n, r * w)  # a view, also of a batch's first r slots
+    floors = floors / n  # the floors of denominators of means
     out = []
     for counts in blocks:
         # summed over fixed row chunks in order: one product over all n rows
         # would be split across BLAS threads at large n
-        means = np.zeros((counts.shape[0], table.shape[1]))
+        means = np.zeros((counts.shape[0], r * w))
         for chunk in _row_blocks(n):
-            means += counts[:, chunk] @ table[chunk]
+            means += counts[:, chunk] @ wide[chunk]
         means /= n
-        u, v, centering = means[:, 0], means[:, 1], np.sum(means[:, 2:] ** 2, axis=1)
+        means = means.reshape(-1, r, w)
+        u, v, centering = means[..., 0], means[..., 1], np.sum(means[..., 2:] ** 2, axis=2)
         denominator = u + v - centering
-        if not (denominator > floor).all():
+        if not (denominator > floors).all():
             raise DegenerateSampleError("the sample has too few distinct pairs to bootstrap: "
                                         "a resample's denominator is at the degeneracy floor")
         out.append((u - v - centering) / denominator)
     return np.concatenate(out)
+
+
+def _bootstrap_estimates(sample: PickFreezeSample, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """_resample of one sample, as a vector of b_reps estimator values."""
+    floors = np.array([sample.moments.floor])
+    return _resample(pair_table(sample)[:, None], floors, blocks).ravel()
 
 
 def bootstrap_ci(
@@ -221,24 +252,10 @@ def bootstrap_ci(
     distribution, so resampling is over pair indices only. Deterministic in
     the seed.
     """
-    _check_b_reps(b_reps)
+    b_reps = _check_b_reps(b_reps)
     _check_level(level)
     value = estimate_index(sample)  # degenerate samples rejected here
-    return _percentile_interval(sample, value, _count_blocks(sample.n, b_reps, seed), level)
-
-
-def _percentile_interval(
-    sample: PickFreezeSample, value: float, blocks: Iterable[np.ndarray], level: float
-) -> IndexEstimate:
-    """The resampling half of bootstrap_ci, for a sample whose estimate is
-    value, over the resamples that the blocks of counts give.
-
-    clt_diagnostic calls it for every replicate with the study's one pattern.
-    It calls no function that bench/spans.py wraps, so a traced study's
-    resampling is the study's own time, and it reads the moments that
-    estimating value has already cached on the sample.
-    """
-    boot = _bootstrap_estimates(sample, blocks)
+    boot = _bootstrap_estimates(sample, _count_blocks(sample.n, b_reps, seed))
     alpha = 1.0 - level
     lo, hi = np.quantile(boot, [alpha / 2.0, 1.0 - alpha / 2.0])
     return IndexEstimate(
@@ -279,10 +296,14 @@ def clt_diagnostic(
     replicate and subset with one pattern of counts, drawn from
     stream(seed, _PATTERN_STREAM_TAG), so the replicates' designs,
     replicate i's from stream(seed, i, 0), and the estimates are those of a
-    delta study on the same seed.
+    delta study on the same seed. Each sample's pair table goes into a batch
+    that is resampled whole when full, at the end, and before an error from
+    a later sample's evaluation or estimate is raised, so the earliest
+    replicate's error is the one raised.
     """
     single = isinstance(subset, SubsetIndex)
     groups = (subset,) if single else tuple(subset)
+    n_per_rep, reps = _count(n_per_rep, "n_per_rep"), _count(reps, "reps")
     if reps < REPLICATION_MIN_REPS:
         raise ContractError(f"replication study needs reps >= {REPLICATION_MIN_REPS}, got {reps}")
     if not groups or np.ndim(target) != (0 if single else 1) or np.size(target) != len(groups):
@@ -296,32 +317,62 @@ def clt_diagnostic(
         raise ContractError(f"ci_method must be 'delta' or 'bootstrap', got {ci_method!r}")
     # checked here as well, before any design is drawn or model evaluated
     _check_level(ci_level)
-    if ci_method == "bootstrap":
-        _check_b_reps(b_reps)
+    bootstrap = ci_method == "bootstrap"
+    if bootstrap:
+        b_reps = _check_b_reps(b_reps)
     elif n_per_rep < DELTA_MIN_N:
         raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {n_per_rep}")
 
-    pattern_ss = stream(seed, _PATTERN_STREAM_TAG)
-    fits = ci_method == "bootstrap" and 8 * b_reps * n_per_rep <= _PATTERN_BYTES
-    held = list(_count_blocks(n_per_rep, b_reps, pattern_ss)) if fits else None
     estimates = np.empty((len(groups), reps))
     covered = [0] * len(groups)
-    for rep in range(reps):
-        # only evaluate_shared holds the design, so it goes before the next is drawn
-        design = generate_design(space, groups, n_per_rep, stream(seed, rep, 0))
-        samples = evaluate_shared(model, design)
-        del design
-        j = 0  # counted by hand: enumerate's cached tuple would hold the previous sample
-        for sample in samples:
-            if ci_method == "delta":
-                est = delta_ci(sample, ci_level)
-            else:
-                blocks = _count_blocks(n_per_rep, b_reps, pattern_ss) if held is None else held
-                est = _percentile_interval(sample, estimate_index(sample), blocks, ci_level)
-            del sample  # else it outlives the next subset's evaluation
-            estimates[j, rep] = est.value
-            covered[j] += est.ci_low <= targets[j] <= est.ci_high
-            j += 1
+    if bootstrap:
+        pattern_ss = stream(seed, _PATTERN_STREAM_TAG)
+        held = (list(_count_blocks(n_per_rep, b_reps, pattern_ss))
+                if 8 * b_reps * n_per_rep <= _PATTERN_BYTES else None)
+        w = model.out_dims + 2
+        tables = np.empty((n_per_rep, max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_per_rep * w)), w))
+        floors = np.empty(tables.shape[1])
+        alpha = 1.0 - ci_level
+        quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]  # as bootstrap_ci takes them
+    owners = []  # the subset of each table in the batch, in slot order
+
+    def resample_batch():
+        """Resample the batch's tables at once and count their intervals' coverage."""
+        js = owners.copy()
+        owners.clear()  # first, so that an error raised here is not resampled again
+        blocks = _count_blocks(n_per_rep, b_reps, pattern_ss) if held is None else held
+        boot = _resample(tables[:, : len(js)], floors[: len(js)], blocks)
+        lows, highs = np.quantile(boot, quantiles, axis=0)
+        for j, low, high in zip(js, lows, highs):
+            covered[j] += low <= targets[j] <= high
+
+    try:
+        for rep in range(reps):
+            # only evaluate_shared holds the design, so it goes before the next is drawn
+            design = generate_design(space, groups, n_per_rep, stream(seed, rep, 0))
+            samples = evaluate_shared(model, design)
+            del design
+            j = 0  # counted by hand: enumerate's cached tuple would hold the previous sample
+            for sample in samples:
+                if bootstrap:
+                    estimates[j, rep] = estimate_index(sample)
+                    tables[:, len(owners)] = pair_table(sample)
+                    floors[len(owners)] = sample.moments.floor
+                    owners.append(j)
+                else:
+                    est = delta_ci(sample, ci_level)
+                    estimates[j, rep] = est.value
+                    covered[j] += est.ci_low <= targets[j] <= est.ci_high
+                del sample  # else it outlives the next subset's evaluation
+                if bootstrap and len(owners) == len(floors):
+                    resample_batch()
+                j += 1
+    except Exception:
+        if owners:  # the earlier replicates' resampling errors come first
+            resample_batch()
+        raise
+    if owners:
+        resample_batch()
     reports = [_report(*study, n_per_rep) for study in zip(estimates, covered, targets)]
     return reports[0] if single else reports
 

@@ -84,6 +84,16 @@ seed: 17
 ci: {kind: bootstrap, reps: 200}
 oracle: auto
 """
+# a bootstrap replication study, whose batches resample 65 tables at once
+BLAS_BOOTSTRAP_STUDY = """
+model: sum_prod
+subsets: [[1], [2]]
+n: 500
+seed: 3
+ci: {kind: bootstrap, reps: 200}
+oracle: auto
+replications: 200
+"""
 
 
 def _cpu_count() -> int:
@@ -704,7 +714,8 @@ class TestMain:
             assert outs[0] == outs[1]
 
     @pytest.mark.skipif(_cpu_count() < 2, reason="needs at least two CPUs")
-    @pytest.mark.parametrize("config", [BLAS_DELTA_WEIGHTED, BLAS_BOOTSTRAP], ids=["delta-weighted", "bootstrap"])
+    @pytest.mark.parametrize("config", [BLAS_DELTA_WEIGHTED, BLAS_BOOTSTRAP, BLAS_BOOTSTRAP_STUDY],
+                             ids=["delta-weighted", "bootstrap", "bootstrap-study"])
     def test_report_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, config):
         path = tmp_path / "run.yaml"
         path.write_text(config)

@@ -27,7 +27,7 @@ from vecsobol import (
     linear_model,
 )
 from vecsobol import DegenerateSampleError, inference
-from vecsobol.inference import _bootstrap_block, _bootstrap_estimates, _count_blocks
+from vecsobol.inference import _bootstrap_block, _bootstrap_estimates, _count_blocks, _resample
 from vecsobol.pickfreeze import pair_table
 
 U1 = SubsetIndex((0,), 2)
@@ -204,6 +204,19 @@ class TestBootstrapCi:
         with pytest.raises(ContractError):
             bootstrap_ci(_sample(n=100, seed=1), 100, 0.95, seed=1)
 
+    def test_replicate_count_is_checked_before_the_estimate(self):
+        # a constant sample's estimate raises, so the count is checked first
+        flat = PickFreezeSample(np.ones((300, 2)), np.ones((300, 2)))
+        for b_reps in (200.5, True, "200", float("nan")):
+            with pytest.raises(ContractError, match="b_reps must be an integer"):
+                bootstrap_ci(flat, b_reps, 0.95, seed=1)
+        sample = _sample(n=500, seed=4)
+        a = bootstrap_ci(sample, 300, 0.95, seed=77)
+        for b_reps in (300.0, np.int64(300), np.float32(300.0)):
+            b = bootstrap_ci(sample, b_reps, 0.95, seed=77)
+            assert (a.ci_low, a.ci_high, a.sigma2_hat) == (b.ci_low, b.ci_high, b.sigma2_hat)
+            assert b.b_reps == 300
+
     def test_too_few_distinct_pairs_raise(self):
         # three coincident pairs: a resample that draws one of them three
         # times has a zero denominator, and there is no estimate to report
@@ -223,6 +236,50 @@ class TestBootstrapCi:
             reps[block] = _bootstrap_estimates(sample, _count_blocks(n, b_reps, 5))
         for got in reps.values():
             assert np.max(np.abs(got - reps[1]) / np.abs(reps[1])) <= 1e-13
+
+    @pytest.mark.parametrize("r", [1, 7, "batch"])
+    def test_stacked_samples_resample_as_each_alone(self, r):
+        # a replication study's batch: 16 sum_prod tables at n = 2000
+        n, b_reps = 2000, 200
+        r = inference._BOOTSTRAP_BLOCK_BYTES // (8 * n * 4) if r == "batch" else r
+        samples = [_sample("sum_prod", n=n, seed=seed) for seed in range(r)]
+        tables = np.stack([pair_table(sample) for sample in samples], axis=1)
+        floors = np.array([sample.moments.floor for sample in samples])
+        blocks = list(_count_blocks(n, b_reps, 5))
+        stacked = _resample(tables, floors, blocks)
+        alone = np.stack([_bootstrap_estimates(sample, blocks) for sample in samples], axis=1)
+        assert stacked.shape == (b_reps, r)
+        assert np.max(np.abs(stacked - alone) / np.abs(alone)) <= 1e-13
+        if r == 1:
+            assert stacked.tobytes() == alone.tobytes()
+        # the study resamples a partial batch as the first r slots of its array
+        batch = np.zeros((n, r + 3, 4))
+        batch[:, :r] = tables
+        assert _resample(batch[:, :r], floors, blocks).tobytes() == stacked.tobytes()
+        levels = [0.025, 0.975]
+        together = np.quantile(stacked, levels, axis=0)
+        for i in range(r):
+            assert together[:, i].tobytes() == np.quantile(stacked[:, i], levels).tobytes()
+
+    def test_each_stacked_sample_has_its_own_floor(self):
+        # a sample scaled by 1e-9 resamples alongside its original, whose
+        # floor is 1e18 times its own; one with a single distinct pair among
+        # 2000 coincident ones raises wherever it sits in the stack
+        sample = _sample("sum_prod", n=2000, seed=3)
+        small = PickFreezeSample(1e-9 * sample.y, 1e-9 * sample.y_u)
+        y = np.ones((2000, 2))
+        y[0] = 2.0
+        flat = PickFreezeSample(y, y)
+        blocks = list(_count_blocks(2000, 200, 5))
+
+        def stacked(*samples):
+            tables = np.stack([pair_table(s) for s in samples], axis=1)
+            return _resample(tables, np.array([s.moments.floor for s in samples]), blocks)
+
+        assert np.isfinite(stacked(sample, small)).all()
+        for samples in ((sample, flat), (flat, sample)):
+            with pytest.raises(DegenerateSampleError, match="too few distinct pairs"):
+                stacked(*samples)
 
     def test_peak_memory_fits_the_block_budget(self):
         # a block of replicates is sized to stay in a core's L2 cache; a
@@ -325,6 +382,12 @@ class TestCltDiagnostic:
             ({"ci_level": 0.0, "ci_method": "bootstrap"}, "confidence level"),
             ({"ci_method": "bootstrap", "b_reps": 100}, "at least 200 replicates"),
             ({"n_per_rep": 5}, "delta method needs n >= 10"),
+            ({"reps": 250.5}, "^reps must be an integer, got 250.5"),
+            ({"reps": True}, "^reps must be an integer, got True"),
+            ({"n_per_rep": 100.5}, "n_per_rep must be an integer, got 100.5"),
+            ({"n_per_rep": "100", "ci_method": "bootstrap"}, "n_per_rep must be an integer"),
+            ({"ci_method": "bootstrap", "b_reps": 200.5}, "b_reps must be an integer, got 200.5"),
+            ({"ci_method": "bootstrap", "b_reps": float("inf")}, "b_reps must be an integer"),
         ],
     )
     def test_bad_interval_settings_fail_before_any_evaluation(self, kwargs, message):
@@ -340,6 +403,16 @@ class TestCltDiagnostic:
         with pytest.raises(ContractError, match=message):
             clt_diagnostic(model, base.space(), U1, **study)
         assert rows == []
+
+    def test_integral_counts_pass_as_ints(self):
+        model = get_model("identity_2")
+        study = dict(model=model, space=model.space(), subset=U1, target=0.5, seed=41,
+                     ci_method="bootstrap")
+        a = clt_diagnostic(n_per_rep=100, reps=200, b_reps=200, **study)
+        b = clt_diagnostic(n_per_rep=100.0, reps=np.int64(200), b_reps=np.float64(200.0), **study)
+        assert (type(b.n_per_rep), type(b.reps)) == (int, int)
+        assert (b.n_per_rep, b.reps) == (100, 200)
+        assert a.estimates.tobytes() == b.estimates.tobytes() and a.coverage == b.coverage
 
     def test_full_group_fails_before_any_evaluation(self):
         # its estimate is exactly 1 in every replicate, so there is no spread to study
@@ -415,23 +488,36 @@ class TestSharedDesignStudy:
             assert rep.coverage == coverage
             assert (rep.target, rep.reps, rep.n_per_rep) == (target, 200, 100)
 
-    def test_a_held_pattern_and_a_redrawn_one_give_identical_reports(self, monkeypatch):
-        # with no budget every replicate and subset redraws the pattern
+    def _held_and_redrawn(self, monkeypatch):
+        """A 2-subset bootstrap study at n = 100, run with its pattern held and
+        then with no budget, so that every batch redraws it; each of the
+        two asserts its own pattern draws."""
         model = get_model("sum_prod")
+        n, slots = 100, 2 * 200
+        batch = inference._BOOTSTRAP_BLOCK_BYTES // (8 * n * 4)  # sum_prod tables
         draws, count_blocks = [], inference._count_blocks
         monkeypatch.setattr(inference, "_count_blocks",
                             lambda *args: draws.append(args) or count_blocks(*args))
-        study = dict(model=model, space=model.space(), subset=[U1, U2], n_per_rep=100, reps=200,
+        study = dict(model=model, space=model.space(), subset=[U1, U2], n_per_rep=n, reps=200,
                      target=[15 / 31, 15 / 31], seed=43, ci_method="bootstrap")
         held = clt_diagnostic(**study)
         assert len(draws) == 1
         monkeypatch.setattr(inference, "_PATTERN_BYTES", 0)
         redrawn = clt_diagnostic(**study)
-        assert len(draws) == 1 + 2 * 200
+        assert len(draws) == 1 + -(-slots // batch)  # 1 + the number of batches
         for a, b in zip(held, redrawn):
             assert a.estimates.tobytes() == b.estimates.tobytes()
             assert (a.coverage, a.normality_stat, a.std_empirical) == (
                 b.coverage, b.normality_stat, b.std_empirical)
+
+    def test_a_held_pattern_and_a_redrawn_one_give_identical_reports(self, monkeypatch):
+        self._held_and_redrawn(monkeypatch)
+
+    def test_several_batches_and_a_partial_last_one_keep_held_and_redrawn_identical(
+            self, monkeypatch):
+        # a budget of 7 tables gives 58 batches of the 400 tables, the last of one
+        monkeypatch.setattr(inference, "_BOOTSTRAP_BLOCK_BYTES", 7 * 8 * 100 * 4)
+        self._held_and_redrawn(monkeypatch)
 
     def test_the_pattern_never_aliases_a_design(self):
         # a bootstrap study evaluates the designs of a delta study on its seed
@@ -501,30 +587,33 @@ class TestBootstrapStudyThreads:
                            ci_method="bootstrap")
 
     def test_an_earlier_resampling_error_comes_first(self, monkeypatch):
-        # replicate 6's resampling fails and replicate 7's model raises: the
-        # study raises replicate 6's error
-        resample, calls = inference._percentile_interval, []
+        # replicate 6's resampling fails and replicate 7's model raises, both
+        # in the first batch (163 tables at n = 200): the study raises
+        # replicate 6's error
+        assert inference._BOOTSTRAP_BLOCK_BYTES // (8 * 200 * 4) > 8
+        resample, batches = inference._resample, []
 
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 7:
+        def failing(tables, *args):
+            batches.append(tables.shape[1])
+            if tables.shape[1] > 6:
                 raise ArithmeticError("resampling failed in replicate 6")
-            return resample(*args)
+            return resample(tables, *args)
 
-        monkeypatch.setattr(inference, "_percentile_interval", failing)
+        monkeypatch.setattr(inference, "_resample", failing)
         model = _failing_model(7)
         with pytest.raises(ArithmeticError, match="replicate 6"):
             clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
                            ci_method="bootstrap")
+        assert batches == [7]  # replicates 0 to 6, resampled once
 
     def test_resampling_runs_under_the_callers_numpy_error_state(self, monkeypatch):
-        resample = inference._percentile_interval
+        resample = inference._resample
 
         def dividing(*args):
             np.float64(1.0) / np.float64(0.0)
             return resample(*args)
 
-        monkeypatch.setattr(inference, "_percentile_interval", dividing)
+        monkeypatch.setattr(inference, "_resample", dividing)
         model = get_model("identity_2")
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             clt_diagnostic(model, model.space(), U1, 100, 200, target=0.5, seed=3,
