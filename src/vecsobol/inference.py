@@ -58,7 +58,7 @@ from .pickfreeze import (
     generate_design,
     pair_table,
 )
-from .spaces import InputSpace, SeedLike, SubsetIndex, _generator, stream
+from .spaces import InputSpace, SeedLike, SubsetIndex, _count, _generator, stream
 
 # Bytes a block of bootstrap replicates, and a replication study's batch of
 # pair tables, may hold. A replicate's n index draws, their counts and the
@@ -132,17 +132,9 @@ class ReplicationReport:
     coverage: float  # fraction of per-replicate CIs containing the target
 
 
-def _check_level(level: float) -> None:
-    if not 0.0 < level < 1.0:
-        raise ContractError(f"confidence level must be in (0, 1), got {level}")
-
-
-def _count(value, name: str) -> int:
-    """value as an int, checked to be an integral real number: an integral
-    float or numpy integer passes, a bool or a string does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
-        raise ContractError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _check_level(level, name: str) -> None:
+    if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0.0 < level < 1.0:
+        raise ContractError(f"{name} must be a confidence level in (0, 1), got {level!r}")
 
 
 def _check_b_reps(b_reps) -> int:
@@ -175,7 +167,7 @@ def delta_variance(sample: PickFreezeSample) -> float:
 
 def delta_ci(sample: PickFreezeSample, level: float = 0.95) -> IndexEstimate:
     """Symmetric normal-approximation interval around the point estimate."""
-    _check_level(level)
+    _check_level(level, "level")
     value = estimate_index(sample)
     sigma2 = delta_variance(sample)
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * float(np.sqrt(sigma2 / sample.n))
@@ -253,7 +245,7 @@ def bootstrap_ci(
     the seed.
     """
     b_reps = _check_b_reps(b_reps)
-    _check_level(level)
+    _check_level(level, "level")
     value = estimate_index(sample)  # degenerate samples rejected here
     boot = _bootstrap_estimates(sample, _count_blocks(sample.n, b_reps, seed))
     alpha = 1.0 - level
@@ -316,7 +308,7 @@ def clt_diagnostic(
     if ci_method not in ("delta", "bootstrap"):
         raise ContractError(f"ci_method must be 'delta' or 'bootstrap', got {ci_method!r}")
     # checked here as well, before any design is drawn or model evaluated
-    _check_level(ci_level)
+    _check_level(ci_level, "ci_level")
     bootstrap = ci_method == "bootstrap"
     if bootstrap:
         b_reps = _check_b_reps(b_reps)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .spaces import InputSpace
+from .spaces import InputSpace, _count
 
 EvalFn = Callable[[np.ndarray], np.ndarray]
 
@@ -51,11 +51,11 @@ class VectorModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "in_dims", _count(self.in_dims, "in_dims"))
+        object.__setattr__(self, "out_dims", _count(self.out_dims, "out_dims"))
         if self.in_dims < 1 or self.out_dims < 1:
-            raise ContractError(
-                f"a model needs at least one input and one output, got {self.in_dims} -> "
-                f"{self.out_dims}"
-            )
+            raise ContractError("a model needs at least one input and one output, "
+                                f"got {self.in_dims} -> {self.out_dims}")
 
     def evaluate(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)

@@ -30,17 +30,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateModelError,
-    DegenerateSampleError,
-    IllPosedIndexError,
-    ResourceError,
-)
+from .errors import (ContractError, DegenerateModelError, DegenerateSampleError, IllPosedIndexError,
+                     ResourceError)
 from .models import VectorModel
 from .pickfreeze import (_BLOCK_ROWS, _evaluate_chunks, _weight_matrix, evaluate_shared,
                          generate_design)
-from .spaces import InputSpace, SubsetIndex, SeedLike, stream
+from .spaces import InputSpace, SubsetIndex, SeedLike, _count, stream
 
 MAX_GRID_NODES = 10_000_000
 MAX_QUADRATURE_DIMS = 4
@@ -176,11 +171,8 @@ def exact_index(cov: CovarianceTriple, m: np.ndarray) -> ExactIndex:
         raise IllPosedIndexError(
             f"Tr(M total) = {denom:.3e} is too close to zero; the index is ill posed"
         )
-    s_subset = float(np.einsum("ij,ji->", m, cov.subset)) / denom
-    s_complement = float(np.einsum("ij,ji->", m, cov.complement)) / denom
-    s_interaction = float(np.einsum("ij,ji->", m, cov.interaction)) / denom
-
-    out = ExactIndex(s_subset, s_complement, s_interaction)
+    parts = (cov.subset, cov.complement, cov.interaction)
+    out = ExactIndex(*(float(np.einsum("ij,ji->", m, c)) / denom for c in parts))
     if out.sum_defect() > 1e-10:
         raise IllPosedIndexError(
             f"indices sum to 1 with defect {out.sum_defect():.3e}; "
@@ -222,13 +214,11 @@ def covariances_linear(
         return (ac * v[list(cols)]) @ ac.T
 
     sigma = (a * v) @ a.T
-    c_subset = part(subset.indices)
-    c_complement = part(subset.complement)
     _check_positive_definite(sigma, "linear model")
     return CovarianceTriple(
         total=sigma,
-        subset=c_subset,
-        complement=c_complement,
+        subset=part(subset.indices),
+        complement=part(subset.complement),
         interaction=np.zeros((k, k)),
         method="closed_form",
     )
@@ -362,6 +352,7 @@ def decompose_grid(
     cells, so no full-grid input matrix exists. The parts are weighted
     contractions of that tensor.
     """
+    nodes_per_dim = _count(nodes_per_dim, "nodes_per_dim")
     _check_dims(model, space, subset)
     continuous = _continuous_dims(space)
     if continuous > MAX_QUADRATURE_DIMS:
@@ -511,6 +502,7 @@ def covariances_monte_carlo(
     Entrywise error is O(1/sqrt(n)).
     """
     _check_dims(model, space, subset)
+    n = _count(n, "n")
     if n < 2:
         raise ContractError("monte carlo oracle needs n >= 2")
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DegenerateSampleError, IllPosedIndexError
 from .models import VectorModel, read_numeric_csv
-from .spaces import InputSpace, SeedLike, SubsetIndex, sample_marginals, stream
+from .spaces import InputSpace, SeedLike, SubsetIndex, _count, sample_marginals, stream
 
 
 @dataclass
@@ -209,6 +209,7 @@ def generate_design(
             raise ContractError(
                 f"subset is over {group.dims} inputs but the space has {space.dims}"
             )
+    n = _count(n, "n")
     if n < 2:
         raise ContractError(f"pick-freeze needs n >= 2, got {n}")
     x = sample_marginals(space.marginals, n, stream(seed, 0))

@@ -10,7 +10,9 @@ two calls with one sequence give the same draws. A sample is held
 column by column: each coordinate's n draws are one contiguous run of
 memory, and the n-by-p matrix handed out is the transpose of that p-by-n
 array (Fortran order), the layout the pick-freeze designs keep. Columns
-are drawn in turn on the calling thread.
+are drawn in turn on the calling thread. _count owns the count rule: every
+count the package takes is read by it as an int, or refused with a
+ContractError naming it; seeds stay int-only.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ def stream(seed: SeedLike, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(
         root.entropy, spawn_key=root.spawn_key + key, pool_size=root.pool_size
     )
+
+
+def _count(value, name: str) -> int:
+    """value as an int if it is an integral real number but no bool, else a ContractError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _generator(seed: SeedLike) -> np.random.Generator:
@@ -185,6 +195,8 @@ class InputSpace:
         if len(self.marginals) == 0:
             raise ConfigurationError("input space needs at least one marginal")
         object.__setattr__(self, "marginals", tuple(self.marginals))
+        if not all(isinstance(m, (Uniform, Normal, Discrete)) for m in self.marginals):
+            raise ContractError(f"marginals must be Uniform, Normal or Discrete, got {self.marginals}")
 
     @property
     def dims(self) -> int:
@@ -199,21 +211,20 @@ class InputSpace:
 
     @classmethod
     def uniform(cls, dims: int, low: float = 0.0, high: float = 1.0) -> "InputSpace":
-        return cls(tuple(Uniform(low, high) for _ in range(dims)))
+        return cls(tuple(Uniform(low, high) for _ in range(_count(dims, "dims"))))
 
     @classmethod
     def normal(cls, dims: int, mean: float = 0.0, sd: float = 1.0) -> "InputSpace":
-        return cls(tuple(Normal(mean, sd) for _ in range(dims)))
+        return cls(tuple(Normal(mean, sd) for _ in range(_count(dims, "dims"))))
 
 
-def _coordinates(indices: Iterable) -> tuple:
-    """indices as a tuple, each checked to be an integral real number: an
-    integral float or numpy integer passes, a bool or a string does not."""
+def _coordinates(indices: Iterable) -> tuple[int, ...]:
+    """indices as a tuple of ints, each read by _count."""
     indices = tuple(indices)
-    for i in indices:
-        if isinstance(i, bool) or not isinstance(i, numbers.Real) or not float(i).is_integer():
-            raise ContractError(f"subset coordinates must be integers, got {indices}")
-    return indices
+    try:
+        return tuple(_count(i, "a subset coordinate") for i in indices)
+    except ContractError:
+        raise ContractError(f"subset coordinates must be integers, got {indices}") from None
 
 
 @dataclass(frozen=True)
@@ -228,7 +239,8 @@ class SubsetIndex:
     dims: int
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in _coordinates(self.indices)))
+        object.__setattr__(self, "dims", _count(self.dims, "dims"))
+        idx = tuple(sorted(_coordinates(self.indices)))
         if len(idx) == 0:
             raise ContractError("subset must be non-empty")
         if len(set(idx)) != len(idx):
@@ -265,6 +277,7 @@ def sample_marginals(marginals: tuple[Marginal, ...], n: int, seed: SeedLike) ->
     array, and the matrix returned is that array's transpose: Fortran
     ordered, with ``.T`` C-contiguous. The values do not depend on the layout.
     """
+    n = _count(n, "n")
     if n < 1:
         raise ContractError(f"sample size must be >= 1, got {n}")
     if len(marginals) == 0:

@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vecsobol import spaces
@@ -18,9 +18,13 @@ from vecsobol import (
     Normal,
     SubsetIndex,
     Uniform,
+    VectorModel,
     bootstrap_ci,
     clt_diagnostic,
     covariances_monte_carlo,
+    covariances_quadrature,
+    decompose_grid,
+    delta_ci,
     evaluate_pairs,
     generate_design,
     get_model,
@@ -86,6 +90,10 @@ def test_marginal_validation():
     for probs in [(float("nan"), 1.0), (float("nan"), float("nan"))]:  # NaN passes < 0 and the sum check
         with pytest.raises(ConfigurationError, match="finite"):
             Discrete((0.0, 1.0), probs)
+    # a space is built of marginals only, so a bad one fails here and not at the draw
+    for marginals in [(1.0,), "ab", (Uniform(), None), (Uniform(), Uniform)]:
+        with pytest.raises(ContractError, match="marginals must be Uniform, Normal or Discrete"):
+            InputSpace(marginals)
 
 
 def test_marginal_variances():
@@ -313,3 +321,82 @@ def test_a_column_drawn_in_evaluation_chunks_equals_the_whole_draw(law):
     assert bounds[-1] - bounds[-2] == 5  # a short tail
     chunked = np.concatenate([law.sample(gen, b - a) for a, b in zip(bounds, bounds[1:])])
     assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.fixture(scope="module")
+def arguments():
+    """Every count and level argument of the library, as lists of (name, call
+    with that argument set to a value and every other argument valid)."""
+    model = get_model("sum_prod")
+    space, u = model.space(), SubsetIndex((0,), 2)
+    sample = evaluate_pairs(model, generate_design(space, u, 300, 1))
+    study = dict(model=model, space=space, subset=u, n_per_rep=100, reps=200, target=15 / 31,
+                 seed=1, ci_method="bootstrap")
+    counts = [
+        ("n", lambda v: sample_inputs(space, v, 1)),
+        ("n", lambda v: spaces.sample_marginals(space.marginals, v, 1)),
+        ("n", lambda v: generate_design(space, u, v, 1)),
+        ("n", lambda v: covariances_monte_carlo(model, space, u, v, 1)),
+        ("nodes_per_dim", lambda v: decompose_grid(model, space, u, v)),
+        ("nodes_per_dim", lambda v: covariances_quadrature(model, space, u, v)),
+        ("in_dims", lambda v: VectorModel(v, 2, "builtin", model.eval_fn)),
+        ("out_dims", lambda v: VectorModel(2, v, "builtin", model.eval_fn)),
+        ("dims", lambda v: SubsetIndex((0,), v)),
+        ("dims", lambda v: InputSpace.uniform(v)),
+        ("dims", lambda v: InputSpace.normal(v)),
+        ("b_reps", lambda v: bootstrap_ci(sample, v, 0.95, 1)),
+        ("reps", lambda v: clt_diagnostic(**study | {"reps": v})),
+        ("n_per_rep", lambda v: clt_diagnostic(**study | {"n_per_rep": v})),
+        ("b_reps", lambda v: clt_diagnostic(**study, b_reps=v)),
+    ]
+    levels = [
+        ("level", lambda v: delta_ci(sample, v)),
+        ("level", lambda v: bootstrap_ci(sample, 200, v, 1)),
+        ("ci_level", lambda v: clt_diagnostic(**study, ci_level=v)),
+    ]
+    return counts, levels
+
+
+_NOT_A_NUMBER = st.one_of(st.text(max_size=5), st.booleans(), st.just(np.bool_(True)), st.none())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=st.one_of(_NOT_A_NUMBER, st.floats().filter(lambda x: not x.is_integer())))
+@example(value="x")
+@example(value=True)
+@example(value=None)
+@example(value=float("nan"))
+@example(value=2.5)
+def test_a_count_that_is_no_integral_number_is_a_contract_error_naming_it(arguments, value):
+    # text, bools, None, NaN, +-inf and non-integral floats; never a bare TypeError
+    for name, call in arguments[0]:
+        with pytest.raises(ContractError, match=f"^{name} must be an integer, got "):
+            call(value)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=st.one_of(_NOT_A_NUMBER, st.floats().filter(lambda x: not 0.0 < x < 1.0)))
+@example(value="0.95")
+@example(value=True)
+@example(value=None)
+def test_a_level_that_is_no_number_in_the_unit_interval_is_a_contract_error_naming_it(arguments, value):
+    for name, call in arguments[1]:
+        with pytest.raises(ContractError, match=f"^{name} must be a confidence level in \\(0, 1\\)"):
+            call(value)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(2, 400), as_count=st.sampled_from([float, np.float32, np.int64, np.uint16]))
+def test_an_integral_float_or_numpy_integer_count_gives_the_bytes_of_an_int(n, as_count):
+    model, u = get_model("sum_prod"), SubsetIndex((0,), 2)
+    space = model.space()
+    assert sample_inputs(space, as_count(n), 5).tobytes() == sample_inputs(space, n, 5).tobytes()
+    design, expected = generate_design(space, u, as_count(n), 5), generate_design(space, u, n, 5)
+    assert design.x.tobytes() == expected.x.tobytes()
+    assert design.x_prime.tobytes() == expected.x_prime.tobytes()
+    sample = evaluate_pairs(model, expected)
+    got, want = bootstrap_ci(sample, as_count(200), 0.95, 3), bootstrap_ci(sample, 200, 0.95, 3)
+    assert type(got.b_reps) is int and repr(got) == repr(want)
+    assert InputSpace.uniform(as_count(2)) == InputSpace.uniform(2)
+    assert type(VectorModel(as_count(2), 2, "builtin", model.eval_fn).in_dims) is int
+    assert type(SubsetIndex((0,), as_count(2)).dims) is int
