@@ -43,7 +43,7 @@ from .pickfreeze import (
     generate_design,
     read_sample_csv,
 )
-from .spaces import Discrete, InputSpace, Normal, SubsetIndex, Uniform, stream
+from .spaces import Discrete, InputSpace, Normal, SubsetIndex, Uniform, _matrix, stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,13 +222,11 @@ def _parse_marginal(node: Any, path: str):
 def _parse_matrix(node: Any, path: str, size: Optional[int] = None) -> np.ndarray:
     """A finite square matrix; with a size, one that weights that many outputs."""
     try:
-        m = np.asarray(node, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise _fail(path, "expected a matrix as a list of equal-length rows") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise _fail(path, f"expected a square matrix, got shape {tuple(m.shape)}")
-    if not np.all(np.isfinite(m)):
-        raise _fail(path, "matrix entries must be finite")
+        m = _matrix(node, "matrix entries")
+    except ContractError as exc:
+        raise _fail(path, str(exc)) from None
+    if m.shape[0] != m.shape[1]:
+        raise _fail(path, f"expected a square matrix, got shape {m.shape}")
     if size is not None and m.shape[0] != size:
         raise _fail(path, f"is {m.shape[0]}x{m.shape[1]} but the outputs have {size} components")
     return m

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .spaces import InputSpace, _count
+from .spaces import InputSpace, _count, _matrix
 
 EvalFn = Callable[[np.ndarray], np.ndarray]
 
@@ -83,15 +83,11 @@ def linear_model(
     default_space: Optional[InputSpace] = None,
     name: str = "linear",
 ) -> VectorModel:
-    """Model x -> A x for a k-by-p matrix A."""
+    """Model x -> A x for a finite k-by-p matrix A, else a ConfigurationError."""
     try:
-        a = np.array(matrix, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError("linear model matrix must be equal-length rows of numbers") from None
-    if a.ndim != 2:
-        raise ConfigurationError(f"linear model matrix must be 2-D, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ConfigurationError("linear model matrix entries must be finite")
+        a = _matrix(matrix, "linear model matrix")
+    except ContractError as exc:
+        raise ConfigurationError(str(exc)) from None
     a.flags.writeable = False
     k, p = a.shape
 
@@ -111,17 +107,15 @@ def linear_model(
 
 
 def apply_transform(model: VectorModel, matrix: np.ndarray) -> VectorModel:
-    """Left-compose the model with a k-by-k output map O: x -> O f(x).
+    """Left-compose the model with a finite k-by-k output map O: x -> O f(x).
 
     Linear models stay linear (O is folded into their matrix, and a fold that
     overflows raises ConfigurationError); other kinds get a wrapped evaluator,
     whose overflowing outputs are left non-finite for the estimator and the
     oracles to name.
     """
-    o = np.array(matrix, dtype=float)
     k = model.out_dims
-    if o.shape != (k, k):
-        raise ContractError(f"transform has shape {o.shape} but the model has {k} outputs")
+    o = _matrix(matrix, "transform", k, k)
 
     if model.kind == "linear":
         with np.errstate(over="ignore", invalid="ignore"):
@@ -185,7 +179,7 @@ def _make_u_only(dims: int = 2, coords=(0,)) -> VectorModel:
     entry is meant for estimator edge tests (frozen pair equals the original),
     not for exact-index oracles.
     """
-    coords = tuple(sorted(int(c) for c in coords))
+    coords = tuple(sorted(_count(c, "coords") for c in coords))
     if not coords or coords[0] < 0 or coords[-1] >= dims:
         raise ConfigurationError(f"u_only coords {coords} out of range for dims={dims}")
 

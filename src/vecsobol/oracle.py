@@ -35,11 +35,12 @@ from .errors import (ContractError, DegenerateModelError, DegenerateSampleError,
 from .models import VectorModel
 from .pickfreeze import (_BLOCK_ROWS, _evaluate_chunks, _weight_matrix, evaluate_shared,
                          generate_design)
-from .spaces import InputSpace, SubsetIndex, SeedLike, _count, stream
+from .spaces import InputSpace, SubsetIndex, SeedLike, _count, _matrix, _nodes, stream
 
 MAX_GRID_NODES = 10_000_000
 MAX_QUADRATURE_DIMS = 4
 DEFAULT_QUADRATURE_NODES = 64
+_PARTS = ("total", "subset", "complement", "interaction")  # the four fields of a CovarianceTriple
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -107,11 +108,9 @@ class CovarianceTriple:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("total", "subset", "complement", "interaction"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ContractError(f"{name} covariance must be square, got shape {m.shape}")
-            setattr(self, name, _symmetrize(m))
+        k = len(_matrix(self.total, "total covariance"))  # every part is k-by-k
+        for name in _PARTS:
+            setattr(self, name, _symmetrize(_matrix(getattr(self, name), f"{name} covariance", k, k)))
         self.residual = self.identity_defect()
 
     @property
@@ -130,16 +129,13 @@ class CovarianceTriple:
 
     def left_compose(self, matrix: np.ndarray) -> "CovarianceTriple":
         """Triple of the model left-composed with a linear map: each part maps to O C O^t."""
-        o = np.asarray(matrix, dtype=float)
-        if o.shape != (self.out_dims, self.out_dims):
-            raise ContractError(
-                f"composition matrix must be {self.out_dims}x{self.out_dims}, got {o.shape}"
-            )
-        parts = {
-            name: o @ getattr(self, name) @ o.T
-            for name in ("total", "subset", "complement", "interaction")
-        }
-        return CovarianceTriple(method=self.method, **parts)
+        o = _matrix(matrix, "composition matrix", self.out_dims, self.out_dims)
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = {name: o @ getattr(self, name) @ o.T for name in _PARTS}
+        try:
+            return CovarianceTriple(method=self.method, **parts)
+        except ContractError as exc:  # a part overflowed
+            raise ContractError(f"composition matrix overflows a covariance: {exc}") from None
 
 
 @dataclass
@@ -195,10 +191,8 @@ def covariances_linear(
     D the diagonal of input variances; the interaction part of a linear model
     is identically zero.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = _matrix(matrix, "linear map")
     v = np.asarray(variances, dtype=float)
-    if a.ndim != 2:
-        raise ContractError("linear map must be a 2-D matrix")
     k, p = a.shape
     if v.shape != (p,):
         raise ContractError(f"need {p} input variances, got shape {v.shape}")
@@ -352,7 +346,7 @@ def decompose_grid(
     cells, so no full-grid input matrix exists. The parts are weighted
     contractions of that tensor.
     """
-    nodes_per_dim = _count(nodes_per_dim, "nodes_per_dim")
+    nodes_per_dim = _nodes(nodes_per_dim, "nodes_per_dim")
     _check_dims(model, space, subset)
     continuous = _continuous_dims(space)
     if continuous > MAX_QUADRATURE_DIMS:
@@ -360,8 +354,6 @@ def decompose_grid(
             f"quadrature oracle supports at most {MAX_QUADRATURE_DIMS} continuous inputs, "
             f"got {continuous}"
         )
-    if nodes_per_dim < 1:
-        raise ContractError("nodes_per_dim must be >= 1")
 
     rules = [m.quadrature(nodes_per_dim) for m in space.marginals]
     nodes = [np.asarray(r[0], dtype=float) for r in rules]

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DegenerateSampleError, IllPosedIndexError
 from .models import VectorModel, read_numeric_csv
-from .spaces import InputSpace, SeedLike, SubsetIndex, _count, sample_marginals, stream
+from .spaces import InputSpace, SeedLike, SubsetIndex, _count, _matrix, sample_marginals, stream
 
 
 @dataclass
@@ -161,9 +161,7 @@ class PickFreezeSample:
 
     def left_compose(self, matrix: np.ndarray) -> "PickFreezeSample":
         """Apply a linear output map to every paired observation."""
-        o = np.asarray(matrix, dtype=float)
-        if o.shape != (self.out_dims, self.out_dims):
-            raise ContractError(f"matrix must be {self.out_dims}x{self.out_dims}, got {o.shape}")
+        o = _matrix(matrix, "matrix", self.out_dims, self.out_dims)
         return PickFreezeSample._adopt(self.y @ o.T, self.y_u @ o.T, self.subset)
 
 
@@ -452,11 +450,7 @@ def _weight_matrix(m: np.ndarray, k: int) -> np.ndarray:
     max |M| in [0.5, 1). Scaling by a power of two is exact and no trace
     ratio depends on M's scale, so no index moves by a bit, while no finite
     M overflows or underflows the traces it weights."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (k, k):
-        raise ContractError(f"weight matrix must be {k}x{k}, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ContractError("weight matrix must be finite")
+    m = _matrix(m, "weight matrix", k, k)
     return np.ldexp(m, -math.frexp(float(np.max(np.abs(m))))[1])
 
 

@@ -10,9 +10,9 @@ two calls with one sequence give the same draws. A sample is held
 column by column: each coordinate's n draws are one contiguous run of
 memory, and the n-by-p matrix handed out is the transpose of that p-by-n
 array (Fortran order), the layout the pick-freeze designs keep. Columns
-are drawn in turn on the calling thread. _count owns the count rule: every
-count the package takes is read by it as an int, or refused with a
-ContractError naming it; seeds stay int-only.
+are drawn in turn on the calling thread. _count owns the count rule and _matrix
+the matrix rule: a count is read as an int, and a matrix as a new finite float
+array, or a ContractError names the argument; seeds stay int-only.
 """
 
 from __future__ import annotations
@@ -61,6 +61,27 @@ def _generator(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
 
 
+def _matrix(value, name: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """value as a new finite rows-by-cols float array (None: any length), else a ContractError naming it."""
+    try:
+        m = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ContractError(f"{name} must be equal-length rows of numbers") from None
+    if m.ndim != 2 or any(d not in (None, s) for d, s in zip((rows, cols), m.shape)):
+        raise ContractError(f"{name} must be {rows or 'n'}x{cols or 'm'}, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ContractError(f"{name} must be finite")
+    return m
+
+
+def _nodes(value, name: str) -> int:
+    """A quadrature node count: read by _count, and at least 1."""
+    nodes = _count(value, name)
+    if nodes < 1:
+        raise ContractError(f"{name} must be >= 1, got {nodes}")
+    return nodes
+
+
 # a rule is an eigenvalue problem (1.4 ms at 64 Legendre nodes), asked for per input and subset
 @lru_cache(maxsize=32)
 def _gauss_rule(rule, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +122,7 @@ class Uniform:
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes/weights mapped to [low, high], weights summing to 1."""
-        t, w = _gauss_rule(np.polynomial.legendre.leggauss, nodes)
+        t, w = _gauss_rule(np.polynomial.legendre.leggauss, _nodes(nodes, "nodes"))
         x = 0.5 * (self.high - self.low) * t + 0.5 * (self.high + self.low)
         return x, w / 2.0
 
@@ -132,7 +153,7 @@ class Normal:
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Hermite nodes/weights rescaled to N(mean, sd^2), weights summing to 1."""
-        t, w = _gauss_rule(np.polynomial.hermite.hermgauss, nodes)
+        t, w = _gauss_rule(np.polynomial.hermite.hermgauss, _nodes(nodes, "nodes"))
         x = np.sqrt(2.0) * self.sd * t + self.mean
         return x, w / np.sqrt(np.pi)
 
@@ -178,7 +199,7 @@ class Discrete:
         return rng.choice(np.asarray(self.points), size=n, p=np.asarray(self.probs))
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        # the support itself is the exact rule; node count is ignored
+        _nodes(nodes, "nodes")  # checked, then ignored: the support itself is the exact rule
         return np.asarray(self.points), np.asarray(self.probs)
 
 
@@ -210,12 +231,12 @@ class InputSpace:
         return np.array([m.variance for m in self.marginals])
 
     @classmethod
-    def uniform(cls, dims: int, low: float = 0.0, high: float = 1.0) -> "InputSpace":
-        return cls(tuple(Uniform(low, high) for _ in range(_count(dims, "dims"))))
+    def uniform(cls, dims: int) -> "InputSpace":
+        return cls(tuple(Uniform() for _ in range(_count(dims, "dims"))))
 
     @classmethod
-    def normal(cls, dims: int, mean: float = 0.0, sd: float = 1.0) -> "InputSpace":
-        return cls(tuple(Normal(mean, sd) for _ in range(_count(dims, "dims"))))
+    def normal(cls, dims: int) -> "InputSpace":
+        return cls(tuple(Normal() for _ in range(_count(dims, "dims"))))
 
 
 def _coordinates(indices: Iterable) -> tuple[int, ...]:

@@ -555,6 +555,16 @@ class TestResidualRule:
             CovarianceTriple(total=eye, subset=eye, complement=eye, interaction=eye,
                              method="test", residual=0.0)
 
+    @pytest.mark.parametrize("entry, message", [
+        (np.nan, "^composition matrix must be finite"),
+        (1e200, "^composition matrix overflows a covariance: total covariance must be finite"),
+    ], ids=["nan", "overflow"])
+    def test_a_composition_with_no_finite_triple_is_refused_where_it_is_made(self, entry, message):
+        # not a triple whose residual is NaN and whose indices are NaN, nor an
+        # overflowed total that exact_index calls too close to zero
+        with pytest.raises(ContractError, match=message):
+            _proof_triple().left_compose([[entry, 0.0], [0.0, 1.0]])
+
     def test_warning_does_not_follow_the_output_scale(self):
         # rounding grows with the outputs; relative to the total it stays at 1e-15
         model = get_model("sum_prod")

@@ -7,27 +7,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vecsobol import spaces
+from vecsobol.cli import config_from_tree
 from vecsobol.inference import _PATTERN_STREAM_TAG
 from vecsobol.oracle import _ORACLE_STREAM_TAG
 from vecsobol.pickfreeze import _EVAL_ROWS
 from vecsobol import (
     ConfigurationError,
     ContractError,
+    CovarianceTriple,
     Discrete,
     InputSpace,
     Normal,
     SubsetIndex,
     Uniform,
+    VecSobolError,
     VectorModel,
+    apply_transform,
     bootstrap_ci,
     clt_diagnostic,
+    covariances_linear,
     covariances_monte_carlo,
     covariances_quadrature,
     decompose_grid,
     delta_ci,
+    estimate_index_general,
     evaluate_pairs,
+    exact_index,
     generate_design,
     get_model,
+    linear_model,
     sample_inputs,
 )
 
@@ -344,6 +352,10 @@ def arguments():
         ("dims", lambda v: SubsetIndex((0,), v)),
         ("dims", lambda v: InputSpace.uniform(v)),
         ("dims", lambda v: InputSpace.normal(v)),
+        ("nodes", lambda v: Uniform().quadrature(v)),
+        ("nodes", lambda v: Normal().quadrature(v)),
+        ("nodes", lambda v: Discrete((0.0, 1.0), (0.5, 0.5)).quadrature(v)),
+        ("coords", lambda v: get_model("u_only", dims=2, coords=(v,))),
         ("b_reps", lambda v: bootstrap_ci(sample, v, 0.95, 1)),
         ("reps", lambda v: clt_diagnostic(**study | {"reps": v})),
         ("n_per_rep", lambda v: clt_diagnostic(**study | {"n_per_rep": v})),
@@ -400,3 +412,115 @@ def test_an_integral_float_or_numpy_integer_count_gives_the_bytes_of_an_int(n, a
     assert InputSpace.uniform(as_count(2)) == InputSpace.uniform(2)
     assert type(VectorModel(as_count(2), 2, "builtin", model.eval_fn).in_dims) is int
     assert type(SubsetIndex((0,), as_count(2)).dims) is int
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Uniform().quadrature(0),
+    lambda: Normal().quadrature(-1),
+    lambda: Discrete((0.0, 1.0), (0.5, 0.5)).quadrature(0),
+], ids=["uniform", "normal", "discrete"])
+def test_a_quadrature_rule_needs_a_node(call):
+    with pytest.raises(ContractError, match="^nodes must be >= 1, got "):
+        call()
+
+
+@pytest.fixture(scope="module")
+def matrices():
+    """Every matrix argument of the library, as (what its refusal must begin
+    with, the error class, the shape it takes with None for any length, call
+    with that argument set to a value and every other argument valid). Each
+    call returns bytes that depend on everything it computed."""
+    model, identity = get_model("sum_prod"), get_model("identity_2")
+    u, eye = SubsetIndex((0,), 2), np.eye(2)
+    sample = evaluate_pairs(model, generate_design(model.space(), u, 300, 1))
+    triple = covariances_linear([[1.0, 2.0], [0.5, -1.0]], np.ones(2), u)
+    x = sample_inputs(model.space(), 50, 2)
+    config = {"model": "sum_prod", "subsets": [[1]], "n": 100}
+
+    def parts(t):
+        return b"".join(getattr(t, name).tobytes() for name in ("total", "subset", "complement",
+                                                                 "interaction"))
+
+    def pairs(s):
+        return s.y.tobytes() + s.y_u.tobytes()
+
+    def outputs(m):
+        return m.evaluate(x if m.in_dims == 2 else x[:, :1]).tobytes()
+
+    return [
+        (ContractError, "weight matrix ", (2, 2),
+         lambda v: repr(estimate_index_general(sample, v)).encode()),
+        (ContractError, "weight matrix ", (2, 2), lambda v: repr(exact_index(triple, v)).encode()),
+        (ContractError, "matrix ", (2, 2), lambda v: pairs(sample.left_compose(v))),
+        (ContractError, "transform ", (2, 2), lambda v: outputs(apply_transform(model, v))),
+        (ContractError, "transform ", (2, 2), lambda v: outputs(apply_transform(identity, v))),
+        (ContractError, "composition matrix ", (2, 2), lambda v: parts(triple.left_compose(v))),
+        (ContractError, "linear map ", (None, None), lambda v: parts(covariances_linear(v, np.ones(2), u))),
+        (ContractError, "subset covariance ", (2, 2),
+         lambda v: parts(CovarianceTriple(eye, v, eye, eye, "test"))),
+        (ContractError, "complement covariance ", (2, 2),
+         lambda v: parts(CovarianceTriple(eye, eye, v, eye, "test"))),
+        (ContractError, "interaction covariance ", (2, 2),
+         lambda v: parts(CovarianceTriple(eye, eye, eye, v, "test"))),
+        (ConfigurationError, "linear model matrix ", (None, None), lambda v: outputs(linear_model(v))),
+        (ConfigurationError, "matrix: ", (2, 2),
+         lambda v: config_from_tree(config | {"matrix": v}).matrix.tobytes()),
+        (ConfigurationError, "transform.matrix: ", (2, 2),
+         lambda v: outputs(config_from_tree(
+             config | {"transform": {"kind": "general_linear", "matrix": v}}).model)),
+    ]
+
+
+def _fits(shape, accepted):
+    return len(shape) == 2 and all(a in (None, s) for a, s in zip(accepted, shape))
+
+
+_ENTRY = st.floats(-4.0, 4.0)
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+_WORD = st.text(alphabet="abxyz", min_size=1, max_size=4)  # text that no float parses
+_RAGGED = st.lists(st.lists(_ENTRY, min_size=1, max_size=3), min_size=2, max_size=3).filter(
+    lambda rows: len({len(row) for row in rows}) > 1)
+_SHAPES = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(["ragged", "text", "entry", "none", "shape", "non-finite"]))
+def test_a_bad_matrix_is_refused_naming_it(matrices, data, kind):
+    # never numpy's bare ValueError or TypeError, and never a later failure
+    # that blames a sample row or the model
+    for error, prefix, accepted, call in matrices:
+        good = np.eye(2) if None in accepted else np.eye(*accepted)
+        if kind == "ragged":
+            value = data.draw(_RAGGED)
+        elif kind == "text":
+            value = data.draw(_WORD)
+        elif kind == "entry":  # text or None in one cell
+            value = good.tolist()
+            value[0][-1] = data.draw(_WORD | st.none())
+        elif kind == "none":
+            if prefix == "matrix: ":
+                continue  # a null config field is an absent one
+            value = None
+        elif kind == "shape":
+            value = np.ones(data.draw(_SHAPES.filter(lambda shape: not _fits(shape, accepted))))
+        else:
+            value = good.copy()
+            value[data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))] = data.draw(_NON_FINITE)
+        with pytest.raises(error, match=f"^{prefix}") as caught:
+            call(value)
+        assert type(caught.value) is error
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cells=st.lists(st.floats(-8.0, 8.0, width=32), min_size=4, max_size=4))
+def test_a_matrix_as_a_list_a_tuple_or_float32_gives_the_bytes_of_float64(matrices, cells):
+    value = np.array(cells).reshape(2, 2)
+    forms = [value.tolist(), tuple(map(tuple, value.tolist())), value.astype(np.float32)]
+    for _, _, _, call in matrices:
+        outcomes = []
+        for form in [value, *forms]:
+            try:
+                outcomes.append(call(form))
+            except VecSobolError as exc:  # an ill-posed weight or a singular map, alike in every form
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[1:] == outcomes[:1] * 3
