@@ -10,7 +10,7 @@ statistics T (pickfreeze.pair_table), so both intervals are built on T:
 - bootstrap_ci: Efron's multinomial view of pair resampling. A resample of
   pair indices is a vector of counts, and its replicate means are
   counts @ T / n, one matrix product per block of replicates, summed over
-  fixed row chunks in order. T is filled by the moments kernel's block step.
+  fixed row chunks in order. T is written by the moments kernel in its pass.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
 of one or more subsets against their oracle targets as one loop on the
@@ -26,12 +26,13 @@ and never from a design stream. A replicate's pairs are i.i.d. and the
 pattern is drawn independently of them, so each replicate still gets a
 valid percentile interval (Efron & Tibshirani 1993); the reuse is the
 common-random-numbers device of simulation (Glasserman & Yao 1992). Since
-the counts are shared, the study resamples its samples in batches: each
-sample's T goes into the next slot of one (N, r, k+2) array, and a full
-batch is resampled by one counts @ [T_1 ... T_r] product per block of
-counts (_resample). The study holds the pattern while it fits
-_PATTERN_BYTES and redraws the same blocks for each batch beyond it, so the
-reports depend on neither the budget nor the CPU count.
+the counts are shared, the study resamples its samples in batches: the
+kernel pass that reduces a sample writes its T into the next slot of one
+(N, r, k+2) array, and a full batch is resampled by counts @ [T_1 ... T_r]
+(_resample). A pattern that fits _PATTERN_BYTES is held as one (B, N)
+array, one product per row chunk; beyond it the same blocks of counts are
+redrawn for each batch. The reports depend on neither the budget nor the
+CPU count.
 The package opens no thread pool.
 
 No scipy at runtime: the normal quantile and distribution function come from
@@ -71,11 +72,12 @@ from .spaces import InputSpace, SeedLike, SubsetIndex, _count, _generator, strea
 # three runs by budget:
 #   16 MiB 2.36-2.47 | 4 MiB 1.47-1.57 | 2 MiB 1.53-1.56
 #    1 MiB 1.42-1.53 | 0.5 MiB 1.43-1.61 | 0.25 MiB 1.74-1.79
-# At that n and k = 2 a batch holds 16 tables: a block's product took 11.4 us
-# a table for the 16, against 16.6 us for a table alone, and the study, which
-# also pays its per-product and quantile calls once per batch, went from
-# 209-220 ms to 131-140 ms (median of 9 calls). At k >= 64 a batch is one
-# table, already a wide product.
+# At that n and k = 2 a batch holds 16 tables. Its 200 replicates took
+# 140-142 us a table in ten 21-row blocks of counts and 84-85 us a table as
+# one 200-row product of the held pattern, against 369-375 us for a table
+# alone in blocks, as bootstrap_ci runs it (2 vCPUs, one BLAS thread; medians
+# of 200 calls, four runs). At k >= 64 a batch is one table, already a wide
+# product.
 # It is a constant, not read from the machine: the index stream is the same
 # for any block size, but the blocking of counts @ T, and the batching of the
 # tables, move replicate means by ulps, so a budget that followed the cache
@@ -84,9 +86,10 @@ _BOOTSTRAP_BLOCK_BYTES = 2**20
 
 # Bytes a bootstrap replication study may hold of its resampling pattern, the
 # B count vectors as floats (8 B n bytes). A pattern that fits is drawn once
-# and read by every batch of replicates; a larger one is redrawn, block by
-# block, for each batch from its seed, which gives the same blocks, so the
-# budget never moves a report. 16 MiB holds B = 200 up to n = 10,485 pairs.
+# into one array, and each batch takes one product per row chunk of it; a
+# larger one is redrawn, block by block, for each batch from its seed, which
+# gives the same blocks, so the budget never moves a report. 16 MiB holds
+# B = 200 up to n = 10,485 pairs.
 _PATTERN_BYTES = 2**24
 
 # the pattern is drawn from stream(seed, _PATTERN_STREAM_TAG), which never
@@ -319,8 +322,11 @@ def clt_diagnostic(
     covered = [0] * len(groups)
     if bootstrap:
         pattern_ss = stream(seed, _PATTERN_STREAM_TAG)
-        held = (list(_count_blocks(n_per_rep, b_reps, pattern_ss))
-                if 8 * b_reps * n_per_rep <= _PATTERN_BYTES else None)
+        held = np.empty((b_reps, n_per_rep)) if 8 * b_reps * n_per_rep <= _PATTERN_BYTES else None
+        if held is not None:  # one array, filled block by block: no second copy is made
+            starts = range(0, b_reps, _bootstrap_block(n_per_rep))
+            for start, counts in zip(starts, _count_blocks(n_per_rep, b_reps, pattern_ss)):
+                held[start : start + len(counts)] = counts
         w = model.out_dims + 2
         tables = np.empty((n_per_rep, max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_per_rep * w)), w))
         floors = np.empty(tables.shape[1])
@@ -332,7 +338,7 @@ def clt_diagnostic(
         """Resample the batch's tables at once and count their intervals' coverage."""
         js = owners.copy()
         owners.clear()  # first, so that an error raised here is not resampled again
-        blocks = _count_blocks(n_per_rep, b_reps, pattern_ss) if held is None else held
+        blocks = _count_blocks(n_per_rep, b_reps, pattern_ss) if held is None else [held]
         boot = _resample(tables[:, : len(js)], floors[: len(js)], blocks)
         lows, highs = np.quantile(boot, quantiles, axis=0)
         for j, low, high in zip(js, lows, highs):
@@ -347,8 +353,8 @@ def clt_diagnostic(
             j = 0  # counted by hand: enumerate's cached tuple would hold the previous sample
             for sample in samples:
                 if bootstrap:
+                    pair_table(sample, tables[:, len(owners)])  # one read of the sample
                     estimates[j, rep] = estimate_index(sample)
-                    tables[:, len(owners)] = pair_table(sample)
                     floors[len(owners)] = sample.moments.floor
                     owners.append(j)
                 else:

@@ -192,7 +192,7 @@ def covariances_linear(
     is identically zero.
     """
     a = _matrix(matrix, "linear map")
-    v = np.asarray(variances, dtype=float)
+    v = _matrix([variances], "input variances", 1)[0]  # a finite vector, by the matrix rule
     k, p = a.shape
     if v.shape != (p,):
         raise ContractError(f"need {p} input variances, got shape {v.shape}")

@@ -26,8 +26,10 @@ one interface to a sample's statistics: the plug-in matrices total and
 subset above, and the mean and covariance of the per-pair statistics
 T_i = [|h_i|^2, |e_i|^2, h_i], whose column means U, V and hbar the
 estimator is a function of. Estimates read the plug-in matrices and the
-delta method in the inference module the covariance of T; pair_table fills
-T row by row for the bootstrap through the same block step. Coincident
+delta method in the inference module the covariance of T. For the
+bootstrap, pair_table has the kernel write T's rows in its own pass, as it
+forms each block's W, so there is one block step and one read of a sample
+for its table and its moments together. Coincident
 pairs have e = 0 exactly, so their two matrices are equal bit for bit; the
 cross-products come from symmetric rank-k updates, so both matrices are
 exactly symmetric; and the weighted estimator Tr(M C_hat)/Tr(M Sigma_hat)
@@ -162,7 +164,12 @@ class PickFreezeSample:
     def left_compose(self, matrix: np.ndarray) -> "PickFreezeSample":
         """Apply a linear output map to every paired observation."""
         o = _matrix(matrix, "matrix", self.out_dims, self.out_dims)
-        return PickFreezeSample._adopt(self.y @ o.T, self.y_u @ o.T, self.subset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, y_u = self.y @ o.T, self.y_u @ o.T
+        finite = [np.isfinite(a).all() for a in (self.y, self.y_u, y, y_u)]
+        if all(finite[:2]) and not all(finite[2:]):  # a non-finite sample is the estimator's to name
+            raise ContractError("matrix overflows the sample outputs: composed outputs must be finite")
+        return PickFreezeSample._adopt(y, y_u, self.subset)
 
 
 @dataclass(frozen=True)
@@ -320,47 +327,21 @@ def _row_blocks(n: int):
         yield slice(start, min(start + _BLOCK_ROWS, n))
 
 
-def _pair_blocks(y: np.ndarray, y_u: np.ndarray, shift: np.ndarray):
-    """The block step: yields (rows, W, max s^2, max d^2) per row block, where
-    s = a + b = 2h and d = a - b = 2e on outputs shifted by shift. W, the
-    buffer [|s|^2, |d|^2, s, d] that the next block overwrites, is held
-    transposed so that every step runs along the block's rows."""
-    n, k = y.shape
-    rows0 = min(n, _BLOCK_ROWS)
-    buf = np.empty((2 * k + 2, rows0))
-    tmp = np.empty((k, rows0))
-    shift_col = shift[:, None]
-    for rows in _row_blocks(n):
-        m = rows.stop - rows.start
-        wb, t = buf[:, :m], tmp[:, :m]
-        s, d = wb[2 : k + 2], wb[k + 2 :]
-        yb, yub = y[rows].T, y_u[rows].T
-        # a = y - shift is exact when the shift is close to y, so large
-        # offsets cancel before any product is formed; d needs no shift
-        np.subtract(yb, shift_col, out=s)
-        np.subtract(yub, shift_col, out=t)
-        s += t
-        np.subtract(yb, yub, out=d)
-        np.square(s, out=t)
-        np.add.reduce(t, axis=0, out=wb[0])
-        max_s2 = float(t.max())
-        np.square(d, out=t)
-        np.add.reduce(t, axis=0, out=wb[1])
-        yield rows, wb, max_s2, float(t.max())
-
-
 def _table_factor(k: int) -> np.ndarray:
     """T = [|h|^2, |e|^2, h] = [|s|^2 / 4, |d|^2 / 4, s / 2] over W's first k + 2 rows."""
     return np.array([0.25, 0.25] + [0.5] * k)
 
 
-def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
-    """Reduce a sample in row blocks into its PairMoments.
+def _pair_moments(y: np.ndarray, y_u: np.ndarray, table: Optional[np.ndarray] = None) -> PairMoments:
+    """Reduce a sample in row blocks into its PairMoments, and write its pair
+    table T into table when one is given.
 
     The pilot shift is the pair mean of the first block's rows. One pass
-    then takes each block's W from the block step, centres it on the
-    block's own means and merges the blocks' centred cross-products with
-    Chan's pairwise update. The quarter and half factors of h and e are
+    then forms each block's W = [|s|^2, |d|^2, s, d], where s = a + b = 2h
+    and d = a - b = 2e on the shifted outputs, held transposed so that every
+    step runs along the block's rows; writes the block's rows of T; centres
+    W on the block's own means and merges the blocks' centred cross-products
+    with Chan's pairwise update. The quarter and half factors of h and e are
     powers of two, applied once at the end.
     """
     n, k = y.shape
@@ -368,6 +349,7 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
     total = np.zeros(w)
     m2 = np.zeros((w, w))
     max_s2 = max_d2 = 0.0
+    factor = _table_factor(k)
     # finite outputs too large to square overflow here; that is checked below
     with np.errstate(over="ignore", invalid="ignore"):
         first = min(n, _BLOCK_ROWS)
@@ -375,9 +357,26 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
         # on C-ordered rows, since a product's bits depend on its operands' layout
         head, head_u = (np.ascontiguousarray(a[:first]) for a in (y, y_u))
         shift = (ones @ head + ones @ head_u) / (2 * first)
-        for rows, wb, block_s2, block_d2 in _pair_blocks(y, y_u, shift):
+        buf, tmp = np.empty((w, first)), np.empty((k, first))
+        for rows in _row_blocks(n):
             m = rows.stop - rows.start
-            max_s2, max_d2 = max(max_s2, block_s2), max(max_d2, block_d2)
+            wb, t = buf[:, :m], tmp[:, :m]
+            s, d = wb[2 : k + 2], wb[k + 2 :]
+            yb, yub = y[rows].T, y_u[rows].T
+            # a = y - shift is exact when the shift is close to y, so large
+            # offsets cancel before any product is formed; d needs no shift
+            np.subtract(yb, shift[:, None], out=s)
+            np.subtract(yub, shift[:, None], out=t)
+            s += t
+            np.subtract(yb, yub, out=d)
+            np.square(s, out=t)
+            np.add.reduce(t, axis=0, out=wb[0])
+            max_s2 = max(max_s2, float(t.max()))
+            np.square(d, out=t)
+            np.add.reduce(t, axis=0, out=wb[1])
+            max_d2 = max(max_d2, float(t.max()))
+            if table is not None:
+                np.multiply(wb[: k + 2].T, factor, out=table[rows])
             block_sum = wb.sum(axis=1)
             block_mean = block_sum / m
             if rows.start:
@@ -392,7 +391,6 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
         mean_d = mean_w[k + 2 :]
         centered = 0.25 * m2[2 : k + 2, 2 : k + 2]
         diff = 0.25 * (m2[k + 2 :, k + 2 :] + n * np.outer(mean_d, mean_d))
-        factor = _table_factor(k)
         table_mean = mean_w[: k + 2] * factor
         table_cov = m2[: k + 2, : k + 2] * np.outer(factor, factor) / n
     if not (np.isfinite(m2).all() and np.isfinite(diff).all()):
@@ -404,30 +402,25 @@ def _pair_moments(y: np.ndarray, y_u: np.ndarray) -> PairMoments:
     for a in (shift, total, subset, table_mean, table_cov):
         a.flags.writeable = False
     scale = 0.5 * (float(np.sqrt(max_s2)) + float(np.sqrt(max_d2)))  # max |h| + max |e|
-    return PairMoments(
-        shift=shift,
-        total=total,
-        subset=subset,
-        table_mean=table_mean,
-        table_cov=table_cov,
-        floor=1e-14 * scale * scale * n,
-    )
+    return PairMoments(shift, total, subset, table_mean, table_cov, floor=1e-14 * scale * scale * n)
 
 
-def pair_table(sample: PickFreezeSample) -> np.ndarray:
+def pair_table(sample: PickFreezeSample, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-pair statistics T_i = [|h_i|^2, |e_i|^2, h_i], shape (n, k + 2).
 
     Their column means U, V and hbar give the estimator as
     (U - V - |hbar|^2) / (U + V - |hbar|^2); the moments kernel holds their
-    mean and covariance. Filled block by block through the kernel's block
-    step, on the sample's pilot shift. Built on demand for the bootstrap and
-    never cached: it is as large as the sample.
+    mean and covariance. Written by the moments kernel in its own pass over
+    the rows, into out when given (an (n, k + 2) array or view, such as a
+    slot of a batch) and else into a new array; a sample with no moments
+    yet keeps the pass's. Never cached: it is as large as the sample.
     """
-    k = sample.out_dims
-    factor = _table_factor(k)
-    table = np.empty((sample.n, k + 2))
-    for rows, wb, _, _ in _pair_blocks(sample.y, sample.y_u, sample.moments.shift):
-        np.multiply(wb[: k + 2].T, factor, out=table[rows])
+    shape = (sample.n, sample.out_dims + 2)
+    if out is not None and out.shape != shape:
+        raise ContractError(f"out must have shape {shape}, got {out.shape}")
+    table = np.empty(shape) if out is None else out
+    # the slot that cached_property fills
+    sample.__dict__.setdefault("moments", _pair_moments(sample.y, sample.y_u, table))
     return table
 
 

@@ -26,7 +26,7 @@ from vecsobol import (
     get_model,
     linear_model,
 )
-from vecsobol import DegenerateSampleError, inference
+from vecsobol import DegenerateSampleError, inference, pickfreeze
 from vecsobol.inference import _bootstrap_block, _bootstrap_estimates, _count_blocks, _resample
 from vecsobol.pickfreeze import pair_table
 
@@ -260,6 +260,22 @@ class TestBootstrapCi:
         together = np.quantile(stacked, levels, axis=0)
         for i in range(r):
             assert together[:, i].tobytes() == np.quantile(stacked[:, i], levels).tobytes()
+
+    @pytest.mark.parametrize("n", [2000, 4097, 6000, 10_000])
+    def test_a_held_pattern_resamples_a_batch_as_its_blocks_do(self, n):
+        # a study holds its pattern as one (b_reps, n) array and makes one
+        # product per row chunk; OpenBLAS may sum a 200-row product in another
+        # order than its 4- to 21-row blocks (bits moved at n = 6000, 10^4)
+        b_reps, r = 200, inference._BOOTSTRAP_BLOCK_BYTES // (8 * n * 4)  # a study's batch
+        samples = [_sample("sum_prod", n=n, seed=seed) for seed in range(r)]
+        tables = np.stack([pair_table(sample) for sample in samples], axis=1)
+        floors = np.array([sample.moments.floor for sample in samples])
+        blocks = list(_count_blocks(n, b_reps, 5))
+        assert len(blocks) > 1
+        blocked = _resample(tables, floors, blocks)
+        held = _resample(tables, floors, [np.concatenate(blocks)])
+        assert held.shape == blocked.shape == (b_reps, r)
+        assert np.max(np.abs(held - blocked) / np.abs(blocked)) <= 1e-14
 
     def test_each_stacked_sample_has_its_own_floor(self):
         # a sample scaled by 1e-9 resamples alongside its original, whose
@@ -509,6 +525,18 @@ class TestSharedDesignStudy:
             assert a.estimates.tobytes() == b.estimates.tobytes()
             assert (a.coverage, a.normality_stat, a.std_empirical) == (
                 b.coverage, b.normality_stat, b.std_empirical)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_a_bootstrap_study_reads_each_sample_once(self, monkeypatch, s):
+        # the moments kernel writes a sample's pair table in the pass that
+        # reduces it: R replicates of s subsets make R s passes over sample
+        # rows, where a second block step for the table made 2 R s
+        passes, row_blocks = [], pickfreeze._row_blocks
+        monkeypatch.setattr(pickfreeze, "_row_blocks", lambda n: passes.append(n) or row_blocks(n))
+        model = get_model("sum_prod")
+        clt_diagnostic(model, model.space(), [U1, U2][:s], 100, 200, target=[15 / 31] * s,
+                       seed=43, ci_method="bootstrap")
+        assert passes == [100] * (200 * s)
 
     def test_a_held_pattern_and_a_redrawn_one_give_identical_reports(self, monkeypatch):
         self._held_and_redrawn(monkeypatch)

@@ -30,7 +30,9 @@ from vecsobol import (
     covariances_monte_carlo,
     covariances_quadrature,
     decompose_grid,
+    evaluate_pairs,
     exact_index,
+    generate_design,
     get_model,
     linear_model,
 )
@@ -116,11 +118,20 @@ class TestCovariancesLinear:
             assert triple.residual <= 1e-12
             assert triple.identity_defect() <= 1e-12
 
-    def test_contracts(self):
-        with pytest.raises(ContractError):
-            covariances_linear(np.eye(2), np.array([1.0, -1.0]), U1)
-        with pytest.raises(ContractError):
-            covariances_linear(np.eye(2), np.ones(3), U1)
+    @pytest.mark.parametrize("variances, message", [
+        (np.array([1.0, -1.0]), "^input variances must be strictly positive"),
+        (np.ones(3), "^need 2 input variances"),
+        ([np.nan, 1.0], "^input variances must be finite"),
+        ([np.inf, 1.0], "^input variances must be finite"),
+        (["a", 1.0], "^input variances "),
+        ([[1.0], [1.0, 2.0]], "^input variances "),
+        (None, "^input variances "),
+        (1.0, "^input variances "),
+    ], ids=["negative", "too many", "nan", "inf", "text", "ragged", "none", "scalar"])
+    def test_contracts(self, variances, message):
+        # never blamed on the model, never numpy's warning or bare ValueError
+        with pytest.raises(ContractError, match=message):
+            covariances_linear(np.eye(2), variances, U1)
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +566,23 @@ class TestResidualRule:
             CovarianceTriple(total=eye, subset=eye, complement=eye, interaction=eye,
                              method="test", residual=0.0)
 
-    @pytest.mark.parametrize("entry, message", [
-        (np.nan, "^composition matrix must be finite"),
-        (1e200, "^composition matrix overflows a covariance: total covariance must be finite"),
-    ], ids=["nan", "overflow"])
-    def test_a_composition_with_no_finite_triple_is_refused_where_it_is_made(self, entry, message):
+    @pytest.mark.parametrize("compose, matrix, message", [
+        ("triple", [[np.nan, 0.0], [0.0, 1.0]], "^composition matrix must be finite"),
+        ("triple", [[1e200, 0.0], [0.0, 1.0]],
+         "^composition matrix overflows a covariance: total covariance must be finite"),
+        ("sample", [[1e308, 1e308], [0.0, 1.0]],
+         "^matrix overflows the sample outputs: composed outputs must be finite"),
+    ], ids=["nan", "overflow", "sample-overflow"])
+    def test_a_composition_with_no_finite_triple_is_refused_where_it_is_made(
+            self, compose, matrix, message):
         # not a triple whose residual is NaN and whose indices are NaN, nor an
-        # overflowed total that exact_index calls too close to zero
+        # overflowed total that exact_index calls too close to zero, nor a
+        # sample whose overflowed rows only the estimator names
+        model = get_model("sum_prod")
+        target = (_proof_triple() if compose == "triple" else
+                  evaluate_pairs(model, generate_design(model.space(), U1, 300, 1)))
         with pytest.raises(ContractError, match=message):
-            _proof_triple().left_compose([[entry, 0.0], [0.0, 1.0]])
+            target.left_compose(matrix)
 
     def test_warning_does_not_follow_the_output_scale(self):
         # rounding grows with the outputs; relative to the total it stays at 1e-15

@@ -695,6 +695,46 @@ class TestPairTable:
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
         assert np.array_equal(got[:, 2:], ref[:, 2:])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 4095, 4096, 4097, 9001]),  # around the kernel's block size
+        k=st.integers(1, 6),
+        log_sd=st.floats(-6.0, 6.0),
+        log_offset=st.floats(0.0, 8.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        r=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_is_written_by_the_moments_pass_into_any_slot(
+            self, seed, n, k, log_sd, log_offset, sign, r, data):
+        # the pass that writes the table caches the moments that an estimate
+        # reduces on a fresh sample, and a slot of a replication study's
+        # batch gets the bytes of a table of its own
+        rng = np.random.default_rng(seed)
+        sd = 10.0**log_sd
+        y = sd * rng.standard_normal((n, k))
+        y_u = 0.5 * y + sd * rng.standard_normal((n, k))
+        offset = sign * sd * 10.0**log_offset * rng.uniform(0.5, 1.0, size=k)
+        sample = PickFreezeSample(y + offset, y_u + offset)
+        table = pickfreeze.pair_table(sample)
+        fresh = PickFreezeSample(y + offset, y_u + offset)
+        estimate_index(fresh)
+        for got, ref in zip(dataclasses.astuple(sample.moments), dataclasses.astuple(fresh.moments)):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        batch = np.full((n, r, k + 2), np.nan)
+        slot = data.draw(st.integers(0, r - 1))
+        written = pickfreeze.pair_table(PickFreezeSample(y + offset, y_u + offset), batch[:, slot])
+        assert np.shares_memory(written, batch)
+        assert batch[:, slot].tobytes() == table.tobytes()
+        assert np.isnan(np.delete(batch, slot, axis=1)).all()
+
+    def test_a_slot_of_another_shape_is_refused(self):
+        sample = _sample("sum_prod", n=100, seed=3)
+        for shape in ((99, 4), (101, 4), (100, 3)):
+            with pytest.raises(ContractError, match=r"^out must have shape \(100, 4\)"):
+                pickfreeze.pair_table(sample, np.empty(shape))
+
 
 class TestSampleCsv:
     def test_roundtrip_is_bit_exact(self, tmp_path):
