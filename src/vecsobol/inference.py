@@ -11,6 +11,7 @@ statistics T (pickfreeze.pair_table), so both intervals are built on T:
   pair indices is a vector of counts, and its replicate means are
   counts @ T / n, one matrix product per block of replicates, summed over
   fixed row chunks in order. T is written by the moments kernel in its pass.
+  One step (_percentiles) bounds the interval of one sample or a batch.
 
 clt_diagnostic runs a replication study (normality distance, CI coverage)
 of one or more subsets against their oracle targets as one loop on the
@@ -26,14 +27,14 @@ and never from a design stream. A replicate's pairs are i.i.d. and the
 pattern is drawn independently of them, so each replicate still gets a
 valid percentile interval (Efron & Tibshirani 1993); the reuse is the
 common-random-numbers device of simulation (Glasserman & Yao 1992). Since
-the counts are shared, the study resamples its samples in batches: the
-kernel pass that reduces a sample writes its T into the next slot of one
-(N, r, k+2) array, and a full batch is resampled by counts @ [T_1 ... T_r]
-(_resample). A pattern that fits _PATTERN_BYTES is held as one (B, N)
+the counts are shared, the study resamples in batches: the kernel pass that
+reduces sample i, subset i % s of replicate i // s, writes its T into slot
+i % slots of one (N, slots, k+2) array; a full batch is resampled by
+counts @ [T_1 ... T_r] (_resample), and one finally clause resamples the
+partial one. A pattern that fits _PATTERN_BYTES is held as one (B, N)
 array, one product per row chunk; beyond it the same blocks of counts are
 redrawn for each batch. The reports depend on neither the budget nor the
-CPU count.
-The package opens no thread pool.
+CPU count. The package opens no thread pool.
 
 No scipy at runtime: the normal quantile and distribution function come from
 statistics.NormalDist.
@@ -232,10 +233,13 @@ def _resample(tables: np.ndarray, floors: np.ndarray, blocks: Iterable[np.ndarra
     return np.concatenate(out)
 
 
-def _bootstrap_estimates(sample: PickFreezeSample, blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """_resample of one sample, as a vector of b_reps estimator values."""
-    floors = np.array([sample.moments.floor])
-    return _resample(pair_table(sample)[:, None], floors, blocks).ravel()
+def _percentiles(tables: np.ndarray, floors: np.ndarray, blocks: Iterable[np.ndarray], level: float):
+    """_resample, and the percentile interval at level of each of the r
+    samples: the (b_reps, r) estimates, the r lower and the r upper bounds."""
+    boot = _resample(tables, floors, blocks)
+    alpha = 1.0 - level
+    low, high = np.quantile(boot, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
+    return boot, low, high
 
 
 def bootstrap_ci(
@@ -250,9 +254,8 @@ def bootstrap_ci(
     b_reps = _check_b_reps(b_reps)
     _check_level(level, "level")
     value = estimate_index(sample)  # degenerate samples rejected here
-    boot = _bootstrap_estimates(sample, _count_blocks(sample.n, b_reps, seed))
-    alpha = 1.0 - level
-    lo, hi = np.quantile(boot, [alpha / 2.0, 1.0 - alpha / 2.0])
+    boot, (lo,), (hi,) = _percentiles(pair_table(sample)[:, None], np.array([sample.moments.floor]),
+                                      _count_blocks(sample.n, b_reps, seed), level)
     return IndexEstimate(
         value=value,
         sigma2_hat=sample.n * float(np.var(boot, ddof=1)),
@@ -291,10 +294,11 @@ def clt_diagnostic(
     replicate and subset with one pattern of counts, drawn from
     stream(seed, _PATTERN_STREAM_TAG), so the replicates' designs,
     replicate i's from stream(seed, i, 0), and the estimates are those of a
-    delta study on the same seed. Each sample's pair table goes into a batch
-    that is resampled whole when full, at the end, and before an error from
-    a later sample's evaluation or estimate is raised, so the earliest
-    replicate's error is the one raised.
+    delta study on the same seed. Sample i, subset i % s of replicate i // s,
+    puts its pair table in slot i % slots of a batch, and a full batch is
+    bounded by _percentiles, as bootstrap_ci is. One finally clause resamples
+    the partial batch, at the end and before a later sample's error is
+    raised, so the earliest replicate's error is the one raised.
     """
     single = isinstance(subset, SubsetIndex)
     groups = (subset,) if single else tuple(subset)
@@ -318,8 +322,8 @@ def clt_diagnostic(
     elif n_per_rep < DELTA_MIN_N:
         raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {n_per_rep}")
 
-    estimates = np.empty((len(groups), reps))
-    covered = [0] * len(groups)
+    # sample i's estimate and bounds: row i of (reps, s) arrays, raveled
+    estimates, lows, highs = np.empty((3, reps * len(groups)))
     if bootstrap:
         pattern_ss = stream(seed, _PATTERN_STREAM_TAG)
         held = np.empty((b_reps, n_per_rep)) if 8 * b_reps * n_per_rep <= _PATTERN_BYTES else None
@@ -327,50 +331,40 @@ def clt_diagnostic(
             starts = range(0, b_reps, _bootstrap_block(n_per_rep))
             for start, counts in zip(starts, _count_blocks(n_per_rep, b_reps, pattern_ss)):
                 held[start : start + len(counts)] = counts
-        w = model.out_dims + 2
-        tables = np.empty((n_per_rep, max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_per_rep * w)), w))
-        floors = np.empty(tables.shape[1])
-        alpha = 1.0 - ci_level
-        quantiles = [alpha / 2.0, 1.0 - alpha / 2.0]  # as bootstrap_ci takes them
-    owners = []  # the subset of each table in the batch, in slot order
+        slots = max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_per_rep * (model.out_dims + 2)))
+        # sample i's table and floor go to slot i % slots
+        tables, floors = np.empty((n_per_rep, slots, model.out_dims + 2)), np.empty(slots)
 
-    def resample_batch():
-        """Resample the batch's tables at once and count their intervals' coverage."""
-        js = owners.copy()
-        owners.clear()  # first, so that an error raised here is not resampled again
-        blocks = _count_blocks(n_per_rep, b_reps, pattern_ss) if held is None else [held]
-        boot = _resample(tables[:, : len(js)], floors[: len(js)], blocks)
-        lows, highs = np.quantile(boot, quantiles, axis=0)
-        for j, low, high in zip(js, lows, highs):
-            covered[j] += low <= targets[j] <= high
+        def resample(stop, r):
+            """Bound the intervals of the batch's first r slots, samples stop - r to stop - 1."""
+            blocks = _count_blocks(n_per_rep, b_reps, pattern_ss) if held is None else [held]
+            _, lows[stop - r : stop], highs[stop - r : stop] = _percentiles(
+                tables[:, :r], floors[:r], blocks, ci_level)
 
+    i = 0  # counted by hand: enumerate's cached tuple would hold the previous sample
     try:
         for rep in range(reps):
             # only evaluate_shared holds the design, so it goes before the next is drawn
             design = generate_design(space, groups, n_per_rep, stream(seed, rep, 0))
             samples = evaluate_shared(model, design)
             del design
-            j = 0  # counted by hand: enumerate's cached tuple would hold the previous sample
             for sample in samples:
                 if bootstrap:
-                    pair_table(sample, tables[:, len(owners)])  # one read of the sample
-                    estimates[j, rep] = estimate_index(sample)
-                    floors[len(owners)] = sample.moments.floor
-                    owners.append(j)
+                    pair_table(sample, tables[:, i % slots])  # one read of the sample
+                    estimates[i] = estimate_index(sample)
+                    floors[i % slots] = sample.moments.floor
                 else:
                     est = delta_ci(sample, ci_level)
-                    estimates[j, rep] = est.value
-                    covered[j] += est.ci_low <= targets[j] <= est.ci_high
+                    estimates[i], lows[i], highs[i] = est.value, est.ci_low, est.ci_high
                 del sample  # else it outlives the next subset's evaluation
-                if bootstrap and len(owners) == len(floors):
-                    resample_batch()
-                j += 1
-    except Exception:
-        if owners:  # the earlier replicates' resampling errors come first
-            resample_batch()
-        raise
-    if owners:
-        resample_batch()
+                i += 1
+                if bootstrap and i % slots == 0:
+                    resample(i, slots)
+    finally:  # the partial batch, so an earlier replicate's resampling error comes first
+        if bootstrap and i % slots:
+            resample(i, i % slots)
+    estimates, lows, highs = (a.reshape(reps, -1).T.copy() for a in (estimates, lows, highs))
+    covered = np.count_nonzero((lows <= np.c_[targets]) & (np.c_[targets] <= highs), axis=1)
     reports = [_report(*study, n_per_rep) for study in zip(estimates, covered, targets)]
     return reports[0] if single else reports
 

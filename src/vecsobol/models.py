@@ -179,6 +179,7 @@ def _make_u_only(dims: int = 2, coords=(0,)) -> VectorModel:
     entry is meant for estimator edge tests (frozen pair equals the original),
     not for exact-index oracles.
     """
+    dims = _count(dims, "dims")
     coords = tuple(sorted(_count(c, "coords") for c in coords))
     if not coords or coords[0] < 0 or coords[-1] >= dims:
         raise ConfigurationError(f"u_only coords {coords} out of range for dims={dims}")

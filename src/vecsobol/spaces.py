@@ -12,11 +12,15 @@ memory, and the n-by-p matrix handed out is the transpose of that p-by-n
 array (Fortran order), the layout the pick-freeze designs keep. Columns
 are drawn in turn on the calling thread. _count owns the count rule and _matrix
 the matrix rule: a count is read as an int, and a matrix as a new finite float
-array, or a ContractError names the argument; seeds stay int-only.
+array, or a ContractError names the argument; seeds stay int-only. A marginal
+reads each parameter as a finite float (_parameter, with _count's number test,
+_is_real) and refuses a law whose variance is not finite, with a
+ConfigurationError naming the parameter or the law.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,12 +53,47 @@ def stream(seed: SeedLike, *key: int) -> np.random.SeedSequence:
     )
 
 
+def _is_real(value) -> bool:
+    """The number test of every count and marginal parameter: a real number but no bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _count(value, name: str) -> int:
     """value as an int if it is an integral real number but no bool, else a ContractError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            isinstance(value, numbers.Integral) or float(value).is_integer()):
+    if not _is_real(value) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ContractError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _parameter(value, name: str) -> float:
+    """A marginal's parameter as a finite float, else a ConfigurationError naming it."""
+    try:
+        number = float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int beyond the floats
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _parameters(values, name: str) -> tuple[float, ...]:
+    """A discrete marginal's points or probs as a tuple of finite floats, each read by _parameter."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be a sequence of numbers, got {values!r}") from None
+    return tuple(_parameter(v, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+def _check_variance(marginal, law: str) -> None:
+    """Refuse a marginal whose variance is not finite: every index is a ratio of variances."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = math.isfinite(marginal.variance)
+    except OverflowError:  # a float's ** 2 raises where numpy's gives inf
+        finite = False
+    if not finite:
+        raise ConfigurationError(f"{law} parameters give an infinite variance")
 
 
 def _generator(seed: SeedLike) -> np.random.Generator:
@@ -100,10 +139,11 @@ class Uniform:
     high: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.low) or not np.isfinite(self.high):
-            raise ConfigurationError("uniform bounds must be finite")
+        object.__setattr__(self, "low", _parameter(self.low, "low"))
+        object.__setattr__(self, "high", _parameter(self.high, "high"))
         if self.high <= self.low:
             raise ConfigurationError(f"uniform requires low < high, got [{self.low}, {self.high})")
+        _check_variance(self, "uniform")
 
     @property
     def mean(self) -> float:
@@ -135,10 +175,11 @@ class Normal:
     sd: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.mean) or not np.isfinite(self.sd):
-            raise ConfigurationError("normal parameters must be finite")
+        object.__setattr__(self, "mean", _parameter(self.mean, "mean"))
+        object.__setattr__(self, "sd", _parameter(self.sd, "sd"))
         if self.sd <= 0:
             raise ConfigurationError(f"normal requires sd > 0, got {self.sd}")
+        _check_variance(self, "normal")
 
     @property
     def variance(self) -> float:
@@ -166,21 +207,18 @@ class Discrete:
     probs: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", _parameters(self.points, "points"))
+        object.__setattr__(self, "probs", _parameters(self.probs, "probs"))
         if len(self.points) == 0:
             raise ConfigurationError("discrete support must be non-empty")
         if len(self.points) != len(self.probs):
             raise ConfigurationError("discrete points and probs must have equal length")
-        p = np.asarray(self.probs, dtype=float)
-        if not np.all(np.isfinite(p)):  # NaN passes both checks below
-            raise ConfigurationError("discrete probabilities must be finite")
+        p = np.asarray(self.probs)
         if np.any(p < 0):
             raise ConfigurationError("discrete probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ConfigurationError(f"discrete probabilities must sum to 1, got {p.sum()!r}")
-        if not np.all(np.isfinite(self.points)):
-            raise ConfigurationError("discrete support points must be finite")
-        object.__setattr__(self, "points", tuple(float(x) for x in self.points))
-        object.__setattr__(self, "probs", tuple(float(x) for x in self.probs))
+        _check_variance(self, "discrete")
 
     @property
     def mean(self) -> float:

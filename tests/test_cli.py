@@ -144,6 +144,17 @@ MALFORMED = [
     # the full group's estimate is 1 in every replicate, so it has no spread to study
     ("replications: subset [1, 2]", "model: sum_prod\nsubsets: [[1], [1, 2]]\noracle: auto\n"
      "replications: 200\n"),
+    # a marginal whose variance is not finite: the draw, or the closed-form
+    # oracle's input variances, would overflow
+    ("space[0]", "model: {name: linear, params: {matrix: [[1.0]]}}\n"
+     "space: [{kind: uniform, low: -1e308, high: 1e308}]\nsubsets: [[1]]\nn: 100\noracle: auto\n"),
+    ("space[0]", "model: {name: linear, params: {matrix: [[1.0e-200]]}}\n"
+     "space: [{kind: normal, sd: 1.0e+160}]\nsubsets: [[1]]\noracle: auto\n"),
+    ("space[0]", "model: {name: linear, params: {matrix: [[1.0e-200]]}}\n"
+     "space: [{kind: uniform, low: -1.0e+160, high: 1.0e+160}]\nsubsets: [[1]]\noracle: auto\n"),
+    ("space[0]", "model: {name: linear, params: {matrix: [[1.0e-200]]}}\n"
+     "space: [{kind: discrete, points: [-1.0e+200, 1.0e+200], probs: [0.5, 0.5]}]\n"
+     "subsets: [[1]]\noracle: auto\n"),
     # sample mode has no model, so the message names the outputs only
     ("matrix: is 3x3 but the outputs have 2 components",
      "sample: PAIRS\nmatrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"),

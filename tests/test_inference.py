@@ -27,7 +27,7 @@ from vecsobol import (
     linear_model,
 )
 from vecsobol import DegenerateSampleError, inference, pickfreeze
-from vecsobol.inference import _bootstrap_block, _bootstrap_estimates, _count_blocks, _resample
+from vecsobol.inference import _bootstrap_block, _count_blocks, _resample
 from vecsobol.pickfreeze import pair_table
 
 U1 = SubsetIndex((0,), 2)
@@ -60,6 +60,11 @@ def _projection_delta_variance(sample):
     denom = float(np.trace(sample.moments.total)) / sample.n
     grad = np.concatenate([[1.0 - value, -(1.0 + value)], -2.0 * (1.0 - value) * sample.moments.mean])
     return float(np.var(pair_table(sample) @ (grad / denom)))
+
+
+def _resample_alone(sample, blocks):
+    """_resample of one sample (r = 1), as a vector of b_reps estimator values."""
+    return _resample(pair_table(sample)[:, None], np.array([sample.moments.floor]), blocks).ravel()
 
 
 def _index_blocks(n, b_reps, seed):
@@ -123,7 +128,7 @@ class TestAgainstReferenceAlgebra:
     def test_bootstrap_replicates_match_gather_form(self):
         for sample in _samples_for_reference():
             b_reps = 2 * _bootstrap_block(sample.n) + 7  # three blocks, the last partial
-            got = _bootstrap_estimates(sample, _count_blocks(sample.n, b_reps, 17))
+            got = _resample_alone(sample, _count_blocks(sample.n, b_reps, 17))
             ref = _reference_bootstrap(sample, _index_blocks(sample.n, b_reps, 17))
             assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -233,7 +238,7 @@ class TestBootstrapCi:
         reps = {}
         for block in (1, 7, _bootstrap_block(n), b_reps):
             monkeypatch.setattr(inference, "_bootstrap_block", lambda n, block=block: block)
-            reps[block] = _bootstrap_estimates(sample, _count_blocks(n, b_reps, 5))
+            reps[block] = _resample_alone(sample, _count_blocks(n, b_reps, 5))
         for got in reps.values():
             assert np.max(np.abs(got - reps[1]) / np.abs(reps[1])) <= 1e-13
 
@@ -247,7 +252,7 @@ class TestBootstrapCi:
         floors = np.array([sample.moments.floor for sample in samples])
         blocks = list(_count_blocks(n, b_reps, 5))
         stacked = _resample(tables, floors, blocks)
-        alone = np.stack([_bootstrap_estimates(sample, blocks) for sample in samples], axis=1)
+        alone = np.stack([_resample_alone(sample, blocks) for sample in samples], axis=1)
         assert stacked.shape == (b_reps, r)
         assert np.max(np.abs(stacked - alone) / np.abs(alone)) <= 1e-13
         if r == 1:
@@ -633,6 +638,38 @@ class TestBootstrapStudyThreads:
             clt_diagnostic(model, model.space(), U1, 200, 200, target=0.5, seed=5,
                            ci_method="bootstrap")
         assert batches == [7]  # replicates 0 to 6, resampled once
+
+    @pytest.mark.parametrize("replicate", [0, 6])
+    def test_a_partial_replicate_is_resampled_once_before_its_error_is_raised(self, monkeypatch,
+                                                                              replicate):
+        # a 2-subset study: subset 1 of the replicate fails to evaluate after
+        # subset 0's table (sample 2r) entered the first batch, whose
+        # resampling fails; the batch, samples 0 to 2r, is resampled once and
+        # its error is the one raised
+        assert inference._BOOTSTRAP_BLOCK_BYTES // (8 * 200 * 4) > 2 * replicate + 1
+        base, calls = get_model("identity_2"), []
+
+        def evaluate(x):
+            calls.append(None)
+            if len(calls) == 3 * replicate + 3:  # a replicate evaluates Y, then each subset's Y^u
+                raise RuntimeError(f"subset 1 failed in replicate {replicate}")
+            return base.evaluate(x)
+
+        resample, batches = inference._resample, []
+
+        def failing(tables, *args):
+            batches.append(tables.shape[1])
+            if tables.shape[1] > 2 * replicate:  # the batch holds sample 2r
+                raise ArithmeticError("resampling failed")
+            return resample(tables, *args)
+
+        monkeypatch.setattr(inference, "_resample", failing)
+        model = VectorModel(in_dims=2, out_dims=2, kind="builtin", eval_fn=evaluate,
+                            default_space=base.space())
+        with pytest.raises(ArithmeticError, match="resampling failed"):
+            clt_diagnostic(model, model.space(), [U1, U2], 200, 200, target=[0.5, 0.5], seed=5,
+                           ci_method="bootstrap")
+        assert batches == [2 * replicate + 1]
 
     def test_resampling_runs_under_the_callers_numpy_error_state(self, monkeypatch):
         resample = inference._resample

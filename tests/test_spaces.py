@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -98,6 +99,15 @@ def test_marginal_validation():
     for probs in [(float("nan"), 1.0), (float("nan"), float("nan"))]:  # NaN passes < 0 and the sum check
         with pytest.raises(ConfigurationError, match="finite"):
             Discrete((0.0, 1.0), probs)
+    with pytest.raises(ConfigurationError, match="^points must be a sequence of numbers"):
+        Discrete(1.0, 1.0)
+    # every index is a ratio of variances: a law whose variance overflows is refused when built
+    for law, make in [("uniform", lambda: Uniform(-1e308, 1e308)),
+                      ("uniform", lambda: Uniform(-1e160, 1e160)),
+                      ("normal", lambda: Normal(0.0, 1e160)),
+                      ("discrete", lambda: Discrete((-1e200, 1e200), (0.5, 0.5)))]:
+        with pytest.raises(ConfigurationError, match=f"^{law} parameters give an infinite variance"):
+            make()
     # a space is built of marginals only, so a bad one fails here and not at the draw
     for marginals in [(1.0,), "ab", (Uniform(), None), (Uniform(), Uniform)]:
         with pytest.raises(ContractError, match="marginals must be Uniform, Normal or Discrete"):
@@ -333,8 +343,9 @@ def test_a_column_drawn_in_evaluation_chunks_equals_the_whole_draw(law):
 
 @pytest.fixture(scope="module")
 def arguments():
-    """Every count and level argument of the library, as lists of (name, call
-    with that argument set to a value and every other argument valid)."""
+    """Every count and level argument and marginal parameter of the library, as
+    lists of (name, call with that argument set to a value and every other
+    argument valid)."""
     model = get_model("sum_prod")
     space, u = model.space(), SubsetIndex((0,), 2)
     sample = evaluate_pairs(model, generate_design(space, u, 300, 1))
@@ -356,6 +367,7 @@ def arguments():
         ("nodes", lambda v: Normal().quadrature(v)),
         ("nodes", lambda v: Discrete((0.0, 1.0), (0.5, 0.5)).quadrature(v)),
         ("coords", lambda v: get_model("u_only", dims=2, coords=(v,))),
+        ("dims", lambda v: get_model("u_only", dims=v)),
         ("b_reps", lambda v: bootstrap_ci(sample, v, 0.95, 1)),
         ("reps", lambda v: clt_diagnostic(**study | {"reps": v})),
         ("n_per_rep", lambda v: clt_diagnostic(**study | {"n_per_rep": v})),
@@ -366,7 +378,15 @@ def arguments():
         ("level", lambda v: bootstrap_ci(sample, 200, v, 1)),
         ("ci_level", lambda v: clt_diagnostic(**study, ci_level=v)),
     ]
-    return counts, levels
+    parameters = [
+        ("low", lambda v: Uniform(v, 1.0)),
+        ("high", lambda v: Uniform(0.0, v)),
+        ("mean", lambda v: Normal(v, 1.0)),
+        ("sd", lambda v: Normal(0.0, v)),
+        ("points[1]", lambda v: Discrete((0.0, v), (0.5, 0.5))),
+        ("probs[0]", lambda v: Discrete((0.0, 1.0), (v, 0.5))),
+    ]
+    return counts, levels, parameters
 
 
 _NOT_A_NUMBER = st.one_of(st.text(max_size=5), st.booleans(), st.just(np.bool_(True)), st.none())
@@ -394,6 +414,19 @@ def test_a_count_that_is_no_integral_number_is_a_contract_error_naming_it(argume
 def test_a_level_that_is_no_number_in_the_unit_interval_is_a_contract_error_naming_it(arguments, value):
     for name, call in arguments[1]:
         with pytest.raises(ContractError, match=f"^{name} must be a confidence level in \\(0, 1\\)"):
+            call(value)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(value=st.one_of(_NOT_A_NUMBER, st.sampled_from([float("nan"), float("inf"), -float("inf")])))
+@example(value="1")
+@example(value=True)
+@example(value=None)
+def test_a_marginal_parameter_that_is_no_finite_number_is_a_configuration_error_naming_it(
+        arguments, value):
+    # never numpy's bare TypeError, and no bool read as 0 or 1
+    for name, call in arguments[2]:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(name)} must be a finite number, got "):
             call(value)
 
 
