@@ -496,6 +496,11 @@ def run(config: RunConfig) -> RunReport:
                     "and input space")
     results = []
     for subset, sample, ci_ss, t0 in _samples(config):
+        est = None  # first: a bootstrap's table pass also reduces the moments
+        if config.ci.kind == "delta":
+            est = delta_ci(sample, config.ci.level)
+        elif config.ci.kind == "bootstrap":
+            est = bootstrap_ci(sample, config.ci.reps, config.ci.level, ci_ss)
         result = SubsetResult(
             subset=[] if subset is None else list(subset.to_one_based()),
             n=sample.n,
@@ -504,16 +509,9 @@ def run(config: RunConfig) -> RunReport:
         )
         if config.matrix is not None:
             result.estimate_weighted = estimate_index_general(sample, config.matrix)
-        if config.ci.kind != "none":
-            if config.ci.kind == "delta":
-                est = delta_ci(sample, config.ci.level)
-            else:
-                est = bootstrap_ci(sample, config.ci.reps, config.ci.level, ci_ss)
-            result.sigma2_hat = est.sigma2_hat
-            result.ci_low = est.ci_low
-            result.ci_high = est.ci_high
-            result.ci_level = est.ci_level
-            result.ci_method = est.method
+        if est is not None:
+            result.sigma2_hat, result.ci_low, result.ci_high, result.ci_level, result.ci_method = (
+                est.sigma2_hat, est.ci_low, est.ci_high, est.ci_level, est.method)
 
         if route is not None:
             triple = route(subset)

@@ -249,12 +249,15 @@ def bootstrap_ci(
 
     Pairs are never split: the estimator's law depends on the joint pair
     distribution, so resampling is over pair indices only. Deterministic in
-    the seed.
+    the seed. The pass that writes T also fills a fresh sample's moments, so
+    the sample is read once; T is never cached, so a sample whose moments
+    were read before is read again.
     """
     b_reps = _check_b_reps(b_reps)
     _check_level(level, "level")
+    table = pair_table(sample)  # before the estimate, whose moments it fills
     value = estimate_index(sample)  # degenerate samples rejected here
-    boot, (lo,), (hi,) = _percentiles(pair_table(sample)[:, None], np.array([sample.moments.floor]),
+    boot, (lo,), (hi,) = _percentiles(table[:, None], np.array([sample.moments.floor]),
                                       _count_blocks(sample.n, b_reps, seed), level)
     return IndexEstimate(
         value=value,

@@ -196,8 +196,8 @@ def covariances_linear(
     k, p = a.shape
     if v.shape != (p,):
         raise ContractError(f"need {p} input variances, got shape {v.shape}")
-    if np.any(v <= 0):
-        raise ContractError("input variances must be strictly positive")
+    if np.any(v < 0):
+        raise ContractError("input variances must be nonnegative")
     if subset.dims != p:
         raise ContractError(f"subset is over {subset.dims} inputs but the model has {p}")
 
@@ -407,8 +407,8 @@ def _check_grid_size(nodes: int) -> None:
 
 def _grid_size(space: InputSpace, nodes_per_dim: int) -> int:
     """Nodes of the space's tensor grid: nodes_per_dim per continuous input
-    times the discrete inputs' support cells."""
-    support = math.prod(len(m.points) for m in space.marginals if m.is_discrete)
+    times the discrete inputs' points of positive probability."""
+    support = math.prod(len(m.support[0]) for m in space.marginals if m.is_discrete)
     return nodes_per_dim ** _continuous_dims(space) * support
 
 

@@ -254,9 +254,9 @@ def evaluate_shared(model: VectorModel, design: SharedDesign) -> Iterator[PickFr
     """Evaluate Y = f(x) once, then each group's Y^u in turn; yields the
     groups' samples in order, which all hold that one Y.
 
-    (1 + s) n rows are evaluated for s groups, in chunks of _EVAL_ROWS rows
-    that are copied into one n-by-k output per block, so no whole second
-    block x_u(u) is ever built: memory holds the design, Y, the current
+    (1 + s) n rows are evaluated for s groups, in chunks of _BLOCK_ROWS rows,
+    the kernel's row blocks, copied into one n-by-k output per design block,
+    so no whole x_u(u) is ever built: memory holds the design, Y, the current
     group's Y^u and one chunk. A group's sample is dropped here before the
     next group is evaluated, so a caller that drops it too holds one group's
     outputs at a time. The outputs are fresh arrays, so the samples take
@@ -279,16 +279,18 @@ def evaluate_shared(model: VectorModel, design: SharedDesign) -> Iterator[PickFr
         del sample  # else it, and its y_u, outlive the next group's evaluation
 
 
-# Rows per model call in evaluate_shared. It is a constant, never read from
-# the machine, and a power of two, so every chunk but the last starts where a
-# whole-block BLAS product would start a row tile, and a row's outputs have
-# the same bits as when the block is evaluated whole. A chunk's inputs and
-# outputs take (p + k) * 8 B per row, 1.3 MB for p = 6, k = 4, within a
-# core's L2. cli.run at n=5e5, p=6, k=4, 7 groups, one BLAS thread (2-vCPU
-# Xeon, 2 MiB L2 per core), median time of 15 runs and tracemalloc peak,
-# by chunk (whole blocks: 99.2 MiB):
-#   8192 0.44 s 76.9 MiB | 16384 0.44 s 77.6 MiB | 32768 0.46 s 78.8 MiB | 65536 0.46 s 81.3 MiB
-_EVAL_ROWS = 16384
+# Rows per model call of evaluate_shared and the grid oracle, per step of the
+# moments kernel and the bootstrap sums, and grid cells per slab of the grid
+# oracle's weighted Gram sums. A constant, never read from the machine: sums
+# are added in block order, and a BLAS product over one block gave the same
+# bits under one and two OpenBLAS threads, where one over 5e5 rows did not. A
+# power of two, so every model chunk but the last starts where a whole-block
+# BLAS product would start a row tile: a row's outputs keep their bits. The
+# kernel's buffers (3k + 2 rows of 4096 floats) stay in a core's L2 for a few
+# outputs. n=5e5, k=4, one BLAS thread (2-vCPU Xeon, 2 MiB L2 per core), kernel:
+#   1024 56 ms | 2048 47 ms | 4096 42 ms | 8192 38 ms | 16384 41 ms | 65536 53 ms
+# and cli.run, p=6, 7 groups, by model chunk: 4096 0.44 s | 8192 0.43 s | 16384 0.44 s
+_BLOCK_ROWS = 4096
 
 
 def _evaluate_chunks(
@@ -302,23 +304,10 @@ def _evaluate_chunks(
     row's in a matrix product.
     """
     out = np.empty((n, model.out_dims))
-    bounds = [*range(0, max(n - 1, 1), _EVAL_ROWS), n]
+    bounds = [*range(0, max(n - 1, 1), _BLOCK_ROWS), n]
     for start, stop in zip(bounds, bounds[1:]):
         out[start:stop] = model.evaluate(block(slice(start, stop)))
     return out
-
-
-# Rows reduced per step of the moments kernel and of the bootstrap sums, and
-# grid cells per step of the grid oracle's weighted Gram sums, so that no
-# weighted copy of a whole grid tensor is made. It is a constant, never read
-# from the machine: partial sums are added in block order, and a BLAS product
-# over one block gave the same bits under one and two OpenBLAS threads, where
-# a product over 5e5 rows did not (its rows are split between the threads).
-# For a few outputs the kernel's block buffers (3k + 2 rows of 4096 floats)
-# stay in a core's L2 cache. Kernel time at n=5e5, k=4, one BLAS thread
-# (2-vCPU Xeon, 2 MiB L2 per core), by block:
-#   1024 56 ms | 2048 47 ms | 4096 42 ms | 8192 38 ms | 16384 41 ms | 65536 53 ms
-_BLOCK_ROWS = 4096
 
 
 def _row_blocks(n: int):

@@ -221,13 +221,19 @@ class Discrete:
         _check_variance(self, "discrete")
 
     @property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points of positive probability, and their probabilities."""
+        p = np.asarray(self.probs)
+        return np.asarray(self.points)[p > 0], p[p > 0]
+
+    @property
     def mean(self) -> float:
-        return float(np.dot(self.points, self.probs))
+        return float(np.dot(*self.support))
 
     @property
     def variance(self) -> float:
-        m = self.mean
-        return float(np.dot((np.asarray(self.points) - m) ** 2, self.probs))
+        x, p = self.support
+        return float(np.dot((x - self.mean) ** 2, p))
 
     @property
     def is_discrete(self) -> bool:
@@ -238,7 +244,7 @@ class Discrete:
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         _nodes(nodes, "nodes")  # checked, then ignored: the support itself is the exact rule
-        return np.asarray(self.points), np.asarray(self.probs)
+        return self.support
 
 
 Marginal = Union[Uniform, Normal, Discrete]

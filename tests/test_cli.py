@@ -20,6 +20,7 @@ from vecsobol import (
     PickFreezeSample,
     SubsetIndex,
     VectorModel,
+    bootstrap_ci,
     estimate_index,
     evaluate_pairs,
     generate_design,
@@ -438,6 +439,28 @@ class TestRun:
         with pytest.raises(DegenerateSampleError, match=r"output row \d+ is not finite"):
             run(RunConfig(model, space, [subset], 200, 2, oracle="auto"))
 
+    def test_a_constant_input_gets_the_closed_form(self):
+        config = parse_config("model: {name: linear, params: {matrix: [[1, 1]]}}\n"
+                              "space: [{kind: discrete, points: [2.0], probs: [1.0]}, {kind: normal}]\n"
+                              "subsets: [[1]]\nn: 200\nseed: 2\noracle: auto\n")
+        rec = run(config).subsets[0]
+        assert rec.oracle_method == "closed_form"
+        assert (rec.oracle_subset, rec.oracle_complement, rec.oracle_sum_residual) == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("law", [
+        "{kind: discrete, points: [1e200, 0, 1], probs: [0, 0.5, 0.5]}",
+        "{kind: discrete, points: [0, -1e200, 1], probs: [0.5, 0, 0.5]}",
+        "{kind: discrete, points: [0, 1, 3], probs: [0.5, 0.5, 0]}",
+    ], ids=["front", "middle", "end"])
+    def test_a_zero_probability_point_leaves_the_report(self, tmp_path, law):
+        # it enters no moment, no grid and no draw, however far out it lies
+        config, outs = tmp_path / "run.yaml", [tmp_path / "coin.json", tmp_path / "law.json"]
+        for space, out in zip((COIN, law), outs):
+            config.write_text(f"model: sum_prod\nspace: [{space}, {{kind: uniform}}]\n"
+                              "subsets: [[1], [2]]\nn: 1000\nseed: 3\noracle: auto\nci: delta\n")
+            assert main(["--config", str(config), "--output", str(out), "--reproducible"]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_mixed_space_gets_a_grid_oracle(self):
         config = parse_config(MIXED_SUM_PROD)
         rec = run(config).subsets[0]
@@ -527,6 +550,20 @@ class TestSharedDesign:
         subsets = [SubsetIndex.from_one_based(u, 6) for u in subsets]
         run(RunConfig(model, InputSpace.uniform(6), subsets, n, 4))
         assert [len(b) for b in blocks] == [n] * (1 + len(subsets))
+
+    def test_a_bootstrap_interval_reads_its_sample_once(self, monkeypatch):
+        # the table pass also reduces the moments that the estimate reads
+        passes = []
+        kernel = pickfreeze._pair_moments
+        monkeypatch.setattr(pickfreeze, "_pair_moments", lambda *a: passes.append(1) or kernel(*a))
+        run(parse_config("model: sum_prod\nsubsets: [[1], [2]]\nn: 300\nseed: 4\n"
+                         "ci: {kind: bootstrap, reps: 200}\n"))
+        assert len(passes) == 2
+        model = get_model("sum_prod")
+        sample = evaluate_pairs(model, generate_design(model.space(), SubsetIndex((0,), 2), 300, 4))
+        passes.clear()
+        bootstrap_ci(sample, 200, 0.95, 5)
+        assert len(passes) == 1
 
     def test_one_subset_run_is_its_generate_design_sample(self):
         model = get_model("sum_prod")
@@ -843,12 +880,14 @@ class TestMain:
     def test_chunked_report_equals_the_whole_block_report(self, tmp_path, monkeypatch, text):
         # two full chunks and a one-row tail; the reference evaluates every
         # block in one model call
-        n = 2 * pickfreeze._EVAL_ROWS + 1
+        n = 2 * pickfreeze._BLOCK_ROWS + 1
         config = tmp_path / "run.yaml"
         config.write_text(text.replace("n: 200000", f"n: {n}"))
         chunked, whole = tmp_path / "chunked.json", tmp_path / "whole.json"
         assert main(["--config", str(config), "--output", str(chunked), "--reproducible"]) == EXIT_OK
-        monkeypatch.setattr(pickfreeze, "_EVAL_ROWS", n)
+        # _BLOCK_ROWS also blocks the kernel, so the reference replaces the evaluator
+        monkeypatch.setattr(pickfreeze, "_evaluate_chunks",
+                            lambda model, n, block: model.evaluate(block(slice(0, n))))
         assert main(["--config", str(config), "--output", str(whole), "--reproducible"]) == EXIT_OK
         assert chunked.read_bytes() == whole.read_bytes()
 

@@ -119,7 +119,7 @@ class TestCovariancesLinear:
             assert triple.identity_defect() <= 1e-12
 
     @pytest.mark.parametrize("variances, message", [
-        (np.array([1.0, -1.0]), "^input variances must be strictly positive"),
+        (np.array([1.0, -1.0]), "^input variances must be nonnegative"),
         (np.ones(3), "^need 2 input variances"),
         ([np.nan, 1.0], "^input variances must be finite"),
         ([np.inf, 1.0], "^input variances must be finite"),

@@ -514,7 +514,7 @@ class TestSharedDesign:
             design.x_u(SubsetIndex((1,), 2))
 
 
-CHUNK = pickfreeze._EVAL_ROWS
+CHUNK = pickfreeze._BLOCK_ROWS
 
 
 def _column_major(rng, n, p):

@@ -11,7 +11,7 @@ from vecsobol import spaces
 from vecsobol.cli import config_from_tree
 from vecsobol.inference import _PATTERN_STREAM_TAG
 from vecsobol.oracle import _ORACLE_STREAM_TAG
-from vecsobol.pickfreeze import _EVAL_ROWS
+from vecsobol.pickfreeze import _BLOCK_ROWS
 from vecsobol import (
     ConfigurationError,
     ContractError,
@@ -119,6 +119,10 @@ def test_marginal_variances():
     assert Normal(3, 2).variance == 4.0
     d = Discrete((-1.0, 1.0), (0.5, 0.5))
     assert d.mean == 0.0 and d.variance == 1.0
+    # a zero-probability point enters no moment and no rule, however far out
+    far = Discrete((1e200, -1.0, 1.0), (0.0, 0.5, 0.5))
+    assert far.mean == 0.0 and far.variance == 1.0
+    assert [a.tolist() for a in far.quadrature(3)] == [[-1.0, 1.0], [0.5, 0.5]]
 
 
 def test_gauss_rules_are_cached_by_node_count(monkeypatch):
@@ -331,11 +335,11 @@ def test_columns_are_contiguous_rows_of_their_own_streams(laws, n, seed):
 def test_a_column_drawn_in_evaluation_chunks_equals_the_whole_draw(law):
     # a column's stream continues across calls, so a run that draws its design
     # one evaluation chunk at a time draws today's design
-    n = 3 * _EVAL_ROWS + 5
+    n = 3 * _BLOCK_ROWS + 5
     child = np.random.SeedSequence(11).spawn(1)[0]
     whole = law.sample(spaces._generator(child), n)
     gen = spaces._generator(child)
-    bounds = [*range(0, n, _EVAL_ROWS), n]
+    bounds = [*range(0, n, _BLOCK_ROWS), n]
     assert bounds[-1] - bounds[-2] == 5  # a short tail
     chunked = np.concatenate([law.sample(gen, b - a) for a, b in zip(bounds, bounds[1:])])
     assert chunked.tobytes() == whole.tobytes()
