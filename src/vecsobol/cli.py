@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 import yaml
 
 from . import __version__
 from .errors import ConfigurationError, ContractError, ReportError, VecSobolError
-from .inference import (BOOTSTRAP_MIN_REPS, DELTA_MIN_N, REPLICATION_MIN_REPS, bootstrap_ci,
-                        clt_diagnostic, delta_ci)
+from .inference import (BOOTSTRAP_MIN_REPS, DELTA_MIN_N, REPLICATION_MIN_REPS, _check_level,
+                        bootstrap_ci, clt_diagnostic, delta_ci)
 from .models import VectorModel, apply_transform, get_model, load_external_model
 from .oracle import (
     covariances_quadrature,  # unused here, but bench/spans.py wraps the name in this module
@@ -43,7 +42,8 @@ from .pickfreeze import (
     generate_design,
     read_sample_csv,
 )
-from .spaces import Discrete, InputSpace, Normal, SubsetIndex, Uniform, _matrix, stream
+from .spaces import (Discrete, InputSpace, Normal, SubsetIndex, Uniform, _count, _matrix, _parameter,
+                     _seed, stream)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,6 +125,7 @@ _MARGINAL_KEYS = {
     "normal": ("kind", "mean", "sd"),
     "discrete": ("kind", "points", "probs"),
 }
+_MARGINALS = {"uniform": Uniform, "normal": Normal, "discrete": Discrete}
 _TRANSFORM_KEYS = {
     "homothety": ("kind", "scale"),
     "isometry": ("kind", "matrix"),
@@ -155,40 +156,31 @@ def _kind(node: Any, path: str, keys: dict, what: str) -> str:
     return kind
 
 
-def _number(
-    value: Any,
-    path: str,
-    default: Optional[float] = None,
-    *,
-    integer: bool = False,
-    low: float = -math.inf,
-    high: float = math.inf,
-    exclusive: bool = False,
-):
-    """Read one scalar field, checking its type, integrality and range.
+def _field(value: Any, path: str, read: Callable[[Any], Any], default: Any = None):
+    """Read one scalar field by the library rule that owns it.
 
-    An absent or null field (None) takes the default when there is one.
-    Booleans are rejected. Real fields must be finite; they may be given as
-    numeric text, since YAML 1.1 reads exponent forms such as 1e-3, which
-    JSON writers emit, as strings. Bounds are inclusive unless exclusive.
+    An absent or null field (None) takes the default. Numeric text is read
+    as an int, else as a float: YAML 1.1 reads exponent forms such as 1e-3,
+    which JSON writers emit, as strings, and a flag's value is text. Then
+    read, the owning rule, checks the value; its ContractError or
+    ConfigurationError is raised again as a ConfigurationError naming the path.
     """
-    if value is None and default is not None:
-        return default
-    numeric = isinstance(value, (int, float, str)) and not isinstance(value, bool)
-    if integer:
-        number, ok = value, numeric and isinstance(value, int)
-    else:
-        try:
-            number = float(value) if numeric else math.nan
-        except (ValueError, OverflowError):
-            number = math.nan
-        ok = math.isfinite(number)
-    if not ok:
-        raise _fail(path, f"expected {'an integer' if integer else 'a finite number'}, got {value!r}")
-    if not (low < number < high if exclusive else low <= number <= high):
-        interval = f"({low}, {high})" if exclusive else f"[{low}, {high}]"
-        raise _fail(path, f"must be in {interval}, got {number}")
-    return number
+    value = default if value is None else value
+    if isinstance(value, str):
+        for number in (int, float):
+            try:
+                value = number(value)
+                break
+            except ValueError:
+                pass
+    try:
+        return read(value)
+    except (ContractError, ConfigurationError) as exc:
+        raise _fail(path, str(exc)) from None
+
+
+def _delta_n(n: Any) -> int:
+    return _count(n, "the delta method's n", DELTA_MIN_N)
 
 
 def _list(value: Any, path: str, what: str) -> list:
@@ -198,23 +190,19 @@ def _list(value: Any, path: str, what: str) -> list:
 
 
 def _parse_marginal(node: Any, path: str):
+    """A marginal whose parameters are each read by _parameter under their own
+    path; an absent or null one takes the marginal's default."""
     kind = _kind(node, path, _MARGINAL_KEYS, "marginal")
-
-    def num(key: str, default: Optional[float] = None) -> float:
-        return _number(node.get(key), f"{path}.{key}", default)
-
-    def nums(key: str) -> tuple:
-        values = _list(node.get(key), f"{path}.{key}", "numbers")
-        return tuple(_number(v, f"{path}.{key}[{j}]") for j, v in enumerate(values))
-
-    if kind == "uniform":
-        make, args = Uniform, (num("low", 0.0), num("high", 1.0))
-    elif kind == "normal":
-        make, args = Normal, (num("mean", 0.0), num("sd", 1.0))
-    else:
-        make, args = Discrete, (nums("points"), nums("probs"))
+    args = {}
+    for key in _MARGINAL_KEYS[kind][1:]:
+        where, value = f"{path}.{key}", node.get(key)
+        if kind == "discrete":
+            args[key] = tuple(_field(v, f"{where}[{j}]", lambda v: _parameter(v, f"{key}[{j}]"))
+                              for j, v in enumerate(_list(value, where, "numbers")))
+        elif value is not None:
+            args[key] = _field(value, where, lambda v: _parameter(v, key))
     try:
-        return make(*args)
+        return _MARGINALS[kind](**args)
     except ConfigurationError as exc:
         raise _fail(path, str(exc)) from None
 
@@ -238,7 +226,7 @@ def _parse_subsets(node: Any, dims: Optional[int]) -> list[SubsetIndex]:
     for i, raw in enumerate(_list(node, "subsets", "1-based index lists")):
         path = f"subsets[{i}]"
         indices = [
-            _number(v, f"{path}[{j}]", integer=True, low=1)
+            _field(v, f"{path}[{j}]", lambda v: _count(v, "a subset coordinate", 1))
             for j, v in enumerate(_list(raw, path, "integers"))
         ]
         bound = dims or max(indices)
@@ -272,7 +260,7 @@ def _parse_model(node: Any) -> VectorModel:
         # config coordinates are 1-based, like subsets
         coords = _list(params["coords"], "model.params.coords", "integers")
         params["coords"] = tuple(
-            _number(c, f"model.params.coords[{i}]", integer=True, low=1) - 1
+            _field(c, f"model.params.coords[{i}]", lambda v: _count(v, "coords", 1)) - 1
             for i, c in enumerate(coords)
         )
     try:
@@ -289,9 +277,12 @@ def _parse_ci(node: Any) -> CISpec:
     if isinstance(node, str):
         node = {"kind": node}
     kind = _kind(node, "ci", _CI_KEYS, "ci")
-    level = _number(node.get("level"), "ci.level", 0.95, low=0.0, high=1.0, exclusive=True)
-    min_reps = BOOTSTRAP_MIN_REPS if kind == "bootstrap" else -math.inf
-    return CISpec(kind, level, _number(node.get("reps"), "ci.reps", 1000, integer=True, low=min_reps))
+    least = BOOTSTRAP_MIN_REPS if kind == "bootstrap" else None
+    return CISpec(
+        kind,
+        _field(node.get("level"), "ci.level", lambda v: _check_level(v, "level"), CISpec.level),
+        _field(node.get("reps"), "ci.reps", lambda v: _count(v, "reps", least), CISpec.reps),
+    )
 
 
 def _parse_transform(node: Any, out_dims: int) -> np.ndarray:
@@ -300,7 +291,7 @@ def _parse_transform(node: Any, out_dims: int) -> np.ndarray:
     finite square matrix for a general linear map."""
     kind = _kind(node, "transform", _TRANSFORM_KEYS, "transform")
     if kind == "homothety":
-        scale = _number(node.get("scale"), "transform.scale")
+        scale = _field(node.get("scale"), "transform.scale", lambda v: _parameter(v, "scale"))
         if scale == 0:
             raise _fail("transform.scale", "homothety requires a nonzero scale")
         return scale * np.eye(out_dims)
@@ -322,7 +313,7 @@ def config_from_tree(tree: dict) -> RunConfig:
         raise ConfigurationError("configuration must be a mapping")
     mode = "sample" if tree.get("sample") is not None else "model"
     _check_keys(tree, _TOP_KEYS[mode], "", f"a {mode}-mode configuration")
-    schema = _number(tree.get("schema"), "schema", 1, integer=True)
+    schema = _field(tree.get("schema"), "schema", lambda v: _count(v, "schema"), 1)
     if schema != 1:
         raise _fail("schema", f"unsupported schema version {schema!r}")
     oracle_mode = tree.get("oracle") or "none"
@@ -333,7 +324,7 @@ def config_from_tree(tree: dict) -> RunConfig:
         space=None,
         subsets=[],
         n=0,
-        seed=_number(tree.get("seed"), "seed", 0, integer=True, low=0),
+        seed=_field(tree.get("seed"), "seed", _seed, 0),
         ci=_parse_ci(tree.get("ci")),
         oracle=oracle_mode,
     )
@@ -368,7 +359,9 @@ def config_from_tree(tree: dict) -> RunConfig:
     config.subsets = _parse_subsets(tree.get("subsets"), model.in_dims)
     # rows beyond this make a design or output matrix numpy cannot address
     max_rows = np.iinfo(np.intp).max // (8 * max(model.in_dims, model.out_dims))
-    config.n = _number(tree.get("n"), "n", 1000, integer=True, low=2, high=max_rows)
+    config.n = _field(tree.get("n"), "n", lambda v: _count(v, "n", 2), 1000)
+    if config.n > max_rows:
+        raise _fail("n", f"must be in [2, {max_rows}], got {config.n}")
 
     if tree.get("matrix") is not None:
         config.matrix = _parse_matrix(tree["matrix"], "matrix", model.out_dims)
@@ -380,8 +373,8 @@ def config_from_tree(tree: dict) -> RunConfig:
             raise _fail("transform", str(exc)) from None
 
     if tree.get("replications") is not None:
-        config.replications = _number(tree["replications"], "replications", integer=True,
-                                      low=REPLICATION_MIN_REPS)
+        config.replications = _field(tree["replications"], "replications",
+                                     lambda v: _count(v, "replications", REPLICATION_MIN_REPS))
         if config.oracle != "auto":
             raise _fail("replications", "a replication study needs oracle: auto for its target")
         full = [list(s.to_one_based()) for s in config.subsets if s.is_full]
@@ -391,8 +384,8 @@ def config_from_tree(tree: dict) -> RunConfig:
 
     # a replication study takes delta intervals unless the ci is a bootstrap
     delta = config.ci.kind == "delta" or (config.replications is not None and config.ci.kind != "bootstrap")
-    if delta and config.n < DELTA_MIN_N:
-        raise _fail("n", f"the delta method needs n >= {DELTA_MIN_N}, got {config.n}")
+    if delta:
+        _field(config.n, "n", _delta_n)
     return config
 
 
@@ -465,8 +458,8 @@ def _samples(config: RunConfig):
             raise _fail("sample", f"cannot read file: {exc}") from None
         if config.matrix is not None:
             _parse_matrix(config.matrix, "matrix", sample.out_dims)
-        if config.ci.kind == "delta" and sample.n < DELTA_MIN_N:
-            raise _fail("sample", f"the delta method needs n >= {DELTA_MIN_N} pairs, got {sample.n}")
+        if config.ci.kind == "delta":
+            _field(sample.n, "sample", _delta_n)
         label = config.subsets[0] if config.subsets else None
         yield label, sample, config.seed, started
         return
@@ -614,9 +607,9 @@ def write_report(report: RunReport, path: str, fmt: str = "json") -> None:
 _FLAG_KEYS = ("model", "sample", "subsets", "n", "seed", "oracle", "replications")
 
 
-def _index_list(text: str) -> list[int]:
-    """A --subset value: comma-separated 1-based input indices."""
-    return [int(v) for v in text.split(",") if v.strip()]
+def _index_list(text: str) -> list[str]:
+    """A --subset value, comma-separated 1-based input indices, as the text of each."""
+    return [v for v in text.split(",") if v.strip()]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -635,14 +628,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SUBSET",
         help="comma-separated 1-based input indices; repeatable",
     )
-    parser.add_argument("--n", type=int, help="pick-freeze sample size")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--n", help="pick-freeze sample size")
+    parser.add_argument("--seed", help="master seed")
     parser.add_argument("--matrix", help="path to a whitespace-separated weight matrix file")
     parser.add_argument("--ci", choices=["none", "delta", "bootstrap"], help="interval method")
-    parser.add_argument("--ci-level", type=float, help="confidence level (default 0.95)")
-    parser.add_argument("--ci-reps", type=int, help="bootstrap replicates (default 1000)")
+    parser.add_argument("--ci-level", help="confidence level (default 0.95)")
+    parser.add_argument("--ci-reps", help="bootstrap replicates (default 1000)")
     parser.add_argument("--oracle", choices=["none", "auto"], help="exact comparison mode")
-    parser.add_argument("--replications", type=int, help="replication study size")
+    parser.add_argument("--replications", help="replication study size")
     parser.add_argument("--sample", help="estimator-only mode: pick-freeze sample CSV")
     parser.add_argument("--output", default="-", help="report destination (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
@@ -672,7 +665,7 @@ def _tree_from_args(args: argparse.Namespace) -> dict:
             with warnings.catch_warnings():
                 # an empty or comments-only file warns that it holds no data
                 warnings.simplefilter("error", UserWarning)
-                tree["matrix"] = np.atleast_2d(np.loadtxt(args.matrix)).tolist()
+                tree["matrix"] = np.atleast_2d(np.loadtxt(args.matrix, encoding="utf-8-sig")).tolist()
         except (OSError, ValueError, UserWarning) as exc:
             raise ConfigurationError(f"matrix: cannot read {args.matrix}: {exc}") from None
     ci_flags = {"kind": args.ci, "level": args.ci_level, "reps": args.ci_reps}

@@ -136,16 +136,11 @@ class ReplicationReport:
     coverage: float  # fraction of per-replicate CIs containing the target
 
 
-def _check_level(level, name: str) -> None:
+def _check_level(level, name: str):
+    """level if it is a real number in (0, 1) but no bool, else a ContractError naming it."""
     if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0.0 < level < 1.0:
         raise ContractError(f"{name} must be a confidence level in (0, 1), got {level!r}")
-
-
-def _check_b_reps(b_reps) -> int:
-    b_reps = _count(b_reps, "b_reps")
-    if b_reps < BOOTSTRAP_MIN_REPS:
-        raise ContractError(f"bootstrap needs at least {BOOTSTRAP_MIN_REPS} replicates, got {b_reps}")
-    return b_reps
+    return level
 
 
 def delta_variance(sample: PickFreezeSample) -> float:
@@ -156,8 +151,7 @@ def delta_variance(sample: PickFreezeSample) -> float:
     with the covariance of T that the moments kernel already holds, so no
     pass over the rows is made. Rounding below zero is returned as zero.
     """
-    if sample.n < DELTA_MIN_N:
-        raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {sample.n}")
+    _count(sample.n, "the delta method's n", DELTA_MIN_N)
     value = estimate_index(sample)  # raises DegenerateSampleError when flat
     mom = sample.moments
     denom = float(np.trace(mom.total)) / sample.n
@@ -253,7 +247,7 @@ def bootstrap_ci(
     the sample is read once; T is never cached, so a sample whose moments
     were read before is read again.
     """
-    b_reps = _check_b_reps(b_reps)
+    b_reps = _count(b_reps, "b_reps", BOOTSTRAP_MIN_REPS)
     _check_level(level, "level")
     table = pair_table(sample)  # before the estimate, whose moments it fills
     value = estimate_index(sample)  # degenerate samples rejected here
@@ -305,9 +299,7 @@ def clt_diagnostic(
     """
     single = isinstance(subset, SubsetIndex)
     groups = (subset,) if single else tuple(subset)
-    n_per_rep, reps = _count(n_per_rep, "n_per_rep"), _count(reps, "reps")
-    if reps < REPLICATION_MIN_REPS:
-        raise ContractError(f"replication study needs reps >= {REPLICATION_MIN_REPS}, got {reps}")
+    n_per_rep, reps = _count(n_per_rep, "n_per_rep"), _count(reps, "reps", REPLICATION_MIN_REPS)
     if not groups or np.ndim(target) != (0 if single else 1) or np.size(target) != len(groups):
         raise ContractError("a replication study needs one target for each of its subsets")
     targets = [float(t) for t in np.atleast_1d(target)]
@@ -321,9 +313,9 @@ def clt_diagnostic(
     _check_level(ci_level, "ci_level")
     bootstrap = ci_method == "bootstrap"
     if bootstrap:
-        b_reps = _check_b_reps(b_reps)
-    elif n_per_rep < DELTA_MIN_N:
-        raise ContractError(f"delta method needs n >= {DELTA_MIN_N}, got {n_per_rep}")
+        b_reps = _count(b_reps, "b_reps", BOOTSTRAP_MIN_REPS)
+    else:
+        _count(n_per_rep, "the delta method's n", DELTA_MIN_N)
 
     # sample i's estimate and bounds: row i of (reps, s) arrays, raveled
     estimates, lows, highs = np.empty((3, reps * len(groups)))

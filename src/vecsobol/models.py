@@ -251,7 +251,7 @@ def read_numeric_csv(path: str, what: str) -> tuple[list[str], np.ndarray]:
     Blank lines are skipped. Any fault raises ConfigurationError naming the
     file and the data row (counted from 1 below the header, blanks not counted).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark, as Excel writes, is skipped
         lines = fh.read().split("\n")
     header = [h.strip() for h in next(csv.reader(lines[:1]))]
     if not header or not any(lines[1:]):

@@ -35,7 +35,7 @@ from .errors import (ContractError, DegenerateModelError, DegenerateSampleError,
 from .models import VectorModel
 from .pickfreeze import (_BLOCK_ROWS, _evaluate_chunks, _weight_matrix, evaluate_shared,
                          generate_design)
-from .spaces import InputSpace, SubsetIndex, SeedLike, _count, _matrix, _nodes, stream
+from .spaces import InputSpace, SubsetIndex, SeedLike, _count, _matrix, stream
 
 MAX_GRID_NODES = 10_000_000
 MAX_QUADRATURE_DIMS = 4
@@ -346,7 +346,7 @@ def decompose_grid(
     cells, so no full-grid input matrix exists. The parts are weighted
     contractions of that tensor.
     """
-    nodes_per_dim = _nodes(nodes_per_dim, "nodes_per_dim")
+    nodes_per_dim = _count(nodes_per_dim, "nodes_per_dim", 1)
     _check_dims(model, space, subset)
     continuous = _continuous_dims(space)
     if continuous > MAX_QUADRATURE_DIMS:
@@ -494,9 +494,7 @@ def covariances_monte_carlo(
     Entrywise error is O(1/sqrt(n)).
     """
     _check_dims(model, space, subset)
-    n = _count(n, "n")
-    if n < 2:
-        raise ContractError("monte carlo oracle needs n >= 2")
+    n = _count(n, "n", 2)
 
     groups = [subset] if subset.is_full else [subset, SubsetIndex(subset.complement, subset.dims)]
     design = generate_design(space, groups, n, stream(seed, _ORACLE_STREAM_TAG))

@@ -214,9 +214,7 @@ def generate_design(
             raise ContractError(
                 f"subset is over {group.dims} inputs but the space has {space.dims}"
             )
-    n = _count(n, "n")
-    if n < 2:
-        raise ContractError(f"pick-freeze needs n >= 2, got {n}")
+    n = _count(n, "n", 2)
     x = sample_marginals(space.marginals, n, stream(seed, 0))
     redrawn_marginals = tuple(space.marginals[j] for j in _redrawn(groups))
     x_prime = sample_marginals(redrawn_marginals, n, stream(seed, 1))

@@ -10,12 +10,14 @@ two calls with one sequence give the same draws. A sample is held
 column by column: each coordinate's n draws are one contiguous run of
 memory, and the n-by-p matrix handed out is the transpose of that p-by-n
 array (Fortran order), the layout the pick-freeze designs keep. Columns
-are drawn in turn on the calling thread. _count owns the count rule and _matrix
-the matrix rule: a count is read as an int, and a matrix as a new finite float
-array, or a ContractError names the argument; seeds stay int-only. A marginal
-reads each parameter as a finite float (_parameter, with _count's number test,
+are drawn in turn on the calling thread. _count owns the count rule and its
+floor, _seed the seed rule and _matrix the matrix rule: a count is read as an
+int of at least its floor, a seed as a non-negative int, and a matrix as a new
+finite float array, or a ContractError names the argument. A marginal reads
+each parameter as a finite float (_parameter, with _count's number test,
 _is_real) and refuses a law whose variance is not finite, with a
-ConfigurationError naming the parameter or the law.
+ConfigurationError naming the parameter or the law. The CLI reads every count,
+seed and parameter of its config file and flags through these same rules.
 """
 
 from __future__ import annotations
@@ -33,15 +35,18 @@ from .errors import ConfigurationError, ContractError
 SeedLike = Union[int, np.random.SeedSequence]
 
 
+def _seed(value) -> int:
+    """value as an int if it is a non-negative integer but no bool or float, else a ContractError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ContractError(f"seed must be an int or SeedSequence, got {type(value).__name__}")
+    if value < 0:
+        raise ContractError(f"seed must be a non-negative integer, got {value}")
+    return int(value)
+
+
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
-    """Normalize a non-negative integer seed or a SeedSequence; a bool is no seed."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        if seed < 0:
-            raise ContractError(f"seed must be a non-negative integer, got {seed}")
-        return np.random.SeedSequence(int(seed))
-    raise ContractError(f"seed must be an int or SeedSequence, got {type(seed).__name__}")
+    """Normalize a non-negative integer seed (_seed) or a SeedSequence; a bool is no seed."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(_seed(seed))
 
 
 def stream(seed: SeedLike, *key: int) -> np.random.SeedSequence:
@@ -58,11 +63,15 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _count(value, name: str) -> int:
-    """value as an int if it is an integral real number but no bool, else a ContractError."""
+def _count(value, name: str, least: int | None = None) -> int:
+    """value as an int if it is an integral real number but no bool and, when
+    a floor least is given, not below it; else a ContractError naming it."""
     if not _is_real(value) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ContractError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    count = int(value)
+    if least is not None and count < least:
+        raise ContractError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def _parameter(value, name: str) -> float:
@@ -113,14 +122,6 @@ def _matrix(value, name: str, rows: int | None = None, cols: int | None = None) 
     return m
 
 
-def _nodes(value, name: str) -> int:
-    """A quadrature node count: read by _count, and at least 1."""
-    nodes = _count(value, name)
-    if nodes < 1:
-        raise ContractError(f"{name} must be >= 1, got {nodes}")
-    return nodes
-
-
 # a rule is an eigenvalue problem (1.4 ms at 64 Legendre nodes), asked for per input and subset
 @lru_cache(maxsize=32)
 def _gauss_rule(rule, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +163,7 @@ class Uniform:
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes/weights mapped to [low, high], weights summing to 1."""
-        t, w = _gauss_rule(np.polynomial.legendre.leggauss, _nodes(nodes, "nodes"))
+        t, w = _gauss_rule(np.polynomial.legendre.leggauss, _count(nodes, "nodes", 1))
         x = 0.5 * (self.high - self.low) * t + 0.5 * (self.high + self.low)
         return x, w / 2.0
 
@@ -194,7 +195,7 @@ class Normal:
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Hermite nodes/weights rescaled to N(mean, sd^2), weights summing to 1."""
-        t, w = _gauss_rule(np.polynomial.hermite.hermgauss, _nodes(nodes, "nodes"))
+        t, w = _gauss_rule(np.polynomial.hermite.hermgauss, _count(nodes, "nodes", 1))
         x = np.sqrt(2.0) * self.sd * t + self.mean
         return x, w / np.sqrt(np.pi)
 
@@ -243,7 +244,7 @@ class Discrete:
         return rng.choice(np.asarray(self.points), size=n, p=np.asarray(self.probs))
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        _nodes(nodes, "nodes")  # checked, then ignored: the support itself is the exact rule
+        _count(nodes, "nodes", 1)  # checked, then ignored: the support itself is the exact rule
         return self.support
 
 
@@ -342,9 +343,7 @@ def sample_marginals(marginals: tuple[Marginal, ...], n: int, seed: SeedLike) ->
     array, and the matrix returned is that array's transpose: Fortran
     ordered, with ``.T`` C-contiguous. The values do not depend on the layout.
     """
-    n = _count(n, "n")
-    if n < 1:
-        raise ContractError(f"sample size must be >= 1, got {n}")
+    n = _count(n, "n", 1)
     if len(marginals) == 0:
         return np.empty((n, 0))
     rows = np.empty((len(marginals), n))

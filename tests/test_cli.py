@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vecsobol import (
@@ -225,6 +226,32 @@ YAML_VALUES = st.recursive(
     max_leaves=8,
 )
 
+# a valid u_only tree, the one model whose params hold config coordinates
+U_ONLY_TREE = {"model": {"name": "u_only", "params": {"dims": 3, "coords": [1]}}, "subsets": [[1]]}
+# (tree, path of a count field, its floor, its ceiling, the path that names a
+# value above the ceiling, the int the config keeps): a field's value is read
+# by spaces._count with its floor, and an int above the ceiling is refused by
+# a check that only the config or the model knows
+COUNT_FIELDS = [
+    (VALID_TREES["model"], "n", 2, np.iinfo(np.intp).max // 16, "n", lambda c: c.n),
+    (VALID_TREES["model"], "ci.reps", 200, np.inf, None, lambda c: c.ci.reps),
+    (VALID_TREES["model"], "replications", 200, np.inf, None, lambda c: c.replications),
+    (VALID_TREES["model"], "subsets[0][0]", 1, 2, "subsets[0]",
+     lambda c: c.subsets[0].indices[0] + 1),
+    (U_ONLY_TREE, "model.params.coords[0]", 1, 3, "model",
+     lambda c: int(np.flatnonzero(c.model.evaluate(np.eye(3))[:, 0])[0]) + 1),
+    (VALID_TREES["model"], "schema", 1, 1, "schema", lambda c: 1),
+]
+COUNT_VALUES = st.one_of(
+    st.integers(-3, 3000),
+    st.integers(-3, 3000).map(float),
+    st.integers(-3, 30).map(lambda m: f"{m}e2"),
+    st.floats().map(repr),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=5),
+)
+
 
 # a valid file per kind: its header, its data rows, the config that reads PATH
 INPUT_FILES = {
@@ -324,6 +351,40 @@ class TestParseConfig:
             assert isinstance(config_from_tree(tree), RunConfig)
         except (ConfigurationError, ContractError):
             pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(COUNT_FIELDS), COUNT_VALUES)
+    @example(COUNT_FIELDS[0], 2000.0)
+    @example(COUNT_FIELDS[0], "1e4")
+    @example(COUNT_FIELDS[3], 1.0)
+    def test_a_count_field_is_read_by_the_count_rule(self, field, value):
+        """The config keeps the int spaces._count reads from the value (numeric
+        text read as an int, else a float), or names the field refusing it."""
+        tree, path, least, most, above, kept = field
+        parsed = value
+        for number in (int, float) if isinstance(value, str) else ():
+            try:
+                parsed = number(value)
+                break
+            except ValueError:
+                pass
+        try:
+            count = spaces._count(parsed, "count")
+        except ContractError:
+            count = None
+        tree = json.loads(json.dumps(tree))
+        node, keys = tree, re.findall(r"\w+", path)
+        for key in keys[:-1]:
+            node = node[int(key) if key.isdigit() else key]
+        node[int(keys[-1]) if keys[-1].isdigit() else keys[-1]] = value
+        if count is not None and least <= count <= most:
+            kept_count = kept(config_from_tree(tree))
+            assert kept_count == count and type(kept_count) is int
+            return
+        with pytest.raises(ConfigurationError) as refused:
+            config_from_tree(tree)
+        named = path if count is None or count < least else above
+        assert str(refused.value).startswith(f"{named}: ")
 
     def test_json_is_accepted(self):
         config = parse_config(json.dumps({"model": "sum_prod", "subsets": [[1], [2]], "n": 50}))
@@ -805,6 +866,35 @@ class TestMain:
         assert rc == EXIT_OK
         tree = json.loads(out.read_text())
         assert abs(tree["subsets"][0]["estimate_weighted"] - 1 / 3) < 0.01
+        # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is skipped
+        mfile.write_bytes(b"\xef\xbb\xbf" + mfile.read_bytes())
+        marked = tmp_path / "marked.json"
+        rc = main(["--model", "identity_2", "--subset", "1", "--n", "100000", "--seed", "4",
+                   "--matrix", str(mfile), "--output", str(marked), "--reproducible"])
+        assert rc == EXIT_OK and marked.read_bytes() == out.read_bytes()
+
+    def test_counts_given_as_any_integral_number_give_the_bytes_of_ints(self, tmp_path):
+        outs = []
+        for n, reps in (("1e3", "2e2"), ("1000", "200")):
+            out = tmp_path / f"{n}.json"
+            rc = main(["--model", "sum_prod", "--subset", "1", "--n", n, "--seed", "3",
+                       "--oracle", "auto", "--ci", "bootstrap", "--ci-reps", reps,
+                       "--replications", reps, "--output", str(out), "--reproducible"])
+            assert rc == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag, value, path", [
+        ("--n", "abc", "n"), ("--seed", "1.5", "seed"), ("--ci-level", "x", "ci.level"),
+        ("--ci-reps", "1.5", "ci.reps"), ("--replications", "2.5", "replications"),
+        ("--subset", "x", "subsets[1][0]"),
+    ])
+    def test_a_malformed_flag_exits_2_naming_its_field(self, tmp_path, capsys, flag, value, path):
+        rc = main(["--model", "sum_prod", "--subset", "1", flag, value,
+                   "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["", "# weights\n\n"], ids=["empty", "comments only"])
     def test_matrix_file_without_numbers_exits_2_naming_the_file(self, tmp_path, capsys, text):
@@ -903,6 +993,12 @@ class TestMain:
             assert main(["--config", str(config), "--output", str(out), *flags]) == EXIT_OK
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert json.loads(outs[0].read_text())["subsets"][0]["elapsed_s"] is None
+        # a UTF-8 byte-order mark before the header is skipped
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_bytes(b"\xef\xbb\xbf" + pairs.read_bytes())
+        marked = tmp_path / "marked.json"
+        assert main(["--config", str(config), "--output", str(marked), "--reproducible"]) == EXIT_OK
+        assert marked.read_bytes() == outs[0].read_bytes()
         timed = json.loads(outs[2].read_text())
         assert timed["elapsed_s"] >= timed["subsets"][0]["elapsed_s"] >= 0.0
         assert timed["subsets"][0]["subset"] == [1]
@@ -1075,6 +1171,12 @@ class TestMain:
         tree = json.loads(out.read_text())
         direct = run(parse_config("model: sum_prod\nsubsets: [[1], [2]]\nn: 400\nseed: 13\n"))
         assert [s["estimate"] for s in tree["subsets"]] == [s.estimate for s in direct.subsets]
+        # a UTF-8 byte-order mark before the header is skipped
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+        marked = tmp_path / "marked.json"
+        assert main(["--config", str(config), "--output", str(marked), "--reproducible"]) == EXIT_OK
+        assert marked.read_bytes() == out.read_bytes()
 
     def test_external_model_has_no_oracle(self, tmp_path, capsys):
         # a table answers only its own rows, not the quadrature nodes

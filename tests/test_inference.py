@@ -401,8 +401,8 @@ class TestCltDiagnostic:
             ({"ci_level": 1.5}, "confidence level"),
             ({"ci_level": float("nan")}, "confidence level"),
             ({"ci_level": 0.0, "ci_method": "bootstrap"}, "confidence level"),
-            ({"ci_method": "bootstrap", "b_reps": 100}, "at least 200 replicates"),
-            ({"n_per_rep": 5}, "delta method needs n >= 10"),
+            ({"ci_method": "bootstrap", "b_reps": 100}, "b_reps must be >= 200"),
+            ({"n_per_rep": 5}, "delta method's n must be >= 10"),
             ({"reps": 250.5}, "^reps must be an integer, got 250.5"),
             ({"reps": True}, "^reps must be an integer, got True"),
             ({"n_per_rep": 100.5}, "n_per_rep must be an integer, got 100.5"),
