@@ -299,7 +299,7 @@ def clt_diagnostic(
     """
     single = isinstance(subset, SubsetIndex)
     groups = (subset,) if single else tuple(subset)
-    n_per_rep, reps = _count(n_per_rep, "n_per_rep"), _count(reps, "reps", REPLICATION_MIN_REPS)
+    n_per_rep, reps = _count(n_per_rep, "n_per_rep", 2), _count(reps, "reps", REPLICATION_MIN_REPS)
     if not groups or np.ndim(target) != (0 if single else 1) or np.size(target) != len(groups):
         raise ContractError("a replication study needs one target for each of its subsets")
     targets = [float(t) for t in np.atleast_1d(target)]

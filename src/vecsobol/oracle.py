@@ -257,18 +257,15 @@ class HoeffdingComponents:
 
     The model value at any grid node is mean + subset part + complement part +
     interaction part; every part has zero mean under the input law and the
-    parts are pairwise uncorrelated. The parts are tensors over the grid axes
-    (``outputs`` has shape sizes + (k,)); the subset part has length 1 along
-    the complement axes and the complement part along the subset axes. The
-    *_values properties ravel them in C order over the axes each part varies
-    along. The *_cov fields are the covariance matrices of the total output
-    and of the three parts, each computed directly from its tabulated values.
+    parts are pairwise uncorrelated. The parts are tensors over the grid axes,
+    of shape sizes + (k,) with length 1 along the axes a part does not vary
+    along: the subset part along the complement axes, the complement part
+    along the subset axes. The *_cov fields are the covariance matrices of the
+    total output and of the three parts, each computed directly from its
+    tabulated values.
     """
 
-    subset: SubsetIndex
     method: str
-    weights: list[np.ndarray]
-    outputs: np.ndarray
     mean: np.ndarray
     subset_part: np.ndarray
     complement_part: np.ndarray
@@ -277,47 +274,6 @@ class HoeffdingComponents:
     subset_cov: np.ndarray
     complement_cov: np.ndarray
     interaction_cov: np.ndarray
-
-    @property
-    def subset_values(self) -> np.ndarray:
-        return self.subset_part.reshape(-1, self.mean.size)
-
-    @property
-    def complement_values(self) -> np.ndarray:
-        return self.complement_part.reshape(-1, self.mean.size)
-
-    @property
-    def interaction_values(self) -> np.ndarray:
-        return self.interaction_part.reshape(-1, self.mean.size)
-
-    def reconstruction_residual(self) -> float:
-        """Max abs defect of mean + parts == model value over the grid."""
-        rebuilt = self.mean + self.subset_part + self.complement_part + self.interaction_part
-        return float(np.max(np.abs(rebuilt - self.outputs)))
-
-    def component_mean_defect(self) -> float:
-        """Largest abs entry among the three component means (all should vanish)."""
-        grid_axes = range(len(self.weights))
-        defects = [
-            _contract(self.subset_part, self.weights, self.subset.indices),
-            _contract(self.complement_part, self.weights, self.subset.complement),
-            _contract(self.interaction_part, self.weights, grid_axes),
-        ]
-        return float(max(np.max(np.abs(d)) for d in defects))
-
-    def orthogonality_defect(self) -> float:
-        """Largest abs entry among the pairwise component cross-covariances."""
-        shape = self.outputs.shape
-        sub = np.broadcast_to(self.subset_part, shape)
-        comp = np.broadcast_to(self.complement_part, shape)
-        inter = self.interaction_part
-        grid_axes = range(len(self.weights))
-        pairs = [
-            _weighted_gram(sub, comp, self.weights, grid_axes),
-            _weighted_gram(sub, inter, self.weights, grid_axes),
-            _weighted_gram(comp, inter, self.weights, grid_axes),
-        ]
-        return float(max(np.max(np.abs(m)) for m in pairs))
 
     def covariance_triple(self) -> CovarianceTriple:
         """Triple with the interaction covariance computed directly from its values."""
@@ -343,8 +299,9 @@ def decompose_grid(
     discrete one its support, a continuous one (at most MAX_QUADRATURE_DIMS)
     a Gauss rule. The model is evaluated into a tensor of shape sizes + (k,),
     in the row chunks of pickfreeze._evaluate_chunks over the C-ordered
-    cells, so no full-grid input matrix exists. The parts are weighted
-    contractions of that tensor.
+    cells, so no full-grid input matrix exists. The subset and complement
+    parts are weighted contractions of that tensor, which is then centred in
+    place and becomes the interaction part: one full-size tensor in all.
     """
     nodes_per_dim = _count(nodes_per_dim, "nodes_per_dim", 1)
     _check_dims(model, space, subset)
@@ -379,24 +336,23 @@ def decompose_grid(
     mean = _contract(sub_mean, weights, sub)
     sub_part = sub_mean - mean
     comp_part = _contract(outputs, weights, sub) - mean
-    # one full-size buffer: centred outputs first, then the interaction
-    rest = outputs - mean
-    total_cov = _weighted_gram(rest, rest, weights, grid_axes)
-    rest -= sub_part
-    rest -= comp_part
+    # the outputs are centred in place and become the interaction; the full
+    # group's sub_mean is the outputs themselves, but mean and both parts
+    # are new arrays, so no write below reaches a part
+    outputs -= mean
+    total_cov = _weighted_gram(outputs, outputs, weights, grid_axes)
+    outputs -= sub_part
+    outputs -= comp_part
     return HoeffdingComponents(
-        subset=subset,
         method="enumeration" if space.all_discrete else "quadrature",
-        weights=weights,
-        outputs=outputs,
         mean=mean.reshape(k),
         subset_part=sub_part,
         complement_part=comp_part,
-        interaction_part=rest,
+        interaction_part=outputs,
         total_cov=total_cov,
         subset_cov=_weighted_gram(sub_part, sub_part, weights, sub),
         complement_cov=_weighted_gram(comp_part, comp_part, weights, comp),
-        interaction_cov=_weighted_gram(rest, rest, weights, grid_axes),
+        interaction_cov=_weighted_gram(outputs, outputs, weights, grid_axes),
     )
 
 

@@ -407,6 +407,9 @@ class TestCltDiagnostic:
             ({"reps": True}, "^reps must be an integer, got True"),
             ({"n_per_rep": 100.5}, "n_per_rep must be an integer, got 100.5"),
             ({"n_per_rep": "100", "ci_method": "bootstrap"}, "n_per_rep must be an integer"),
+            ({"n_per_rep": 0, "ci_method": "bootstrap"}, "^n_per_rep must be >= 2, got 0"),
+            ({"n_per_rep": -3, "ci_method": "bootstrap"}, "^n_per_rep must be >= 2, got -3"),
+            ({"n_per_rep": 1, "ci_method": "bootstrap"}, "^n_per_rep must be >= 2, got 1"),
             ({"ci_method": "bootstrap", "b_reps": 200.5}, "b_reps must be an integer, got 200.5"),
             ({"ci_method": "bootstrap", "b_reps": float("inf")}, "b_reps must be an integer"),
         ],

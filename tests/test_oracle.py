@@ -37,6 +37,8 @@ from vecsobol import (
     linear_model,
 )
 
+from grid_checks import grid_defects
+
 U1 = SubsetIndex((0,), 2)
 
 # symbolic integration of (x1 + x2, x1 * x2) over uniform(0,1)^2, group {x1}
@@ -144,18 +146,18 @@ class TestDecomposeDiscrete:
         comps = decompose_grid(get_model("identity_2"), _pm1_space(), U1, 1)
         assert np.array_equal(comps.mean, np.zeros(2))
         # group part is (x1, 0) at grid points -1, +1 of the first coordinate
-        assert np.array_equal(comps.subset_values, [[-1.0, 0.0], [1.0, 0.0]])
-        assert np.array_equal(comps.complement_values, [[0.0, -1.0], [0.0, 1.0]])
-        assert np.max(np.abs(comps.interaction_values)) == 0.0
+        assert np.array_equal(comps.subset_part.reshape(-1, 2), [[-1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(comps.complement_part.reshape(-1, 2), [[0.0, -1.0], [0.0, 1.0]])
+        assert np.max(np.abs(comps.interaction_part)) == 0.0
 
     def test_pure_interaction_model(self):
         comps = decompose_grid(_product_model(), _pm1_space(), U1, 1)
-        assert np.max(np.abs(comps.subset_values)) == 0.0
-        assert np.max(np.abs(comps.complement_values)) == 0.0
+        assert np.max(np.abs(comps.subset_part)) == 0.0
+        assert np.max(np.abs(comps.complement_part)) == 0.0
         # the interaction part is the full product term
         x1, x2 = (np.asarray(m.points) for m in _pm1_space().marginals)
         prods = np.multiply.outer(x1, x2).ravel()
-        assert np.array_equal(comps.interaction_values[:, 0], prods)
+        assert np.array_equal(comps.interaction_part.reshape(-1, 2)[:, 0], prods)
 
     def test_sum_prod_on_four_point_grid(self):
         space = InputSpace((Discrete((0.0, 1.0), (0.5, 0.5)),) * 2)
@@ -183,9 +185,10 @@ class TestDecomposeDiscrete:
         model = VectorModel(in_dims=3, out_dims=2, kind="builtin", eval_fn=_eval, name="mix")
         for subset in (SubsetIndex((0,), 3), SubsetIndex((0, 2), 3), SubsetIndex((1,), 3)):
             comps = decompose_grid(model, space, subset, 1)
-            assert comps.reconstruction_residual() <= 1e-10
-            assert comps.component_mean_defect() <= 1e-12
-            assert comps.orthogonality_defect() <= 1e-12
+            reconstruction, mean, orthogonality = grid_defects(model, space, 1, comps)
+            assert reconstruction <= 1e-10
+            assert mean <= 1e-12
+            assert orthogonality <= 1e-12
             assert comps.covariance_triple().residual <= 1e-12
 
     def test_full_subset(self):
@@ -256,24 +259,49 @@ class TestCovariancesQuadrature:
         for part in ("total", "subset", "complement", "interaction"):
             assert np.max(np.abs(getattr(quad, part) - getattr(enum, part))) <= 1e-15
 
-    def test_memory_stays_within_64_bytes_per_node(self):
-        # the outputs and the interaction tensor take 48 B per node at k=3; no
-        # full-grid input matrix, weight vector or weighted copy may join them
-        def _eval(x):
-            return np.stack(
-                [np.exp(x[:, 0]) * np.sin(x[:, 1]), x[:, 1] * x[:, 3] + np.cos(x[:, 2]),
-                 np.exp(-x[:, 0] * x[:, 3])], axis=1)
+    def test_memory_stays_within_40_bytes_per_node(self):
+        # the evaluated tensor, centred in place into the interaction, takes
+        # 24 B per node at k=3; no second full-size tensor, full-grid input
+        # matrix, weight vector or weighted copy may join it
+        subset = SubsetIndex((1, 2), 4)
+        assert _traced_peak(_smooth_model(), subset, 16) / 16**4 <= 40
 
-        model = VectorModel(in_dims=4, out_dims=3, kind="builtin", eval_fn=_eval, name="smooth")
-        space, subset = InputSpace.uniform(4), SubsetIndex((1, 2), 4)
-        covariances_quadrature(model, space, subset, 2)  # warm the rule code outside the trace
-        tracemalloc.start()
-        try:
-            covariances_quadrature(model, space, subset, 16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / 16**4 <= 64
+    def test_full_group_centres_in_place_without_aliasing(self):
+        # for the full group the conditional mean over no axes is the evaluated
+        # tensor itself; the in-place centring must not reach the subset part,
+        # a second full-size tensor (48 B per node in all at k=3)
+        model, space = _smooth_model(), InputSpace.uniform(4)
+        subset = SubsetIndex((0, 1, 2, 3), 4)
+        assert _traced_peak(model, subset, 16) / 16**4 <= 64
+        triple = covariances_quadrature(model, space, subset, 3)
+        rules = [m.quadrature(3) for m in space.marginals]
+        reference = _reference_triple(model.evaluate, rules, subset)
+        scale = max(1.0, float(np.max(np.abs(reference[0]))))
+        for got, want in zip(
+            (triple.total, triple.subset, triple.complement, triple.interaction), reference
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _smooth_model():
+    def _eval(x):
+        return np.stack(
+            [np.exp(x[:, 0]) * np.sin(x[:, 1]), x[:, 1] * x[:, 3] + np.cos(x[:, 2]),
+             np.exp(-x[:, 0] * x[:, 3])], axis=1)
+
+    return VectorModel(in_dims=4, out_dims=3, kind="builtin", eval_fn=_eval, name="smooth")
+
+
+def _traced_peak(model, subset, nodes):
+    """Traced peak bytes of one grid oracle call on the uniform space."""
+    space = InputSpace.uniform(model.in_dims)
+    covariances_quadrature(model, space, subset, 2)  # warm the rule code outside the trace
+    tracemalloc.start()
+    try:
+        covariances_quadrature(model, space, subset, nodes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +387,10 @@ def test_grid_kernel_matches_a_brute_force_reference(marginals, nodes, coef):
                 (triple.total, triple.subset, triple.complement, triple.interaction), reference
             ):
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale
-            assert comps.reconstruction_residual() <= 1e-12
-            assert comps.component_mean_defect() <= 1e-12
-            assert comps.orthogonality_defect() <= 1e-12
+            reconstruction, mean, orthogonality = grid_defects(model, space, nodes, comps)
+            assert reconstruction <= 1e-12
+            assert mean <= 1e-12
+            assert orthogonality <= 1e-12
 
 
 # ---------------------------------------------------------------------------
