@@ -277,11 +277,10 @@ def _parse_ci(node: Any) -> CISpec:
     if isinstance(node, str):
         node = {"kind": node}
     kind = _kind(node, "ci", _CI_KEYS, "ci")
-    least = BOOTSTRAP_MIN_REPS if kind == "bootstrap" else None
     return CISpec(
         kind,
         _field(node.get("level"), "ci.level", lambda v: _check_level(v, "level"), CISpec.level),
-        _field(node.get("reps"), "ci.reps", lambda v: _count(v, "reps", least), CISpec.reps),
+        _field(node.get("reps"), "ci.reps", lambda v: _count(v, "reps", BOOTSTRAP_MIN_REPS), CISpec.reps),
     )
 
 
@@ -420,8 +419,8 @@ def run_design(config: RunConfig) -> SharedDesign:
     accepted) and feed the table back via model.external.
 
     The run's seed streams are children of the config seed by spawn key
-    (spaces.stream): the design is drawn from (0, 0), subset i's bootstrap
-    from (i, 1) and the replication study from (0, 2).
+    (spaces.stream): the design is drawn from (0, 0), the one bootstrap
+    pattern of all its subsets from (0, 1) and the study from (0, 2).
     """
     return generate_design(config.space, config.subsets, config.n, stream(config.seed, 0, 0))
 
@@ -444,11 +443,11 @@ def _replication_dict(report) -> dict:
 
 
 def _samples(config: RunConfig):
-    """Yield (subset, sample, ci seed, start time) per analysed sample.
+    """Yield (subset, sample, start time) per analysed sample.
 
     Model mode evaluates one shared design: (1 + s) n model rows for s
     subsets. Sample mode reads its file once; its subset is only a label
-    (None when absent) and its bootstrap draws from the config seed.
+    (None when absent).
     """
     if config.sample_path is not None:
         started = time.perf_counter()
@@ -461,15 +460,14 @@ def _samples(config: RunConfig):
         if config.ci.kind == "delta":
             _field(sample.n, "sample", _delta_n)
         label = config.subsets[0] if config.subsets else None
-        yield label, sample, config.seed, started
+        yield label, sample, started
         return
     # the first subset's time includes the shared draw and the shared f(x)
     started = time.perf_counter()
-    ci_streams = (stream(config.seed, i, 1) for i in range(len(config.subsets)))
     # not zip or enumerate: their cached result tuple would keep the previous
     # sample alive while evaluate_shared evaluates the next group's outputs
     for sample in evaluate_shared(config.model, run_design(config)):
-        yield sample.subset, sample, next(ci_streams), started
+        yield sample.subset, sample, started
         del sample
         started = time.perf_counter()
 
@@ -479,7 +477,8 @@ def run(config: RunConfig) -> RunReport:
 
     The exact route is picked once, before anything is drawn, so a study with
     no oracle target is refused before the model is evaluated. Every subset
-    is analysed before the run's one replication study, if any.
+    is analysed before the run's one replication study, if any. The subsets
+    share their rows, so one pattern resamples every sample.
     """
     started = time.perf_counter()
     model = config.model
@@ -487,13 +486,14 @@ def run(config: RunConfig) -> RunReport:
     if config.replications is not None and route is None:
         raise _fail("replications", "no oracle target: no exact oracle applies to this model "
                     "and input space")
+    ci_seed = config.seed if config.sample_path is not None else stream(config.seed, 0, 1)
     results = []
-    for subset, sample, ci_ss, t0 in _samples(config):
+    for subset, sample, t0 in _samples(config):
         est = None  # first: a bootstrap's table pass also reduces the moments
         if config.ci.kind == "delta":
             est = delta_ci(sample, config.ci.level)
         elif config.ci.kind == "bootstrap":
-            est = bootstrap_ci(sample, config.ci.reps, config.ci.level, ci_ss)
+            est = bootstrap_ci(sample, config.ci.reps, config.ci.level, ci_seed)
         result = SubsetResult(
             subset=[] if subset is None else list(subset.to_one_based()),
             n=sample.n,
@@ -569,8 +569,7 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_to_csv(report: RunReport) -> str:
-    tree = asdict(report)
-    _check_finite(tree, "report")
+    _check_finite(asdict(report), "report")
     lines = ["subset,estimate,oracle,sigma2_hat,ci_low,ci_high,n,seed"]
     for sub in report.subsets:
         optional = (sub.oracle_subset, sub.sigma2_hat, sub.ci_low, sub.ci_high)
@@ -581,21 +580,22 @@ def report_to_csv(report: RunReport) -> str:
 
 
 def write_report(report: RunReport, path: str, fmt: str = "json") -> None:
-    """Serialize the report to path ('-' writes to stdout)."""
-    if fmt == "json":
-        text = report_to_json(report)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    else:
+    """Serialize the report to path ('-' writes to stdout); a failed write is a ReportError."""
+    serialize = {"json": report_to_json, "csv": report_to_csv}.get(fmt)
+    if serialize is None:
         raise ConfigurationError(f"unknown report format {fmt!r}")
-    if path == "-":
-        sys.stdout.write(text)
-        return
+    text = serialize(report)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path != "-":
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ReportError(f"cannot write report to {path}: {exc}") from None
+        raise ReportError(f"cannot write report to {'stdout' if path == '-' else path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

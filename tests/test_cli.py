@@ -241,6 +241,11 @@ COUNT_FIELDS = [
     (U_ONLY_TREE, "model.params.coords[0]", 1, 3, "model",
      lambda c: int(np.flatnonzero(c.model.evaluate(np.eye(3))[:, 0])[0]) + 1),
     (VALID_TREES["model"], "schema", 1, 1, "schema", lambda c: 1),
+    # ci.reps has the bootstrap's floor whatever the interval kind
+    ({**VALID_TREES["model"], "ci": {"kind": "delta"}}, "ci.reps", 200, np.inf, None,
+     lambda c: c.ci.reps),
+    ({**VALID_TREES["model"], "ci": {"kind": "none"}}, "ci.reps", 200, np.inf, None,
+     lambda c: c.ci.reps),
 ]
 COUNT_VALUES = st.one_of(
     st.integers(-3, 3000),
@@ -357,6 +362,8 @@ class TestParseConfig:
     @example(COUNT_FIELDS[0], 2000.0)
     @example(COUNT_FIELDS[0], "1e4")
     @example(COUNT_FIELDS[3], 1.0)
+    @example(COUNT_FIELDS[6], -7)
+    @example(COUNT_FIELDS[7], 0)
     def test_a_count_field_is_read_by_the_count_rule(self, field, value):
         """The config keeps the int spaces._count reads from the value (numeric
         text read as an int, else a float), or names the field refusing it."""
@@ -625,6 +632,40 @@ class TestSharedDesign:
         passes.clear()
         bootstrap_ci(sample, 200, 0.95, 5)
         assert len(passes) == 1
+
+    def test_every_subset_is_resampled_with_the_runs_one_pattern(self):
+        # the subsets share the rows of A, so one pattern from the (0, 1)
+        # stream resamples them all
+        config = parse_config(
+            "model: {name: linear, params: {matrix: [[1, 2, 0.5], [0, -1, 3]]}}\n"
+            "subsets: [[1], [2, 3], [3]]\nn: 500\nseed: 8\nci: {kind: bootstrap, reps: 200}\n"
+        )
+        report = run(config)
+        for i, rec in enumerate(report.subsets):
+            sample = evaluate_pairs(config.model, cli.subset_design(config, i))
+            est = bootstrap_ci(sample, 200, 0.95, spaces.stream(8, 0, 1))
+            assert (rec.sigma2_hat, rec.ci_low, rec.ci_high) == (est.sigma2_hat, est.ci_low, est.ci_high)
+
+    def test_a_repeated_subset_reports_one_interval(self):
+        config = parse_config("model: sum_prod\nsubsets: [[1], [1]]\nn: 1000\nseed: 3\n"
+                              "ci: {kind: bootstrap, reps: 200}\n")
+        first, second = ((r.sigma2_hat, r.ci_low, r.ci_high) for r in run(config).subsets)
+        assert first == second
+
+    def test_one_subset_and_sample_mode_intervals_keep_their_patterns(self, tmp_path):
+        # a one-subset run draws its pattern from the (0, 1) stream, and a
+        # sample-mode run from the config seed
+        config = parse_config("model: sum_prod\nsubsets: [[2]]\nn: 400\nseed: 6\n"
+                              "ci: {kind: bootstrap, reps: 200, level: 0.9}\n")
+        sample = evaluate_pairs(config.model, cli.subset_design(config, 0))
+        path = tmp_path / "pairs.csv"
+        write_sample_csv(sample, str(path))
+        sample_config = parse_config(f"sample: {path}\nseed: 6\nci: {{kind: bootstrap, reps: 200}}\n")
+        cases = [(config, bootstrap_ci(sample, 200, 0.9, spaces.stream(6, 0, 1))),
+                 (sample_config, bootstrap_ci(read_sample_csv(str(path)), 200, 0.95, 6))]
+        for config, est in cases:
+            rec = run(config).subsets[0]
+            assert (rec.sigma2_hat, rec.ci_low, rec.ci_high) == (est.sigma2_hat, est.ci_low, est.ci_high)
 
     def test_one_subset_run_is_its_generate_design_sample(self):
         model = get_model("sum_prod")
@@ -1087,6 +1128,27 @@ class TestMain:
              "--output", str(out)]
         )
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("stdout", ["full", "closed"])
+    def test_a_report_that_cannot_reach_stdout_exits_4(self, stdout):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys\nfrom vecsobol.cli import main\n"
+                "sys.exit(main(['--model', 'identity_2', '--subset', '1', '--n', '20', '--reproducible']))\n")
+        if stdout == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=full,
+                                      stderr=subprocess.PIPE, text=True)
+        else:
+            # the child closes its fd 1 before the interpreter starts
+            proc = subprocess.run([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE,
+                                  text=True, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.startswith("report error: cannot write report to stdout: ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("source", ["model", "sample"])
     def test_too_few_distinct_pairs_to_bootstrap_exit_3(self, tmp_path, capsys, source):
