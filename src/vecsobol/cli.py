@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -443,11 +444,12 @@ def _replication_dict(report) -> dict:
 
 
 def _samples(config: RunConfig):
-    """Yield (subset, sample, start time) per analysed sample.
+    """Yield (subset, sample, bootstrap seed, start time) per analysed sample.
 
     Model mode evaluates one shared design: (1 + s) n model rows for s
-    subsets. Sample mode reads its file once; its subset is only a label
-    (None when absent).
+    subsets, which share one resampling pattern, the (0, 1) stream. Sample
+    mode reads its file once; its subset is only a label (None when absent)
+    and its bootstrap draws from the config seed.
     """
     if config.sample_path is not None:
         started = time.perf_counter()
@@ -460,14 +462,15 @@ def _samples(config: RunConfig):
         if config.ci.kind == "delta":
             _field(sample.n, "sample", _delta_n)
         label = config.subsets[0] if config.subsets else None
-        yield label, sample, started
+        yield label, sample, config.seed, started
         return
     # the first subset's time includes the shared draw and the shared f(x)
     started = time.perf_counter()
+    pattern = stream(config.seed, 0, 1)
     # not zip or enumerate: their cached result tuple would keep the previous
     # sample alive while evaluate_shared evaluates the next group's outputs
     for sample in evaluate_shared(config.model, run_design(config)):
-        yield sample.subset, sample, started
+        yield sample.subset, sample, pattern, started
         del sample
         started = time.perf_counter()
 
@@ -477,8 +480,7 @@ def run(config: RunConfig) -> RunReport:
 
     The exact route is picked once, before anything is drawn, so a study with
     no oracle target is refused before the model is evaluated. Every subset
-    is analysed before the run's one replication study, if any. The subsets
-    share their rows, so one pattern resamples every sample.
+    is analysed before the run's one replication study, if any.
     """
     started = time.perf_counter()
     model = config.model
@@ -486,9 +488,8 @@ def run(config: RunConfig) -> RunReport:
     if config.replications is not None and route is None:
         raise _fail("replications", "no oracle target: no exact oracle applies to this model "
                     "and input space")
-    ci_seed = config.seed if config.sample_path is not None else stream(config.seed, 0, 1)
     results = []
-    for subset, sample, t0 in _samples(config):
+    for subset, sample, ci_seed, t0 in _samples(config):
         est = None  # first: a bootstrap's table pass also reduces the moments
         if config.ci.kind == "delta":
             est = delta_ci(sample, config.ci.level)
@@ -569,7 +570,8 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_to_csv(report: RunReport) -> str:
-    _check_finite(asdict(report), "report")
+    tree = asdict(report)
+    _check_finite(tree, "report")
     lines = ["subset,estimate,oracle,sigma2_hat,ci_low,ci_high,n,seed"]
     for sub in report.subsets:
         optional = (sub.oracle_subset, sub.sigma2_hat, sub.ci_low, sub.ci_high)
@@ -581,10 +583,12 @@ def report_to_csv(report: RunReport) -> str:
 
 def write_report(report: RunReport, path: str, fmt: str = "json") -> None:
     """Serialize the report to path ('-' writes to stdout); a failed write is a ReportError."""
-    serialize = {"json": report_to_json, "csv": report_to_csv}.get(fmt)
-    if serialize is None:
+    if fmt == "json":
+        text = report_to_json(report)
+    elif fmt == "csv":
+        text = report_to_csv(report)
+    else:
         raise ConfigurationError(f"unknown report format {fmt!r}")
-    text = serialize(report)
     try:
         if path != "-":
             with open(path, "w", encoding="utf-8") as fh:
@@ -595,6 +599,9 @@ def write_report(report: RunReport, path: str, fmt: str = "json") -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if path == "-" and sys.stdout is not None:
+            # else the interpreter's exit flushes the unwritten bytes again and exits 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ReportError(f"cannot write report to {'stdout' if path == '-' else path}: {exc}") from None
 
 
